@@ -18,6 +18,7 @@ from .harness import (
     run_papr,
     run_pulse_decay,
     sweep,
+    window_for,
     write_csv,
 )
 from .numerics import SeededRng
@@ -67,7 +68,8 @@ def _cmd_tx(args) -> int:
         folded = fold_spectrum(front_end(symbol.time_samples, grid), filt)
         est = estimate_channel(
             folded, layout, symbol.rs_core,
-            EstimatorConfig(window_len=max(layout.rs_len // 2, 1), ridge=cfg.ridge),
+            EstimatorConfig(window_len=window_for(cfg.scheme, layout),
+                            ridge=cfg.ridge),
         )
         eq = mmse_equalize(folded, est, 0.0)
         print(dump_diagnostics(folded, est, eq))

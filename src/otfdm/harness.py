@@ -29,7 +29,7 @@ from .channel import (
     hst_realization,
     tdlc_realization,
 )
-from .numerics import SeededRng
+from .numerics import SeededRng, ccdf, cyclic_fold
 from .receiver import (
     EstimatorConfig,
     ars_phase_correct,
@@ -162,6 +162,10 @@ def grid_for(
     )
 
 
+FILTER_KINDS = ("SQRC", "NONE", "TAPS2", "TAPS3")
+CHANNELS = ("AWGN", "TDLC", "HST", "NONE")
+
+
 def filter_for(kind: str, alloc_size: int, extension_pct: float) -> ShapingFilter:
     """SQRC with the requested extension, a 2/3-tap magnitude filter, or the
     rectangular (no shaping) filter."""
@@ -188,7 +192,7 @@ class ExperimentConfig:
     ars_pct: float = 0.0
     ars_correction: bool = True
     scs_khz: float = 30.0
-    channel: str = "AWGN"  # AWGN | TDLC | HST | NONE
+    channel: str = "AWGN"  # one of CHANNELS
     delay_spread_ns: float = 1000.0
     speed_kmh: float = 0.0
     fc_ghz: float = 7.0
@@ -206,6 +210,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in MOD_SCHEMES:
             raise ValueError(f"ExperimentConfig: unknown scheme {self.scheme!r}")
+        if self.channel not in CHANNELS:
+            raise ValueError(f"ExperimentConfig: unknown channel {self.channel!r}")
+        if self.filter_kind not in FILTER_KINDS:
+            raise ValueError(
+                f"ExperimentConfig: unknown filter_kind {self.filter_kind!r}"
+            )
         if self.trials < 1:
             raise ValueError("ExperimentConfig: trials must be >= 1")
         if self.alloc_size < 8:
@@ -347,16 +357,15 @@ def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricReco
     plain = [r[1] for r in results]
 
     records = []
-    pooled_shaped = np.concatenate(shaped)
-    pooled_plain = np.concatenate(plain)
     grid_lin = 10.0 ** (np.asarray(PAPR_CCDF_GRID_DB) / 10.0)
-    for thr_db, thr in zip(PAPR_CCDF_GRID_DB, grid_lin):
+    ccdf_shaped = ccdf(np.concatenate(shaped), grid_lin)
+    ccdf_plain = ccdf(np.concatenate(plain), grid_lin)
+    for thr_db, (_, p_shaped), (_, p_plain) in zip(PAPR_CCDF_GRID_DB, ccdf_shaped,
+                                                   ccdf_plain):
         records.append(_record(cfg, layout, "papr_ccdf", "papr_db", thr_db,
-                               float(np.mean(pooled_shaped > thr)),
-                               gamma_pct=gamma_pct, warning=warning))
+                               p_shaped, gamma_pct=gamma_pct, warning=warning))
         records.append(_record(cfg, layout, "papr_ccdf_baseline", "papr_db", thr_db,
-                               float(np.mean(pooled_plain > thr)),
-                               gamma_pct=gamma_pct, warning=warning))
+                               p_plain, gamma_pct=gamma_pct, warning=warning))
 
     note = (f"per-sample power CCDF on a {grid.fft_size}-point body "
             f"(>=4x oversampling of alloc {cfg.alloc_size}); "
@@ -404,13 +413,7 @@ def _composite_truth(ch: ChannelRealization, grid: WaveformGrid,
     """Oracle folded composite: squared shaping gain times the realized
     channel response, aliased to the allocation grid."""
     h_bins = ch.frequency_response(grid.fft_size, sample_index)[grid.mapped_bins()]
-    m, g = grid.alloc_size, grid.excess
-    prod = (filt.weights**2) * h_bins
-    truth = prod[g : g + m].copy()
-    if g:
-        truth[: g] += prod[m + g :]
-        truth[m - g :] += prod[: g]
-    return truth
+    return cyclic_fold((filt.weights**2) * h_bins, grid.alloc_size, grid.excess)
 
 
 def _noise_vars(grid: WaveformGrid, snr_db: float) -> tuple[float, float]:
@@ -450,7 +453,10 @@ def _mse_point(cfg: ExperimentConfig, ext_pct: float, rs_pct: float,
 
 def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
     """Estimate-vs-truth MSE swept over the extension factor at fixed RS
-    overhead, then over the RS overhead at fixed extension."""
+    overhead, then over the RS overhead at fixed extension, at the config's
+    single SNR."""
+    if len(cfg.snr_db) != 1:
+        raise ValueError(f"run_mse: needs exactly one SNR, got {len(cfg.snr_db)}")
     snr_db = cfg.snr_db[0]
     rs_fixed = cfg.rs_overhead_pct if cfg.rs_overhead_pct is not None else 8.0
     records = []
@@ -544,39 +550,32 @@ def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
                                   ridge=cfg.ridge)
     records = []
     for snr_db in cfg.snr_db:
-        rows = _map_trials(
+        records += _ber_evm_records(
+            cfg, layout, snr_db, "",
             lambda t: _otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg,
                                    snr_db, t),
-            cfg.trials, cfg.n_workers,
         )
-        errors = sum(r[0] for r in rows)
-        bits = sum(r[1] for r in rows)
-        err_pow = sum(r[2] for r in rows)
-        ref_pow = sum(r[3] for r in rows)
-        records.append(_record(cfg, layout, "ber", "snr_db", snr_db,
-                               errors / bits, snr_db=snr_db))
-        records.append(_record(cfg, layout, "evm_db", "snr_db", snr_db,
-                               10.0 * math.log10(err_pow / ref_pow)
-                               if err_pow > 0 else float("-inf"),
-                               snr_db=snr_db))
         if cfg.compare_baseline:
             base_grid = grid_for(cfg.alloc_size, 0, cfg.scs_khz)
-            rows = _map_trials(
+            records += _ber_evm_records(
+                cfg, layout, snr_db, "_baseline",
                 lambda t: _dfts_baseline_trial(cfg, scheme, base_grid, snr_db, t),
-                cfg.trials, cfg.n_workers,
             )
-            errors = sum(r[0] for r in rows)
-            bits = sum(r[1] for r in rows)
-            err_pow = sum(r[2] for r in rows)
-            ref_pow = sum(r[3] for r in rows)
-            records.append(_record(cfg, layout, "ber_baseline", "snr_db", snr_db,
-                                   errors / bits, snr_db=snr_db))
-            records.append(_record(cfg, layout, "evm_db_baseline", "snr_db",
-                                   snr_db,
-                                   10.0 * math.log10(err_pow / ref_pow)
-                                   if err_pow > 0 else float("-inf"),
-                                   snr_db=snr_db))
     return records
+
+
+def _ber_evm_records(cfg, layout, snr_db, suffix, trial) -> list[MetricRecord]:
+    """Run `trial` over every trial index and pool its (bit_errors, bits,
+    error_power, reference_power) rows into one BER and one EVM record."""
+    rows = _map_trials(trial, cfg.trials, cfg.n_workers)
+    errors, bits, err_pow, ref_pow = (sum(col) for col in zip(*rows))
+    evm = 10.0 * math.log10(err_pow / ref_pow) if err_pow > 0 else float("-inf")
+    return [
+        _record(cfg, layout, "ber" + suffix, "snr_db", snr_db, errors / bits,
+                snr_db=snr_db),
+        _record(cfg, layout, "evm_db" + suffix, "snr_db", snr_db, evm,
+                snr_db=snr_db),
+    ]
 
 
 # --------------------------------------------------------------------------

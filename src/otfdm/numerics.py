@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dft", "idft", "papr_db", "ccdf", "evm_db", "SeededRng"]
+__all__ = ["dft", "idft", "cyclic_fold", "papr_db", "ccdf", "evm_db", "SeededRng"]
 
 
 def _as_complex_vec(x) -> np.ndarray:
@@ -31,6 +31,19 @@ def dft(x, inverse: bool = False) -> np.ndarray:
 def idft(x) -> np.ndarray:
     """Inverse DFT with the 1/size factor."""
     return dft(x, inverse=True)
+
+
+def cyclic_fold(x, length: int, offset: int = 0) -> np.ndarray:
+    """Alias a sequence onto a cyclic grid of `length` bins.
+
+    x[j] is added into bin (j - offset) % length, in ascending j, starting
+    from zero; this is the one implementation of spectrum folding, so every
+    fold in the library sums its contributions in the same order.
+    """
+    x = np.asarray(x)
+    out = np.zeros(length, dtype=x.dtype)
+    np.add.at(out, (np.arange(x.size) - offset) % length, x)
+    return out
 
 
 def papr_db(x) -> float:

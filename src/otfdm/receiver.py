@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .numerics import cyclic_fold
 from .sequences import ONE_SIDED_CP, FrameLayout, ModScheme, ShapingFilter, modulate
 from .transmitter import WaveformGrid
 
@@ -158,19 +159,8 @@ def fold_spectrum(demapped, filt: ShapingFilter) -> FoldedSymbol:
         raise ValueError(
             f"fold_spectrum: block length {y.size} != extended size {m + 2 * g}"
         )
-    prod = filt.weights * y
-    folded = prod[g : g + m].copy()
-    if g:
-        folded[: g] += prod[m + g :]
-        folded[m - g :] += prod[: g]
+    folded = cyclic_fold(filt.weights * y, m, g)
     return FoldedSymbol(folded=folded, demapped=y, filt=filt)
-
-
-def _alias_to(x: np.ndarray, length: int) -> np.ndarray:
-    """Fold a sequence onto a shorter cyclic grid by summing congruent taps."""
-    out = np.zeros(length, dtype=x.dtype)
-    np.add.at(out, np.arange(x.size) % length, x)
-    return out
 
 
 def _reference_gain(filt: ShapingFilter, rs_len: int) -> np.ndarray:
@@ -181,7 +171,7 @@ def _reference_gain(filt: ShapingFilter, rs_len: int) -> np.ndarray:
     """
     composite = filt.folded_square()
     impulse = np.fft.ifft(composite)
-    return np.fft.fft(_alias_to(impulse, rs_len))
+    return np.fft.fft(cyclic_fold(impulse, rs_len))
 
 
 def estimate_channel(
@@ -328,22 +318,6 @@ def ars_phase_correct(
     return replace(eq, time=time, phase_step=step)
 
 
-@dataclass(frozen=True)
-class _Constellation:
-    points: np.ndarray
-    bits: np.ndarray  # shape (num_points, bits_per_symbol)
-
-
-def _constellation(scheme: ModScheme) -> _Constellation:
-    bps = scheme.bits_per_symbol
-    count = 2**bps
-    patterns = ((np.arange(count)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(
-        np.int64
-    )
-    points = modulate(patterns.ravel(), scheme)
-    return _Constellation(points=points, bits=patterns)
-
-
 def demodulate(symbols, scheme: ModScheme, noise_var: float):
     """Minimum-distance hard bits plus max-log soft metrics.
 
@@ -364,17 +338,23 @@ def demodulate(symbols, scheme: ModScheme, noise_var: float):
         llr = (d[:, 0] - d[:, 1]) / scale
         return bits, llr
 
-    table = _constellation(scheme)
-    d = np.abs(rx[:, None] - table.points[None, :]) ** 2
-    best = np.argmin(d, axis=1)
-    bits = table.bits[best].ravel()
-
-    bps = scheme.bits_per_symbol
-    llr = np.empty((rx.size, bps))
-    for b in range(bps):
-        ones = table.bits[:, b] == 1
-        llr[:, b] = (d[:, ~ones].min(axis=1) - d[:, ones].min(axis=1)) / scale
-    return bits, llr.ravel()
+    # Square QAM: the squared distance splits into I and Q parts, so each
+    # bit's max-log metric needs only the Gray-PAM levels of its own axis
+    # (even bit positions ride on I, odd ones on Q). Sending every per-axis
+    # label on both axes reads those levels off `modulate`.
+    half = scheme.bits_per_symbol // 2
+    labels = (np.arange(2**half)[:, None] >> np.arange(half - 1, -1, -1)) & 1
+    points = modulate(np.repeat(labels, 2, axis=1).ravel(), scheme)
+    bits = np.empty((rx.size, 2 * half), dtype=np.int64)
+    llr = np.empty(bits.shape)
+    for axis, r, levels in ((0, rx.real, points.real), (1, rx.imag, points.imag)):
+        d = (r[:, None] - levels[None, :]) ** 2
+        bits[:, axis::2] = labels[np.argmin(d, axis=1)]
+        for c in range(half):
+            ones = labels[:, c] == 1
+            llr[:, axis + 2 * c] = (d[:, ~ones].min(axis=1)
+                                    - d[:, ones].min(axis=1)) / scale
+    return bits.ravel(), llr.ravel()
 
 
 def dump_diagnostics(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng
+from .numerics import SeededRng, cyclic_fold
 
 __all__ = [
     "ModScheme",
@@ -232,28 +232,11 @@ class ShapingFilter:
 
     def fold_flatness_error(self) -> float:
         """Max deviation of the folded squared gain from unity."""
-        m = self.alloc_size
-        total = np.zeros(m)
-        for p in (-1, 0, 1):
-            lo = p * m
-            hi = lo + m
-            src_lo = max(lo, -self.excess)
-            src_hi = min(hi, m + self.excess)
-            if src_lo < src_hi:
-                seg = self.weights[src_lo + self.excess : src_hi + self.excess] ** 2
-                total[src_lo - lo : src_hi - lo] += seg
-        return float(np.max(np.abs(total - 1.0)))
-
-    def is_fold_flat(self, tol: float = 1e-12) -> bool:
-        return self.fold_flatness_error() <= tol
+        return float(np.max(np.abs(self.folded_square() - 1.0)))
 
     def folded_square(self) -> np.ndarray:
         """Folded squared gain on the alloc-size grid (composite filter gain)."""
-        m = self.alloc_size
-        total = np.zeros(m)
-        for j in range(self.weights.size):
-            total[(j - self.excess) % m] += self.weights[j] ** 2
-        return total
+        return cyclic_fold(self.weights**2, self.alloc_size, self.excess)
 
 
 def make_sqrc_filter(alloc_size: int, excess: int) -> ShapingFilter:

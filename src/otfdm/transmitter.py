@@ -38,7 +38,7 @@ __all__ = [
 class WaveformGrid:
     """Subcarrier budget of one symbol.
 
-    alloc_size subcarriers carry the precoded sequence, plus `excess` cyclic
+    alloc_size subcarriers carry the DFT precoder output, plus `excess` cyclic
     copies per side; the extended block is mapped onto fft_size bins starting
     at subcarrier index start_sc (frequencies in [-fft_size/2, fft_size/2)).
     """
@@ -94,15 +94,14 @@ class OtfdmSymbol:
     """One generated symbol with its debug taps.
 
     time_samples is the cp_len + fft_size transmit vector. The taps hold the
-    unnormalized stage outputs: multiplexed, precoded (forward DFT), extended
-    and shaped, and the mapped fft_size spectrum.
+    unnormalized stage outputs: multiplexed, extended and shaped, and the
+    mapped fft_size spectrum.
     """
 
     time_samples: np.ndarray
     grid: WaveformGrid
     layout: FrameLayout | None = None
     multiplexed: np.ndarray | None = None
-    precoded: np.ndarray | None = None
     shaped: np.ndarray | None = None
     mapped: np.ndarray | None = None
     data_symbols: np.ndarray | None = None
@@ -235,7 +234,6 @@ def generate_otfdm(
     sym = map_and_modulate(shaped, grid)
     sym.layout = layout
     sym.multiplexed = multiplexed
-    sym.precoded = dft(multiplexed)
     sym.data_symbols = data
     sym.ars_symbols = ars
     sym.rs_core = rs_core

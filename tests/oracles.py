@@ -48,6 +48,16 @@ def fold_direct(demapped, weights, alloc_size, excess):
     return out
 
 
+def cyclic_fold_direct(x, length, offset=0):
+    """Alias x onto `length` cyclic bins one element at a time, in ascending
+    index order: x[j] lands in bin (j - offset) mod length."""
+    x = np.asarray(x)
+    out = np.zeros(length, dtype=x.dtype)
+    for j in range(x.size):
+        out[(j - offset) % length] += x[j]
+    return out
+
+
 def fold_composite_direct(weights, alloc_size, excess, channel_bins):
     """True folded composite response: sum of |w|^2 H over each bin's aliases."""
     out = np.zeros(alloc_size, dtype=np.complex128)
@@ -57,6 +67,27 @@ def fold_composite_direct(weights, alloc_size, excess, channel_bins):
             if 0 <= j < weights.size:
                 out[k] += abs(weights[j]) ** 2 * channel_bins[j]
     return out
+
+
+def maxlog_demap_direct(rx, points, labels, noise_var):
+    """Brute-force max-log demapper over the full constellation.
+
+    points[i] carries the bit row labels[i]. Per received sample: hard bits
+    of the nearest point, and per bit (min distance over points with a zero
+    minus min distance over points with a one) / noise_var. Both outputs
+    are flattened sample by sample.
+    """
+    rx = np.asarray(rx, dtype=np.complex128)
+    bps = labels.shape[1]
+    bits = np.empty((rx.size, bps), dtype=np.int64)
+    llr = np.empty((rx.size, bps))
+    for n, r in enumerate(rx):
+        d = np.abs(r - points) ** 2
+        bits[n] = labels[np.argmin(d)]
+        for b in range(bps):
+            ones = labels[:, b] == 1
+            llr[n, b] = (d[~ones].min() - d[ones].min()) / noise_var
+    return bits.ravel(), llr.ravel()
 
 
 def qfunc(z):

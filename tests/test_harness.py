@@ -60,6 +60,16 @@ class TestLayoutScaling:
         assert grid.fft_size >= 4 * (240 + 24)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("channel", "RAYLEIGH"), ("channel", "awgn"),
+        ("filter_kind", "RRC"), ("filter_kind", "TAPS4"),
+    ])
+    def test_unknown_channel_or_filter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+
 class TestDeterminism:
     def test_identical_config_identical_records(self):
         cfg = ExperimentConfig(scheme="QPSK", trials=200, seed=77,
@@ -131,6 +141,12 @@ class TestMse:
         values = [r.value for r in run_mse(cfg)]
         assert values[0] > values[1]
 
+    @pytest.mark.parametrize("snr_db", [(), (20.0, 30.0)])
+    def test_needs_exactly_one_snr(self, snr_db):
+        cfg = ExperimentConfig(snr_db=snr_db, trials=1)
+        with pytest.raises(ValueError, match="one SNR"):
+            run_mse(cfg)
+
 
 class TestBer:
     def test_genie_awgn_is_clean_at_high_snr(self):
@@ -198,6 +214,13 @@ class TestCli:
         code = cli_main(["tx", "--out", str(out), "--seed", "3"])
         assert code == 0
         assert out.exists() and out.with_suffix(".bin.hdr").exists()
+
+    def test_tx_verbose_prints_receiver_diagnostics(self, tmp_path, capsys):
+        code = cli_main(["tx", "--out", str(tmp_path / "wave.bin"), "-v"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("channel_estimate[") for line in lines)
+        assert any(line.startswith("phase_step: ") for line in lines)
 
     def test_metric_command_writes_csv(self, tmp_path):
         cfg = {"scheme": "QPSK", "trials": 20, "rs_overhead_pct": 8.0}

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import dft_direct
+from oracles import cyclic_fold_direct, dft_direct
 from otfdm import SeededRng, ccdf, dft, evm_db, idft, papr_db
 from otfdm.harness import ExperimentConfig
+from otfdm.numerics import cyclic_fold
 from otfdm.transmitter import generate_otfdm
 
 
@@ -132,3 +133,17 @@ def test_evm_db():
     assert evm_db(ref, ref) == float("-inf")
     est = ref + np.array([0.1, 0.0])
     assert evm_db(est, ref) == pytest.approx(10 * np.log10(0.01 / 2.0))
+
+
+@pytest.mark.parametrize(
+    "size, length, offset",
+    [(18, 12, 3), (252, 240, 6), (240, 17, 0), (240, 17, 5), (5, 8, 2)],
+)
+def test_cyclic_fold_matches_direct_loop(size, length, offset):
+    # same additions in the same order as the loop, so equal to the bit
+    rng = np.random.default_rng(size + length + offset)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for vec in (x, x.real):
+        out = cyclic_fold(vec, length, offset)
+        assert out.dtype == vec.dtype
+        assert np.array_equal(out, cyclic_fold_direct(vec, length, offset))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import fold_composite_direct, fold_direct, qam_ber_exact
+from oracles import (
+    fold_composite_direct,
+    fold_direct,
+    maxlog_demap_direct,
+    qam_ber_exact,
+)
 from otfdm import (
     MOD_SCHEMES,
     ONE_SIDED_CP,
@@ -360,6 +365,20 @@ class TestDemodulate:
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
             demodulate(np.zeros(0, dtype=complex), MOD_SCHEMES["QPSK"], 0.1)
+
+    @pytest.mark.parametrize("noise_var", [0.001, 0.03, 0.3])
+    @pytest.mark.parametrize("name", ["QPSK", "QAM16", "QAM64", "QAM256"])
+    def test_matches_full_constellation_maxlog(self, name, noise_var):
+        scheme = MOD_SCHEMES[name]
+        bps = scheme.bits_per_symbol
+        labels = (np.arange(2**bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1
+        points = modulate(labels.ravel(), scheme)
+        rng = SeededRng(53, bps)
+        rx = modulate(rng.bits(400 * bps), scheme) + rng.complex_normal(400, noise_var)
+        hard, soft = demodulate(rx, scheme, noise_var)
+        ref_hard, ref_soft = maxlog_demap_direct(rx, points, labels, noise_var)
+        assert np.array_equal(hard, ref_hard)
+        np.testing.assert_allclose(soft, ref_soft, rtol=1e-12)
 
 
 def test_dump_diagnostics_mentions_all_stages():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fold_composite_direct
 from otfdm import (
     MOD_SCHEMES,
     ONE_SIDED_CP,
@@ -175,6 +176,17 @@ class TestSqrcFilter:
     def test_excess_above_half_raises(self):
         with pytest.raises(ValueError):
             make_sqrc_filter(48, 25)
+
+    @pytest.mark.parametrize("alloc, excess", [(12, 3), (240, 6), (240, 54),
+                                               (480, 108)])
+    def test_folded_square_matches_alias_sum(self, alloc, excess):
+        # the oracle squares each weight with pow(), which can land one ulp
+        # away from the exact square; a few ulps of one bound the difference
+        filt = make_sqrc_filter(alloc, excess)
+        ones = np.ones(alloc + 2 * excess)
+        expected = fold_composite_direct(filt.weights, alloc, excess, ones).real
+        np.testing.assert_allclose(filt.folded_square(), expected, rtol=0,
+                                   atol=4 * np.finfo(float).eps)
 
 
 class TestTapsFilter:
