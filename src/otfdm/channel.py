@@ -5,6 +5,7 @@ so trials can run concurrently, each with its own rng stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,26 +136,58 @@ class ChannelRealization:
         return "\n".join(lines)
 
 
-def _jakes_gains(
+@functools.lru_cache(maxsize=32)
+def _tdlc_kernels(delay_spread_ns: float, sample_rate_hz: float) -> np.ndarray:
+    """Read-only (num_taps, ir_len) delay kernels of the TDL-C taps.
+
+    They depend only on the delay spread and the sample rate, so each pair is
+    built once, on first use, and shared by every realization.
+    """
+    delays_s = _TDLC_PROFILE[:, 0] / _TDLC_PROFILE[:, 0].max() * delay_spread_ns * 1e-9
+    delays = delays_s * sample_rate_hz
+    ir_len = int(np.ceil(delays.max())) + _INTERP_HALFWIDTH + 1
+    kernels = np.stack([_delay_kernel(d, ir_len) for d in delays])
+    kernels.flags.writeable = False
+    return kernels
+
+
+def _rayleigh_tap_gains(
+    powers: np.ndarray,
     num_samples: int,
     doppler_hz: float,
     sample_rate_hz: float,
     rng: SeededRng,
     num_sinusoids: int = 32,
 ) -> np.ndarray:
-    """Unit-mean-power Rayleigh gain trajectory, classical Doppler spectrum.
+    """(num_taps, num_samples) Rayleigh gain trajectories, classical Doppler
+    spectrum, tap t with mean power powers[t].
 
-    Sum of sinusoids with random arrival angles and phases; a zero Doppler
-    collapses to a single constant complex gain.
+    Each tap is a sum of sinusoids with random phases and arrival angles,
+    drawn tap after tap (phases, then angles); a zero Doppler draws phases
+    only and holds one constant complex gain. The time-varying sum
+    exp(i(w_k n / fs + phi_k)) is evaluated with the sample index split as
+    n = B*a + b, B = ceil(sqrt(num_samples)): the product of a coarse table
+    over a (carrying phi_k) and a fine table over b, contracted over the
+    sinusoids k with one matmul, costs about 2*sqrt(num_samples) complex
+    exponentials per sinusoid instead of num_samples.
     """
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=num_sinusoids)
+    taps = powers.size
+    amp = np.sqrt(powers)[:, None]
     if doppler_hz == 0.0:
-        g = np.sum(np.exp(1j * phases)) / np.sqrt(num_sinusoids)
-        return np.full(num_samples, g, dtype=np.complex128)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=num_sinusoids)
-    t = np.arange(num_samples) / sample_rate_hz
-    arg = 2.0 * np.pi * doppler_hz * np.outer(np.cos(angles), t) + phases[:, None]
-    return np.sum(np.exp(1j * arg), axis=0) / np.sqrt(num_sinusoids)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(taps, num_sinusoids))
+        g = np.sum(np.exp(1j * phases), axis=1) / np.sqrt(num_sinusoids)
+        return np.repeat(amp * g[:, None], num_samples, axis=1)
+    draws = rng.uniform(0.0, 2.0 * np.pi, size=(taps, 2, num_sinusoids))
+    phases, angles = draws[:, 0, :], draws[:, 1, :]
+    w = 2.0 * np.pi * doppler_hz * np.cos(angles)
+    block = int(np.ceil(np.sqrt(num_samples)))
+    rows = -(-num_samples // block)
+    t_coarse = block * np.arange(rows) / sample_rate_hz
+    t_fine = np.arange(block) / sample_rate_hz
+    coarse = np.exp(1j * (t_coarse[None, :, None] * w[:, None, :] + phases[:, None, :]))
+    fine = np.exp(1j * (w[:, :, None] * t_fine[None, None, :]))
+    g = np.matmul(coarse, fine).reshape(taps, rows * block)[:, :num_samples]
+    return g / np.sqrt(num_sinusoids) * amp
 
 
 def tdlc_realization(
@@ -173,23 +206,14 @@ def tdlc_realization(
     """
     if delay_spread_ns <= 0:
         raise ValueError("tdlc_realization: delay_spread_ns must be > 0")
-    delays_s = _TDLC_PROFILE[:, 0] / _TDLC_PROFILE[:, 0].max() * delay_spread_ns * 1e-9
-    delays = delays_s * sample_rate_hz
     powers = 10.0 ** (_TDLC_PROFILE[:, 1] / 10.0)
     powers /= powers.sum()
-
-    ir_len = int(np.ceil(delays.max())) + _INTERP_HALFWIDTH + 1
-    kernels = np.stack([_delay_kernel(d, ir_len) for d in delays])
+    kernels = _tdlc_kernels(delay_spread_ns, sample_rate_hz)
 
     doppler = (speed_kmh / 3.6) / SPEED_OF_LIGHT * fc_ghz * 1e9
     span = num_samples if (speed_kmh > 0 and num_samples > 1) else 1
-    gains = np.stack(
-        [
-            np.sqrt(p) * _jakes_gains(span, doppler if span > 1 else 0.0,
-                                      sample_rate_hz, rng)
-            for p in powers
-        ]
-    )
+    gains = _rayleigh_tap_gains(powers, span, doppler if span > 1 else 0.0,
+                                sample_rate_hz, rng)
     return ChannelRealization(
         kernels=kernels,
         gains=gains,
@@ -236,14 +260,15 @@ class HstConfig:
     def doppler_hz(self, t: float) -> float:
         return self.max_doppler_hz * self.cos_theta(t)
 
-    def phase_rad(self, t: float) -> float:
+    def phase_rad(self, t):
         """Accumulated carrier phase 2*pi * integral of the Doppler shift,
-        evaluated in closed form."""
-        def dist(u: float) -> float:
-            return float(np.hypot(self.dmin_m, self.ds_m / 2.0 - self.speed_ms * u))
+        evaluated in closed form; t may be a scalar or an array of times."""
+        def dist(u):
+            return np.hypot(self.dmin_m, self.ds_m / 2.0 - self.speed_ms * u)
 
         scale = 2.0 * np.pi * self.max_doppler_hz / self.speed_ms
-        return scale * (dist(0.0) - dist(t))
+        phase = scale * (dist(0.0) - dist(np.asarray(t, dtype=np.float64)))
+        return float(phase) if phase.ndim == 0 else phase
 
 
 def hst_realization(
@@ -259,7 +284,7 @@ def hst_realization(
     if num_samples < 1:
         raise ValueError("hst_realization: num_samples must be >= 1")
     t = t0 + np.arange(num_samples) * (duration / max(num_samples, 1))
-    phases = np.array([cfg.phase_rad(u) for u in t]) - cfg.phase_rad(t0)
+    phases = cfg.phase_rad(t) - cfg.phase_rad(t0)
     gains = np.exp(1j * phases)[None, :]
     kernels = np.ones((1, 1))
     return ChannelRealization(
@@ -323,16 +348,15 @@ def apply_channel(signal, ch: ChannelRealization, rng: SeededRng) -> np.ndarray:
     if x.size == 0:
         raise ValueError("apply_channel: empty signal")
     out_len = x.size + ch.ir_len - 1
-    y = np.zeros(out_len, dtype=np.complex128)
-    for t in range(ch.kernels.shape[0]):
-        delayed = np.convolve(x, ch.kernels[t])
-        if ch.is_static:
-            y += ch.gains[t, 0] * delayed
-        else:
+    if ch.is_static:
+        y = np.convolve(x, ch.impulse_response())
+    else:
+        y = np.zeros(out_len, dtype=np.complex128)
+        for t in range(ch.kernels.shape[0]):
             traj = ch.gains[t]
             if traj.size < out_len:
                 traj = np.concatenate([traj, np.full(out_len - traj.size, traj[-1])])
-            y += traj[:out_len] * delayed
+            y += traj[:out_len] * np.convolve(x, ch.kernels[t])
     if ch.noise_variance > 0.0:
         y += rng.complex_normal(out_len, ch.noise_variance)
     return y

@@ -220,6 +220,16 @@ class ExperimentConfig:
             raise ValueError("ExperimentConfig: trials must be >= 1")
         if self.alloc_size < 8:
             raise ValueError("ExperimentConfig: alloc_size too small")
+        if self.speed_kmh < 0:
+            raise ValueError("ExperimentConfig: speed_kmh must be >= 0")
+        if self.channel == "HST" and self.speed_kmh <= 0:
+            raise ValueError("ExperimentConfig: HST needs speed_kmh > 0")
+        if self.delay_spread_ns <= 0:
+            raise ValueError("ExperimentConfig: delay_spread_ns must be > 0")
+        if self.fc_ghz <= 0:
+            raise ValueError("ExperimentConfig: fc_ghz must be > 0")
+        if self.n_workers < 1:
+            raise ValueError("ExperimentConfig: n_workers must be >= 1")
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -335,9 +345,13 @@ def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricReco
     base_layout = FrameLayout(0, 0, 0, cfg.alloc_size, 0)
     base_filt = filter_for("NONE", cfg.alloc_size, 0.0)
     base_grid = grid_for(cfg.alloc_size, 0, cfg.scs_khz)
-    warning = None
+    notes = []
     if cfg.trials < 10_000:
-        warning = f"trials={cfg.trials} below 1e4; {ccdf_point:.0%} point is noisy"
+        notes.append(f"trials={cfg.trials} below 1e4; {ccdf_point:.0%} point is noisy")
+    if cfg.channel not in ("AWGN", "NONE") or cfg.speed_kmh != 0:
+        notes.append(f"PAPR is a transmit-only metric; channel={cfg.channel} and "
+                     f"speed_kmh={cfg.speed_kmh} were ignored")
+    warning = "; ".join(notes) or None
 
     gamma_pct = 200.0 * filt.excess / cfg.alloc_size
 
@@ -399,7 +413,7 @@ def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
             num_samples=num_samples, noise_variance=noise_var_time,
         )
     if cfg.channel == "HST":
-        hst = HstConfig(speed_kmh=cfg.speed_kmh or 500.0, fc_ghz=cfg.fc_ghz)
+        hst = HstConfig(speed_kmh=cfg.speed_kmh, fc_ghz=cfg.fc_ghz)
         return hst_realization(
             hst, t0=0.0, duration=num_samples / grid.sample_rate_hz,
             num_samples=num_samples, sample_rate_hz=grid.sample_rate_hz,

@@ -69,6 +69,35 @@ def fold_composite_direct(weights, alloc_size, excess, channel_bins):
     return out
 
 
+def jakes_direct(powers, num_samples, doppler_hz, sample_rate_hz, rng,
+                 num_sinusoids=32):
+    """Per-tap sum-of-sinusoids Rayleigh gains with one complex exponential per
+    (sinusoid, sample). Tap after tap it draws the phases, then (at nonzero
+    Doppler) the arrival angles; a zero Doppler holds one constant gain."""
+    rows = []
+    for p in powers:
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=num_sinusoids)
+        if doppler_hz == 0.0:
+            g = np.sum(np.exp(1j * phases)) / np.sqrt(num_sinusoids)
+            rows.append(np.sqrt(p) * np.full(num_samples, g, dtype=np.complex128))
+            continue
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=num_sinusoids)
+        t = np.arange(num_samples) / sample_rate_hz
+        arg = 2.0 * np.pi * doppler_hz * np.outer(np.cos(angles), t) + phases[:, None]
+        rows.append(np.sqrt(p) * np.sum(np.exp(1j * arg), axis=0)
+                    / np.sqrt(num_sinusoids))
+    return np.stack(rows)
+
+
+def hst_phase_direct(cfg, t):
+    """Closed-form HST carrier phase at one time t, in Python floats:
+    2*pi*fd_max/v * (d(0) - d(t)), d(u) the distance to the site at u."""
+    def dist(u):
+        return float(np.hypot(cfg.dmin_m, cfg.ds_m / 2.0 - cfg.speed_ms * u))
+
+    return 2.0 * np.pi * cfg.max_doppler_hz / cfg.speed_ms * (dist(0.0) - dist(t))
+
+
 def maxlog_demap_direct(rx, points, labels, noise_var):
     """Brute-force max-log demapper over the full constellation.
 

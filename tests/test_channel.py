@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bessel_j0
+from oracles import bessel_j0, hst_phase_direct, jakes_direct
 from otfdm import (
     HstConfig,
     SeededRng,
@@ -11,7 +11,10 @@ from otfdm import (
     hst_realization,
     tdlc_realization,
 )
-from otfdm.channel import SPEED_OF_LIGHT
+from otfdm.channel import _TDLC_PROFILE, SPEED_OF_LIGHT, _rayleigh_tap_gains
+
+_TDLC_POWERS = 10.0 ** (_TDLC_PROFILE[:, 1] / 10.0) / np.sum(
+    10.0 ** (_TDLC_PROFILE[:, 1] / 10.0))
 
 
 class TestTdlc:
@@ -34,6 +37,32 @@ class TestTdlc:
                                   num_samples=8)
             total += np.mean(np.sum(np.abs(ch.gains) ** 2, axis=0))
         assert total / n == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 63, 64, 65, 1284])
+    def test_gains_match_direct_sum_of_sinusoids(self, n):
+        # 500 km/h at 7 GHz on the 28.8 Ms/s grid of a 240-subcarrier symbol
+        doppler = (500.0 / 3.6) / SPEED_OF_LIGHT * 7.0e9
+        for stream in range(3):
+            fast = _rayleigh_tap_gains(_TDLC_POWERS, n, doppler, 28.8e6,
+                                       SeededRng(12, stream))
+            ref = jakes_direct(_TDLC_POWERS, n, doppler, 28.8e6,
+                               SeededRng(12, stream))
+            assert fast.shape == ref.shape == (24, n)
+            np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_zero_doppler_gains_equal_direct(self, n):
+        fast = _rayleigh_tap_gains(_TDLC_POWERS, n, 0.0, 28.8e6, SeededRng(13, 0))
+        ref = jakes_direct(_TDLC_POWERS, n, 0.0, 28.8e6, SeededRng(13, 0))
+        assert np.array_equal(fast, ref)
+
+    def test_cached_kernels_are_read_only(self):
+        a = tdlc_realization(700.0, 0.0, 7.0, 30.72e6, SeededRng(1, 0))
+        b = tdlc_realization(700.0, 60.0, 7.0, 30.72e6, SeededRng(1, 1),
+                             num_samples=16)
+        assert a.kernels is b.kernels
+        with pytest.raises(ValueError):
+            a.kernels[0, 0] = 2.0
 
     def test_invalid_delay_spread_raises(self):
         with pytest.raises(ValueError):
@@ -94,6 +123,19 @@ class TestHst:
         with pytest.raises(ValueError):
             HstConfig(ds_m=-1.0)
 
+    @pytest.mark.parametrize("t0", [0.0, 1e-3, 1.08, 2.16])
+    def test_gains_equal_scalar_phase_loop(self, t0):
+        # t0 = 2.16 s is past closest approach (ds/2 / v = 1.08 s)
+        cfg = HstConfig()
+        n, fs = 1284, 28.8e6
+        ch = hst_realization(cfg, t0, n / fs, n, fs)
+        t = t0 + np.arange(n) * (n / fs / n)
+        loop = np.array([cfg.phase_rad(u) for u in t]) - cfg.phase_rad(t0)
+        direct = (np.array([hst_phase_direct(cfg, u) for u in t])
+                  - hst_phase_direct(cfg, t0))
+        assert np.array_equal(loop, direct)
+        assert np.array_equal(ch.gains[0], np.exp(1j * loop))
+
 
 class TestApplyChannel:
     def test_identity_channel(self):
@@ -124,6 +166,16 @@ class TestApplyChannel:
             for n, v in enumerate(x):
                 expected[n + int(delay)] += gain * v
         np.testing.assert_allclose(y, expected, atol=1e-12)
+
+    def test_static_tdlc_matches_per_tap_sum(self):
+        rng = SeededRng(14, 0)
+        x = rng.complex_normal(300)
+        ch = tdlc_realization(1000.0, 0.0, 7.0, 28.8e6, SeededRng(14, 1))
+        y = apply_channel(x, ch, rng)
+        expected = sum(ch.gains[t, 0] * np.convolve(x, ch.kernels[t])
+                       for t in range(ch.kernels.shape[0]))
+        assert y.shape == expected.shape
+        np.testing.assert_allclose(y, expected, rtol=0.0, atol=1e-13)
 
     def test_energy_preserved_by_unit_power_channels(self):
         rng = SeededRng(7, 0)

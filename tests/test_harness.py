@@ -69,6 +69,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(channel="HST", speed_kmh=0.0), "speed_kmh"),
+        (dict(channel="HST", speed_kmh=-10.0), "speed_kmh"),
+        (dict(channel="TDLC", speed_kmh=-1.0), "speed_kmh"),
+        (dict(channel="TDLC", delay_spread_ns=0.0), "delay_spread_ns"),
+        (dict(channel="TDLC", delay_spread_ns=-300.0), "delay_spread_ns"),
+        (dict(fc_ghz=0.0), "fc_ghz"),
+        (dict(channel="HST", speed_kmh=500.0, fc_ghz=-7.0), "fc_ghz"),
+        (dict(n_workers=0), "n_workers"),
+    ])
+    def test_out_of_range_link_fields_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**kwargs)
+
 
 class TestDeterminism:
     def test_identical_config_identical_records(self):
@@ -91,6 +105,21 @@ class TestDeterminism:
                                                "n_workers": 4}))
         assert [r.value for r in serial] == [r.value for r in threaded]
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(scheme="QAM64", channel="TDLC", speed_kmh=120.0, trials=3),
+        dict(scheme="QAM256", channel="HST", speed_kmh=500.0, ars_pct=2.0,
+             trials=8),
+    ])
+    def test_time_varying_parallel_csv_equals_serial(self, tmp_path, kwargs):
+        base = dict(alloc_size=240, extension_pct=5.0, snr_db=(30.0,),
+                    seed=21, **kwargs)
+        paths = []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.csv"
+            write_csv(run_ber(ExperimentConfig(**base, n_workers=workers)), path)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_csv_rerun_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(scheme="QPSK", trials=50, seed=9,
                                rs_overhead_pct=8.0,
@@ -107,6 +136,15 @@ class TestPapr:
                                rs_overhead_pct=8.0)
         records = run_papr(cfg)
         assert all(r.warning for r in records)
+
+    def test_link_fields_ignored_with_warning(self):
+        base = dict(scheme="QPSK", trials=40, seed=8, rs_overhead_pct=8.0)
+        plain = run_papr(ExperimentConfig(**base))
+        linked = run_papr(ExperimentConfig(**base, channel="TDLC",
+                                           speed_kmh=120.0, snr_db=(0.0,)))
+        assert [r.value for r in linked] == [r.value for r in plain]
+        assert all("transmit-only" in r.warning for r in linked)
+        assert not any("transmit-only" in r.warning for r in plain)
 
     def test_ccdf_curve_monotone(self):
         cfg = ExperimentConfig(scheme="QPSK", trials=300, seed=2,
