@@ -9,6 +9,12 @@ baseline are read at the 1% exceedance point.
 Per-subcarrier SNR convention: the target SNR fixes the ratio of demapped
 per-subcarrier signal power to noise power; the equalizer receives the
 inverse linear SNR as its noise variance.
+
+Trials run in chunks of contiguous trial indices. Each trial draws, sends
+and passes its symbol through its channel on its own `SeededRng(seed,
+trial)` stream; the receiver then runs once per chunk on the stacked
+received symbols, and per-trial results are pooled in trial order, so the
+records do not depend on the chunking or on `n_workers`.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,6 +237,20 @@ class ExperimentConfig:
             raise ValueError("ExperimentConfig: fc_ghz must be > 0")
         if self.n_workers < 1:
             raise ValueError("ExperimentConfig: n_workers must be >= 1")
+        if not self.snr_db:
+            raise ValueError("ExperimentConfig: snr_db needs at least one SNR")
+        if any(math.isnan(v) for v in self.snr_db):
+            raise ValueError("ExperimentConfig: snr_db contains NaN")
+        for name, values in (("extension_pct", (self.extension_pct,)),
+                             ("gamma_sweep_pct", self.gamma_sweep_pct)):
+            if any(not 0.0 <= v <= 100.0 for v in values):
+                raise ValueError(f"ExperimentConfig: {name} must be in [0, 100]")
+        rs_fixed = () if self.rs_overhead_pct is None else (self.rs_overhead_pct,)
+        for name, values in (("ars_pct", (self.ars_pct,)),
+                             ("rs_overhead_pct", rs_fixed),
+                             ("rs_sweep_pct", self.rs_sweep_pct)):
+            if any(not 0.0 <= v < 100.0 for v in values):
+                raise ValueError(f"ExperimentConfig: {name} must be in [0, 100)")
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -309,12 +330,27 @@ def _record(cfg: ExperimentConfig, layout: FrameLayout, metric: str,
     )
 
 
-def _map_trials(worker, trials: int, n_workers: int):
-    """Run `worker(trial_index)` over all trials, preserving trial order."""
+# Most trials one receiver call carries. Per-call overhead is spread over the
+# chunk while its stacked intermediates stay a few hundred kB, which keeps a
+# run's peak memory near that of one trial at a time.
+CHUNK_TRIALS = 16
+
+
+def _map_chunks(work, trials: int, n_workers: int) -> tuple:
+    """Run `work(range)` over contiguous ranges of trial indices.
+
+    `work` returns a tuple of arrays with one leading row per trial; the
+    rows of every chunk are concatenated in trial order, column by column.
+    Threads take whole chunks.
+    """
+    size = min(CHUNK_TRIALS, -(-trials // n_workers))
+    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     if n_workers <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, range(trials)))
+        parts = [work(c) for c in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(work, chunks))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _data_bits(rng: SeededRng, layout: FrameLayout, scheme) -> np.ndarray:
@@ -328,13 +364,13 @@ def _data_bits(rng: SeededRng, layout: FrameLayout, scheme) -> np.ndarray:
 PAPR_CCDF_GRID_DB = tuple(np.arange(0.0, 12.25, 0.25))
 
 
-def _normalized_sample_power(symbol) -> np.ndarray:
-    p = np.abs(symbol.body) ** 2
-    return p / p.mean()
+def _normalized_sample_power(bodies) -> np.ndarray:
+    """Per-sample power of each body, normalized by that body's mean."""
+    p = np.abs(bodies) ** 2
+    return p / p.mean(axis=-1, keepdims=True)
 
 
-def _sample_quantile_db(chunks: list[np.ndarray], ccdf_point: float) -> float:
-    pooled = np.concatenate(chunks)
+def _sample_quantile_db(pooled: np.ndarray, ccdf_point: float) -> float:
     return float(10.0 * np.log10(np.quantile(pooled, 1.0 - ccdf_point)))
 
 
@@ -355,25 +391,27 @@ def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricReco
 
     gamma_pct = 200.0 * filt.excess / cfg.alloc_size
 
-    def one(trial: int):
-        rng = SeededRng(cfg.seed, trial)
-        sym = generate_otfdm(
-            _data_bits(rng, layout, scheme), scheme, layout, filt, grid, rng
-        )
-        base = generate_otfdm(
-            _data_bits(rng, base_layout, scheme),
-            scheme, base_layout, base_filt, base_grid, rng,
-        )
-        return _normalized_sample_power(sym), _normalized_sample_power(base)
+    def chunk(trials: range):
+        shaped, plain = [], []
+        for trial in trials:
+            rng = SeededRng(cfg.seed, trial)
+            shaped.append(generate_otfdm(
+                _data_bits(rng, layout, scheme), scheme, layout, filt, grid, rng
+            ).body)
+            plain.append(generate_otfdm(
+                _data_bits(rng, base_layout, scheme),
+                scheme, base_layout, base_filt, base_grid, rng,
+            ).body)
+        return (_normalized_sample_power(np.stack(shaped)),
+                _normalized_sample_power(np.stack(plain)))
 
-    results = _map_trials(one, cfg.trials, cfg.n_workers)
-    shaped = [r[0] for r in results]
-    plain = [r[1] for r in results]
+    shaped, plain = (p.ravel() for p in _map_chunks(chunk, cfg.trials,
+                                                     cfg.n_workers))
 
     records = []
     grid_lin = 10.0 ** (np.asarray(PAPR_CCDF_GRID_DB) / 10.0)
-    ccdf_shaped = ccdf(np.concatenate(shaped), grid_lin)
-    ccdf_plain = ccdf(np.concatenate(plain), grid_lin)
+    ccdf_shaped = ccdf(shaped, grid_lin)
+    ccdf_plain = ccdf(plain, grid_lin)
     for thr_db, (_, p_shaped), (_, p_plain) in zip(PAPR_CCDF_GRID_DB, ccdf_shaped,
                                                    ccdf_plain):
         records.append(_record(cfg, layout, "papr_ccdf", "papr_db", thr_db,
@@ -439,6 +477,41 @@ def _noise_vars(grid: WaveformGrid, snr_db: float) -> tuple[float, float]:
     return time_var, inv_snr
 
 
+class _Sent(NamedTuple):
+    """Transmit side of a chunk, stacked along a leading trial axis."""
+
+    bits: np.ndarray
+    rx: np.ndarray
+    rs_core: np.ndarray
+    ars_symbols: np.ndarray
+    data_symbols: np.ndarray
+    truth: np.ndarray | None
+
+
+def _send(cfg: ExperimentConfig, scheme, layout: FrameLayout,
+          filt: ShapingFilter, grid: WaveformGrid, time_var: float,
+          trials: range, with_truth: bool) -> _Sent:
+    """Send a chunk one trial at a time, each on its own stream: data bits,
+    symbol, channel realization, channel application, then (with
+    `with_truth`) the oracle folded composite at mid-symbol. Only what the
+    receiver and the error counts read is kept."""
+    mid = grid.cp_len + grid.fft_size // 2
+    rows = []
+    for trial in trials:
+        rng = SeededRng(cfg.seed, trial)
+        bits = _data_bits(rng, layout, scheme)
+        sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+        ch = _make_channel(cfg, grid, rng, time_var,
+                           num_samples=sym.time_samples.size)
+        rx = apply_channel(sym.time_samples, ch, rng)
+        truth = (_composite_truth(ch, grid, filt, sample_index=mid)
+                 if with_truth else None)
+        rows.append((bits, rx, sym.rs_core, sym.ars_symbols, sym.data_symbols,
+                     truth))
+    return _Sent(*(None if col[0] is None else np.stack(col)
+                   for col in zip(*rows)))
+
+
 def _mse_point(cfg: ExperimentConfig, ext_pct: float, rs_pct: float,
                snr_db: float) -> float:
     scheme, layout, filt, grid = cfg.resolve(extension_pct=ext_pct,
@@ -447,21 +520,14 @@ def _mse_point(cfg: ExperimentConfig, ext_pct: float, rs_pct: float,
                               ridge=cfg.ridge)
     time_var, _ = _noise_vars(grid, snr_db)
 
-    def one(trial: int):
-        rng = SeededRng(cfg.seed, trial)
-        sym = generate_otfdm(
-            _data_bits(rng, layout, scheme), scheme, layout, filt, grid, rng
-        )
-        ch = _make_channel(cfg, grid, rng, time_var,
-                           num_samples=sym.time_samples.size)
-        rx = apply_channel(sym.time_samples, ch, rng)
-        folded = fold_spectrum(front_end(rx, grid), filt)
-        est = estimate_channel(folded, layout, sym.rs_core, est_cfg)
-        mid = grid.cp_len + grid.fft_size // 2
-        truth = _composite_truth(ch, grid, filt, sample_index=mid)
-        return float(np.mean(np.abs(est.response - truth) ** 2))
+    def chunk(trials: range):
+        sent = _send(cfg, scheme, layout, filt, grid, time_var, trials,
+                     with_truth=True)
+        folded = fold_spectrum(front_end(sent.rx, grid), filt)
+        est = estimate_channel(folded, layout, sent.rs_core, est_cfg)
+        return (np.mean(np.abs(est.response - sent.truth) ** 2, axis=-1),)
 
-    per_trial = _map_trials(one, cfg.trials, cfg.n_workers)
+    (per_trial,) = _map_chunks(chunk, cfg.trials, cfg.n_workers)
     return float(np.mean(per_trial))
 
 
@@ -471,6 +537,8 @@ def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
     single SNR."""
     if len(cfg.snr_db) != 1:
         raise ValueError(f"run_mse: needs exactly one SNR, got {len(cfg.snr_db)}")
+    if not cfg.gamma_sweep_pct and not cfg.rs_sweep_pct:
+        raise ValueError("run_mse: gamma_sweep_pct and rs_sweep_pct are both empty")
     snr_db = cfg.snr_db[0]
     rs_fixed = cfg.rs_overhead_pct if cfg.rs_overhead_pct is not None else 8.0
     records = []
@@ -491,67 +559,69 @@ def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
 # BER / EVM
 # --------------------------------------------------------------------------
 
-def _mmse_bias(est, inv_snr: float) -> float:
-    """Mean constellation shrink of the MMSE equalizer, removed before
-    minimum-distance demapping (unbiased-MMSE convention)."""
+def _mmse_bias(est, inv_snr: float) -> np.ndarray:
+    """Mean constellation shrink of the MMSE equalizer per symbol, removed
+    before minimum-distance demapping (unbiased-MMSE convention)."""
     power = np.abs(est.response) ** 2
-    return max(float(np.mean(power / (power + inv_snr))), 1e-6)
+    return np.maximum(np.mean(power / (power + inv_snr), axis=-1), 1e-6)
 
 
-def _otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trial):
-    """One end-to-end symbol; returns (bit_errors, bits, error_power,
-    reference_power) on the data segment."""
+def _data_errors(eq, est, inv_snr: float, scheme, bits: np.ndarray,
+                 sent: np.ndarray) -> tuple:
+    """Per-trial (bit_errors, bits, error_power, reference_power) of the
+    unbiased, demapped data segments of a chunk."""
+    data = eq.data / _mmse_bias(est, inv_snr)[:, None]
+    hard, _ = demodulate(data, scheme, inv_snr)
+    return (np.count_nonzero(hard != bits, axis=-1),
+            np.full(len(bits), bits.shape[-1]),
+            np.sum(np.abs(data - sent) ** 2, axis=-1),
+            np.sum(np.abs(sent) ** 2, axis=-1))
+
+
+def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trials):
+    """End-to-end OTFDM symbols of one chunk of trials."""
     time_var, inv_snr = _noise_vars(grid, snr_db)
-    rng = SeededRng(cfg.seed, trial)
-    bits = _data_bits(rng, layout, scheme)
-    sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-    ch = _make_channel(cfg, grid, rng, time_var, num_samples=sym.time_samples.size)
-    rx = apply_channel(sym.time_samples, ch, rng)
-    folded = fold_spectrum(front_end(rx, grid), filt)
+    sent = _send(cfg, scheme, layout, filt, grid, time_var, trials,
+                 with_truth=cfg.genie_channel)
+    folded = fold_spectrum(front_end(sent.rx, grid), filt)
     if cfg.genie_channel:
-        mid = grid.cp_len + grid.fft_size // 2
-        est = genie_estimate(_composite_truth(ch, grid, filt, mid), layout)
+        est = genie_estimate(sent.truth, layout)
     else:
-        est = estimate_channel(folded, layout, sym.rs_core, est_cfg)
+        est = estimate_channel(folded, layout, sent.rs_core, est_cfg)
     eq = mmse_equalize(folded, est, inv_snr)
     if layout.ars_len and cfg.ars_correction:
-        eq = ars_phase_correct(eq, sym.ars_symbols, layout)
-    data = eq.data / _mmse_bias(est, inv_snr)
-    hard, _ = demodulate(data, scheme, inv_snr)
-    errors = int(np.count_nonzero(hard != bits))
-    err_pow = float(np.sum(np.abs(data - sym.data_symbols) ** 2))
-    ref_pow = float(np.sum(np.abs(sym.data_symbols) ** 2))
-    return errors, bits.size, err_pow, ref_pow
+        eq = ars_phase_correct(eq, sent.ars_symbols, layout)
+    return _data_errors(eq, est, inv_snr, scheme, sent.bits,
+                        sent.data_symbols)
 
 
-def _dfts_baseline_trial(cfg, scheme, grid, snr_db, trial):
+def _dfts_baseline_chunk(cfg, scheme, grid, snr_db, trials):
     """Two-symbol DFT-s-OFDM reference: a dedicated full-length RS symbol
     whose LS estimate is reused, unchanged, on the following data symbol."""
     m = cfg.alloc_size
     layout = FrameLayout(0, 0, 0, m, 0)
     filt = filter_for("NONE", m, 0.0)
     time_var, inv_snr = _noise_vars(grid, snr_db)
-    rng = SeededRng(cfg.seed, trial)
-    rs_sym = generate_otfdm(np.zeros(0, dtype=np.int64), scheme,
-                            FrameLayout(m, 0, 0, 0, 0), filt, grid, rng)
-    rs = rs_sym.rs_core
-    bits = rng.bits(m * scheme.bits_per_symbol)
-    data_sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-    tx = np.concatenate([rs_sym.time_samples, data_sym.time_samples])
-    ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
-    rx = apply_channel(tx, ch, rng)
+    bits, rs, sent, rx = [], [], [], []
+    for trial in trials:
+        rng = SeededRng(cfg.seed, trial)
+        rs_sym = generate_otfdm(np.zeros(0, dtype=np.int64), scheme,
+                                FrameLayout(m, 0, 0, 0, 0), filt, grid, rng)
+        bits.append(rng.bits(m * scheme.bits_per_symbol))
+        data_sym = generate_otfdm(bits[-1], scheme, layout, filt, grid, rng)
+        tx = np.concatenate([rs_sym.time_samples, data_sym.time_samples])
+        ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
+        rx.append(apply_channel(tx, ch, rng))
+        rs.append(rs_sym.rs_core)
+        sent.append(data_sym.data_symbols)
+    rx = np.stack(rx)
     half = grid.fft_size + grid.cp_len
-    y_rs = fold_spectrum(front_end(rx[:half], grid), filt)
-    y_data = fold_spectrum(front_end(rx[half:], grid), filt)
-    h_ls = y_rs.folded / np.fft.fft(rs)
-    est = genie_estimate(h_ls, layout)
+    y_rs = fold_spectrum(front_end(rx[:, :half], grid), filt)
+    y_data = fold_spectrum(front_end(rx[:, half:], grid), filt)
+    est = genie_estimate(y_rs.folded / np.fft.fft(np.stack(rs)), layout)
     eq = mmse_equalize(y_data, est, inv_snr)
-    data = eq.data / _mmse_bias(est, inv_snr)
-    hard, _ = demodulate(data, scheme, inv_snr)
-    errors = int(np.count_nonzero(hard != bits))
-    err_pow = float(np.sum(np.abs(data - data_sym.data_symbols) ** 2))
-    ref_pow = float(np.sum(np.abs(data_sym.data_symbols) ** 2))
-    return errors, bits.size, err_pow, ref_pow
+    return _data_errors(eq, est, inv_snr, scheme, np.stack(bits),
+                        np.stack(sent))
 
 
 def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
@@ -566,23 +636,25 @@ def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
     for snr_db in cfg.snr_db:
         records += _ber_evm_records(
             cfg, layout, snr_db, "",
-            lambda t: _otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg,
+            lambda t: _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg,
                                    snr_db, t),
         )
         if cfg.compare_baseline:
             base_grid = grid_for(cfg.alloc_size, 0, cfg.scs_khz)
             records += _ber_evm_records(
                 cfg, layout, snr_db, "_baseline",
-                lambda t: _dfts_baseline_trial(cfg, scheme, base_grid, snr_db, t),
+                lambda t: _dfts_baseline_chunk(cfg, scheme, base_grid, snr_db, t),
             )
     return records
 
 
-def _ber_evm_records(cfg, layout, snr_db, suffix, trial) -> list[MetricRecord]:
-    """Run `trial` over every trial index and pool its (bit_errors, bits,
-    error_power, reference_power) rows into one BER and one EVM record."""
-    rows = _map_trials(trial, cfg.trials, cfg.n_workers)
-    errors, bits, err_pow, ref_pow = (sum(col) for col in zip(*rows))
+def _ber_evm_records(cfg, layout, snr_db, suffix, chunk) -> list[MetricRecord]:
+    """Run `chunk` over every trial and pool its per-trial (bit_errors, bits,
+    error_power, reference_power) rows into one BER and one EVM record.
+    The rows are summed as Python numbers with the builtin `sum`, in trial
+    order."""
+    columns = _map_chunks(chunk, cfg.trials, cfg.n_workers)
+    errors, bits, err_pow, ref_pow = (sum(col.tolist()) for col in columns)
     evm = 10.0 * math.log10(err_pow / ref_pow) if err_pow > 0 else float("-inf")
     return [
         _record(cfg, layout, "ber" + suffix, "snr_db", snr_db, errors / bits,

@@ -36,13 +36,18 @@ def idft(x) -> np.ndarray:
 def cyclic_fold(x, length: int, offset: int = 0) -> np.ndarray:
     """Alias a sequence onto a cyclic grid of `length` bins.
 
-    x[j] is added into bin (j - offset) % length, in ascending j, starting
-    from zero; this is the one implementation of spectrum folding, so every
-    fold in the library sums its contributions in the same order.
+    x[..., j] is added into bin (j - offset) % length of its own row, in
+    ascending j, starting from zero; leading axes are independent rows.
+    This is the one implementation of spectrum folding, so every fold in the
+    library sums its contributions in the same order.
     """
     x = np.asarray(x)
-    out = np.zeros(length, dtype=x.dtype)
-    np.add.at(out, (np.arange(x.size) - offset) % length, x)
+    out = np.zeros(x.shape[:-1] + (length,), dtype=x.dtype)
+    bins = (np.arange(x.shape[-1]) - offset) % length
+    # one flat scatter: row r's bins sit at r*length + bin, and the flat
+    # order visits each row's samples in ascending j
+    rows = np.arange(out.size // length)[:, None] * length
+    np.add.at(out.reshape(-1), (rows + bins).ravel(), x.reshape(-1))
     return out
 
 
@@ -62,15 +67,20 @@ def ccdf(values, grid) -> list[tuple[float, float]]:
     """Complementary CDF of `values` over ascending thresholds `grid`.
 
     Returns (threshold, Pr[value > threshold]) pairs; the probabilities are
-    monotone non-increasing along the grid.
+    monotone non-increasing along the grid. One sort serves every
+    threshold: the count above t is n minus the insertion point right of t.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float).ravel()
     grid = np.asarray(grid, dtype=float)
     if values.size == 0 or grid.size == 0:
         raise ValueError("ccdf: values and grid must be non-empty")
     if np.any(np.diff(grid) < 0):
         raise ValueError("ccdf: grid must be sorted ascending")
-    return [(float(t), float(np.mean(values > t))) for t in grid]
+    if np.isnan(values).any():
+        raise ValueError("ccdf: values contain NaN")
+    n = values.size
+    above = n - np.searchsorted(np.sort(values), grid, side="right")
+    return [(float(t), float(k / n)) for t, k in zip(grid, above.tolist())]
 
 
 def evm_db(estimate, reference) -> float:

@@ -2,6 +2,11 @@
 folding, self-contained channel estimation from the embedded RS, MMSE
 equalization, tail-pilot phase correction, demodulation.
 
+Every stage works on the last axis and takes any leading axes as
+independent symbols (trials), so a stack of T received symbols runs
+through the chain in one call per stage; row t of the result is exactly
+what the 1-D call on row t returns.
+
 The estimator divides the received RS spectrum by the known part of the
 composite response (reference sequence times the folded squared shaping
 gain). For fold-flat filters the folded gain is identically one and the
@@ -13,6 +18,7 @@ regularized (`ridge`) to stay solvable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -50,8 +56,9 @@ class DegenerateEqualizer(ValueError):
 class FoldedSymbol:
     """Symbol-rate spectrum after matched filtering and folding.
 
-    folded has the allocation length; the demapped extended block and the
-    filter that produced the fold are kept for diagnostics and estimation.
+    folded has the allocation length on its last axis; the demapped
+    extended block and the filter that produced the fold are kept for
+    diagnostics and estimation.
     """
 
     folded: np.ndarray
@@ -60,7 +67,7 @@ class FoldedSymbol:
 
     @property
     def alloc_size(self) -> int:
-        return self.folded.size
+        return self.folded.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,8 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """Alloc-length frequency response estimate plus the intermediates."""
+    """Alloc-length frequency response estimate plus the intermediates
+    (RS-length arrays), one row per symbol."""
 
     response: np.ndarray
     rs_ls: np.ndarray
@@ -102,34 +110,36 @@ class ChannelEstimate:
 
 @dataclass(frozen=True)
 class EqualizedSymbol:
-    """Equalized spectrum and time symbol, split into layout segments."""
+    """Equalized spectrum and time symbol, split into layout segments along
+    the last axis. phase_step is a float for one symbol and holds one step
+    per symbol for a stack."""
 
     spectrum: np.ndarray
     time: np.ndarray
     layout: FrameLayout
-    phase_step: float = 0.0
+    phase_step: float | np.ndarray = 0.0
 
     @property
     def rs_prefix(self) -> np.ndarray:
-        return self.time[: self.layout.rs_core_start]
+        return self.time[..., : self.layout.rs_core_start]
 
     @property
     def rs_core(self) -> np.ndarray:
         lo = self.layout.rs_core_start
-        return self.time[lo : lo + self.layout.rs_len]
+        return self.time[..., lo : lo + self.layout.rs_len]
 
     @property
     def rs_suffix(self) -> np.ndarray:
         lo = self.layout.rs_core_start + self.layout.rs_len
-        return self.time[lo : self.layout.rs_block_len]
+        return self.time[..., lo : self.layout.rs_block_len]
 
     @property
     def data(self) -> np.ndarray:
-        return self.time[self.layout.data_start : self.layout.ars_start]
+        return self.time[..., self.layout.data_start : self.layout.ars_start]
 
     @property
     def ars(self) -> np.ndarray:
-        return self.time[self.layout.ars_start :]
+        return self.time[..., self.layout.ars_start :]
 
 
 def front_end(rx, grid: WaveformGrid) -> np.ndarray:
@@ -140,11 +150,13 @@ def front_end(rx, grid: WaveformGrid) -> np.ndarray:
     """
     rx = np.asarray(rx, dtype=np.complex128)
     need = grid.fft_size + grid.cp_len
-    if rx.size < need:
-        raise ValueError(f"front_end: need at least {need} samples, got {rx.size}")
-    body = rx[grid.cp_len : grid.cp_len + grid.fft_size]
+    if rx.ndim == 0 or rx.shape[-1] < need:
+        raise ValueError(
+            f"front_end: need at least {need} samples, got {rx.shape[-1:]}"
+        )
+    body = rx[..., grid.cp_len : grid.cp_len + grid.fft_size]
     spectrum = np.fft.fft(body)
-    return spectrum[grid.mapped_bins()] * (grid.alloc_size / grid.fft_size)
+    return spectrum[..., grid.mapped_bins()] * (grid.alloc_size / grid.fft_size)
 
 
 def fold_spectrum(demapped, filt: ShapingFilter) -> FoldedSymbol:
@@ -155,23 +167,27 @@ def fold_spectrum(demapped, filt: ShapingFilter) -> FoldedSymbol:
     """
     y = np.asarray(demapped, dtype=np.complex128)
     m, g = filt.alloc_size, filt.excess
-    if y.size != m + 2 * g:
+    if y.ndim == 0 or y.shape[-1] != m + 2 * g:
         raise ValueError(
-            f"fold_spectrum: block length {y.size} != extended size {m + 2 * g}"
+            f"fold_spectrum: block length {y.shape[-1:]} != extended size "
+            f"{m + 2 * g}"
         )
     folded = cyclic_fold(filt.weights * y, m, g)
     return FoldedSymbol(folded=folded, demapped=y, filt=filt)
 
 
-def _reference_gain(filt: ShapingFilter, rs_len: int) -> np.ndarray:
-    """Known composite gain resampled onto the RS-length grid.
-
-    This is the folded squared filter response seen through an rs_len-point
-    cyclic lens; identically one for fold-flat filters.
-    """
-    composite = filt.folded_square()
+def _reference_gain(composite: np.ndarray, rs_len: int) -> np.ndarray:
+    """Known composite gain (the folded squared filter response) resampled
+    onto the RS-length grid through an rs_len-point cyclic lens;
+    identically one for fold-flat filters."""
     impulse = np.fft.ifft(composite)
     return np.fft.fft(cyclic_fold(impulse, rs_len))
+
+
+def _row_floor(power: np.ndarray, scale: float) -> np.ndarray:
+    """Per-symbol null threshold scale * max(row max, 1), broadcastable
+    against `power`."""
+    return scale * np.maximum(power.max(axis=-1, keepdims=True), 1.0)
 
 
 def estimate_channel(
@@ -185,14 +201,17 @@ def estimate_channel(
     Reconstruct the time symbol, extract the protected RS core, divide its
     spectrum by the known reference (regularized by `ridge`), window the
     resulting impulse response, and re-expand to the allocation grid.
+    rs_core holds the RS core of each folded symbol.
     """
     rs_core = np.asarray(rs_core, dtype=np.complex128)
     m = folded.alloc_size
     l_r = layout.rs_len
     if layout.total_len != m:
         raise ValueError("estimate_channel: layout does not match the folded symbol")
-    if rs_core.size != l_r or l_r < 1:
-        raise ValueError(f"estimate_channel: rs core length {rs_core.size} != {l_r}")
+    if rs_core.ndim == 0 or rs_core.shape[-1] != l_r or l_r < 1:
+        raise ValueError(
+            f"estimate_channel: rs core length {rs_core.shape[-1:]} != {l_r}"
+        )
     if est.window_len > l_r:
         raise ValueError("estimate_channel: window_len exceeds the RS core length")
 
@@ -201,24 +220,23 @@ def estimate_channel(
         offset = layout.rs_cp // 2 if est.rs_offset is None else est.rs_offset
         if not 0 <= offset <= layout.rs_cp:
             raise ValueError("estimate_channel: rs_offset outside the RS prefix")
-        received = time_symbol[offset : offset + l_r]
-        reference = np.roll(rs_core, -offset)
+        received = time_symbol[..., offset : offset + l_r]
+        reference = np.roll(rs_core, -offset, axis=-1)
     else:
         start = layout.rs_core_start
-        received = time_symbol[start : start + l_r]
+        received = time_symbol[..., start : start + l_r]
         reference = rs_core
 
+    composite = folded.filt.folded_square()
     rs_spectrum = np.fft.fft(received)
-    ref_spectrum = np.fft.fft(reference) * _reference_gain(folded.filt, l_r)
+    ref_spectrum = np.fft.fft(reference) * _reference_gain(composite, l_r)
 
     denom = np.abs(ref_spectrum) ** 2
-    if est.ridge == 0.0:
-        floor = 1e-12 * max(float(denom.max()), 1.0)
-        if np.any(denom <= floor):
-            raise SingularReference(
-                "estimate_channel: reference spectrum has a null; "
-                "set ridge > 0 to regularize"
-            )
+    if est.ridge == 0.0 and np.any(denom <= _row_floor(denom, 1e-12)):
+        raise SingularReference(
+            "estimate_channel: reference spectrum has a null; "
+            "set ridge > 0 to regularize"
+        )
     ls = rs_spectrum * np.conj(ref_spectrum) / (denom + est.ridge)
 
     impulse = np.fft.ifft(ls)
@@ -230,11 +248,11 @@ def estimate_channel(
     windowed = impulse * mask
 
     # cyclic embedding: causal taps at the front, pre-cursor taps at the tail
-    padded = np.zeros(m, dtype=np.complex128)
-    padded[: est.window_len] = windowed[: est.window_len]
+    padded = np.zeros(windowed.shape[:-1] + (m,), dtype=np.complex128)
+    padded[..., : est.window_len] = windowed[..., : est.window_len]
     if margin > 0:
-        padded[m - margin :] = windowed[l_r - margin :]
-    response = np.fft.fft(padded) * folded.filt.folded_square()
+        padded[..., m - margin :] = windowed[..., l_r - margin :]
+    response = np.fft.fft(padded) * composite
 
     return ChannelEstimate(
         response=response,
@@ -249,9 +267,9 @@ def estimate_channel(
 def genie_estimate(response, layout: FrameLayout) -> ChannelEstimate:
     """Wrap a known frequency response as an estimate (oracle receivers)."""
     response = np.asarray(response, dtype=np.complex128)
-    if response.size != layout.total_len:
+    if response.ndim == 0 or response.shape[-1] != layout.total_len:
         raise ValueError("genie_estimate: response length != layout size")
-    empty = np.zeros(layout.rs_len, dtype=np.complex128)
+    empty = np.zeros(response.shape[:-1] + (layout.rs_len,), dtype=np.complex128)
     return ChannelEstimate(
         response=response,
         rs_ls=empty,
@@ -273,15 +291,13 @@ def mmse_equalize(
     if noise_var < 0:
         raise ValueError("mmse_equalize: noise_var must be >= 0")
     h = est.response
-    if h.size != folded.alloc_size:
+    if h.shape[-1] != folded.alloc_size:
         raise ValueError("mmse_equalize: estimate length != folded symbol length")
     power = np.abs(h) ** 2
-    if noise_var == 0.0:
-        floor = 1e-24 * max(float(power.max()), 1.0)
-        if np.any(power <= floor):
-            raise DegenerateEqualizer(
-                "mmse_equalize: zero estimate with zero noise variance"
-            )
+    if noise_var == 0.0 and np.any(power <= _row_floor(power, 1e-24)):
+        raise DegenerateEqualizer(
+            "mmse_equalize: zero estimate with zero noise variance"
+        )
     weights = np.conj(h) / (power + noise_var)
     spectrum = weights * folded.folded
     time = np.fft.ifft(spectrum)
@@ -301,7 +317,7 @@ def ars_phase_correct(
     ars_ref = np.asarray(ars_ref, dtype=np.complex128)
     if layout.ars_len < 1:
         raise ValueError("ars_phase_correct: layout has no ARS allocation")
-    if ars_ref.size != layout.ars_len:
+    if ars_ref.ndim == 0 or ars_ref.shape[-1] != layout.ars_len:
         raise ValueError("ars_phase_correct: reference length != layout ars_len")
     if eq.layout != layout:
         raise ValueError("ars_phase_correct: layout mismatch with equalized symbol")
@@ -309,52 +325,65 @@ def ars_phase_correct(
     n = np.arange(layout.ars_len)
     positions = n + layout.rs_cs + layout.data_len
     angles = np.angle(eq.ars * np.conj(ars_ref))
-    step = float(np.mean(angles / positions))
+    step = np.mean(angles / positions, axis=-1)
+    if step.ndim == 0:
+        step = float(step)
 
     time = eq.time.copy()
     lo, hi = layout.data_start, layout.ars_start
-    rot = np.exp(-1j * (np.arange(layout.data_len) + layout.rs_cs) * step)
-    time[lo:hi] = time[lo:hi] * rot
+    rot = np.exp(-1j * (np.arange(layout.data_len) + layout.rs_cs)
+                 * np.expand_dims(step, -1))
+    time[..., lo:hi] = time[..., lo:hi] * rot
     return replace(eq, time=time, phase_step=step)
 
 
 def demodulate(symbols, scheme: ModScheme, noise_var: float):
     """Minimum-distance hard bits plus max-log soft metrics.
 
-    Returns (bits, metrics); metrics are log-likelihood ratios scaled by the
-    noise variance, positive where the hard decision is a one.
+    Returns (bits, metrics), each with the symbols' bits in order along the
+    last axis; metrics are log-likelihood ratios scaled by the noise
+    variance, positive where the hard decision is a one.
     """
     rx = np.asarray(symbols, dtype=np.complex128)
-    if rx.size == 0:
+    if rx.ndim == 0 or rx.size == 0:
         raise ValueError("demodulate: empty input")
     scale = max(float(noise_var), 1e-12)
 
     if scheme.name == "PI2_BPSK":
-        rot = np.where(np.arange(rx.size) % 2 == 1, 1j, 1.0 + 0j)
+        rot = np.where(np.arange(rx.shape[-1]) % 2 == 1, 1j, 1.0 + 0j)
         rx = rx * np.conj(rot)
         ref = np.array([(1 + 1j) / np.sqrt(2.0), -(1 + 1j) / np.sqrt(2.0)])
-        d = np.abs(rx[:, None] - ref[None, :]) ** 2
-        bits = (d[:, 1] < d[:, 0]).astype(np.int64)
-        llr = (d[:, 0] - d[:, 1]) / scale
+        d = np.abs(rx[..., None] - ref) ** 2
+        bits = (d[..., 1] < d[..., 0]).astype(np.int64)
+        llr = (d[..., 0] - d[..., 1]) / scale
         return bits, llr
 
     # Square QAM: the squared distance splits into I and Q parts, so each
     # bit's max-log metric needs only the Gray-PAM levels of its own axis
     # (even bit positions ride on I, odd ones on Q). Sending every per-axis
-    # label on both axes reads those levels off `modulate`.
+    # label on both axes reads those levels off `modulate`. Distances are
+    # kept one array per level, so every minimum is an elementwise one.
     half = scheme.bits_per_symbol // 2
     labels = (np.arange(2**half)[:, None] >> np.arange(half - 1, -1, -1)) & 1
     points = modulate(np.repeat(labels, 2, axis=1).ravel(), scheme)
-    bits = np.empty((rx.size, 2 * half), dtype=np.int64)
+    bits = np.empty(rx.shape + (2 * half,), dtype=np.int64)
     llr = np.empty(bits.shape)
     for axis, r, levels in ((0, rx.real, points.real), (1, rx.imag, points.imag)):
-        d = (r[:, None] - levels[None, :]) ** 2
-        bits[:, axis::2] = labels[np.argmin(d, axis=1)]
+        d = [(r - level) ** 2 for level in levels]
+        # nearest level, the first one on ties (as argmin picks it)
+        best, nearest = d[0], np.zeros(r.shape, dtype=np.intp)
+        for k in range(1, len(d)):
+            closer = d[k] < best
+            best = np.where(closer, d[k], best)
+            nearest = np.where(closer, k, nearest)
         for c in range(half):
+            bits[..., axis + 2 * c] = labels[:, c][nearest]
             ones = labels[:, c] == 1
-            llr[:, axis + 2 * c] = (d[:, ~ones].min(axis=1)
-                                    - d[:, ones].min(axis=1)) / scale
-    return bits.ravel(), llr.ravel()
+            zero = reduce(np.minimum, (d[k] for k in np.flatnonzero(~ones)))
+            one = reduce(np.minimum, (d[k] for k in np.flatnonzero(ones)))
+            llr[..., axis + 2 * c] = (zero - one) / scale
+    flat = rx.shape[:-1] + (-1,)
+    return bits.reshape(flat), llr.reshape(flat)
 
 
 def dump_diagnostics(

@@ -174,3 +174,181 @@ def bessel_j0(x):
     """J0 via midpoint quadrature of its integral representation."""
     phi = (np.arange(4000) + 0.5) * (np.pi / 4000)
     return float(np.mean(np.cos(x * np.sin(phi))))
+
+
+def ccdf_scan(values, grid):
+    """Pr[value > t] by one full scan of the values per threshold t."""
+    values = np.asarray(values, dtype=float)
+    return [(float(t), float(np.mean(values > t)))
+            for t in np.asarray(grid, dtype=float)]
+
+
+# --------------------------------------------------------------------------
+# Per-trial Monte-Carlo runners. Unlike the rest of this module these reuse
+# the library: they are the one-symbol-at-a-time composition of the 1-D
+# receiver stages, with the same per-trial streams, draws, channels and
+# pooling as the runners, so a runner that stacks trials must give the same
+# values to the bit.
+# --------------------------------------------------------------------------
+
+from otfdm import harness as h  # noqa: E402
+from otfdm.channel import apply_channel  # noqa: E402
+from otfdm.numerics import SeededRng  # noqa: E402
+from otfdm.receiver import (  # noqa: E402
+    EstimatorConfig,
+    ars_phase_correct,
+    demodulate,
+    estimate_channel,
+    fold_spectrum,
+    front_end,
+    genie_estimate,
+    mmse_equalize,
+)
+from otfdm.sequences import FrameLayout  # noqa: E402
+from otfdm.transmitter import generate_otfdm  # noqa: E402
+
+
+def _mmse_bias_1d(est, inv_snr):
+    power = np.abs(est.response) ** 2
+    return max(float(np.mean(power / (power + inv_snr))), 1e-6)
+
+
+def _data_errors_1d(eq, est, inv_snr, scheme, bits, sent):
+    data = eq.data / _mmse_bias_1d(est, inv_snr)
+    hard, _ = demodulate(data, scheme, inv_snr)
+    return (int(np.count_nonzero(hard != bits)), bits.size,
+            float(np.sum(np.abs(data - sent) ** 2)),
+            float(np.sum(np.abs(sent) ** 2)))
+
+
+def otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trial):
+    """One end-to-end OTFDM symbol; (bit_errors, bits, error_power,
+    reference_power) on its data segment."""
+    time_var, inv_snr = h._noise_vars(grid, snr_db)
+    rng = SeededRng(cfg.seed, trial)
+    bits = h._data_bits(rng, layout, scheme)
+    sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+    ch = h._make_channel(cfg, grid, rng, time_var,
+                         num_samples=sym.time_samples.size)
+    rx = apply_channel(sym.time_samples, ch, rng)
+    folded = fold_spectrum(front_end(rx, grid), filt)
+    if cfg.genie_channel:
+        mid = grid.cp_len + grid.fft_size // 2
+        est = genie_estimate(h._composite_truth(ch, grid, filt, mid), layout)
+    else:
+        est = estimate_channel(folded, layout, sym.rs_core, est_cfg)
+    eq = mmse_equalize(folded, est, inv_snr)
+    if layout.ars_len and cfg.ars_correction:
+        eq = ars_phase_correct(eq, sym.ars_symbols, layout)
+    return _data_errors_1d(eq, est, inv_snr, scheme, bits, sym.data_symbols)
+
+
+def dfts_baseline_trial(cfg, scheme, grid, snr_db, trial):
+    """One two-symbol DFT-s-OFDM reference trial (dedicated RS symbol, LS
+    estimate reused on the data symbol)."""
+    m = cfg.alloc_size
+    layout = FrameLayout(0, 0, 0, m, 0)
+    filt = h.filter_for("NONE", m, 0.0)
+    time_var, inv_snr = h._noise_vars(grid, snr_db)
+    rng = SeededRng(cfg.seed, trial)
+    rs_sym = generate_otfdm(np.zeros(0, dtype=np.int64), scheme,
+                            FrameLayout(m, 0, 0, 0, 0), filt, grid, rng)
+    bits = rng.bits(m * scheme.bits_per_symbol)
+    data_sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+    tx = np.concatenate([rs_sym.time_samples, data_sym.time_samples])
+    ch = h._make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
+    rx = apply_channel(tx, ch, rng)
+    half = grid.fft_size + grid.cp_len
+    y_rs = fold_spectrum(front_end(rx[:half], grid), filt)
+    y_data = fold_spectrum(front_end(rx[half:], grid), filt)
+    est = genie_estimate(y_rs.folded / np.fft.fft(rs_sym.rs_core), layout)
+    eq = mmse_equalize(y_data, est, inv_snr)
+    return _data_errors_1d(eq, est, inv_snr, scheme, bits,
+                           data_sym.data_symbols)
+
+
+def _pooled_ber_evm(rows):
+    errors, bits, err_pow, ref_pow = (sum(col) for col in zip(*rows))
+    evm = 10.0 * math.log10(err_pow / ref_pow) if err_pow > 0 else float("-inf")
+    return [errors / bits, evm]
+
+
+def ber_values(cfg):
+    """run_ber's record values, one trial at a time."""
+    scheme, layout, filt, grid = cfg.resolve()
+    est_cfg = EstimatorConfig(window_len=h.window_for(cfg.scheme, layout),
+                              ridge=cfg.ridge)
+    base_grid = h.grid_for(cfg.alloc_size, 0, cfg.scs_khz)
+    values = []
+    for snr_db in cfg.snr_db:
+        values += _pooled_ber_evm(
+            [otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg, snr_db, t)
+             for t in range(cfg.trials)])
+        if cfg.compare_baseline:
+            values += _pooled_ber_evm(
+                [dfts_baseline_trial(cfg, scheme, base_grid, snr_db, t)
+                 for t in range(cfg.trials)])
+    return values
+
+
+def mse_point(cfg, ext_pct, rs_pct, snr_db):
+    """Mean over trials of the per-trial estimate-vs-truth MSE."""
+    scheme, layout, filt, grid = cfg.resolve(extension_pct=ext_pct,
+                                             rs_overhead_pct=rs_pct)
+    est_cfg = EstimatorConfig(window_len=h.window_for(cfg.scheme, layout),
+                              ridge=cfg.ridge)
+    time_var, _ = h._noise_vars(grid, snr_db)
+    per_trial = []
+    for trial in range(cfg.trials):
+        rng = SeededRng(cfg.seed, trial)
+        sym = generate_otfdm(h._data_bits(rng, layout, scheme), scheme,
+                             layout, filt, grid, rng)
+        ch = h._make_channel(cfg, grid, rng, time_var,
+                             num_samples=sym.time_samples.size)
+        rx = apply_channel(sym.time_samples, ch, rng)
+        folded = fold_spectrum(front_end(rx, grid), filt)
+        est = estimate_channel(folded, layout, sym.rs_core, est_cfg)
+        mid = grid.cp_len + grid.fft_size // 2
+        truth = h._composite_truth(ch, grid, filt, sample_index=mid)
+        per_trial.append(float(np.mean(np.abs(est.response - truth) ** 2)))
+    return float(np.mean(per_trial))
+
+
+def mse_values(cfg):
+    """run_mse's record values, one trial at a time."""
+    snr_db = cfg.snr_db[0]
+    rs_fixed = cfg.rs_overhead_pct if cfg.rs_overhead_pct is not None else 8.0
+    return ([mse_point(cfg, ext, rs_fixed, snr_db) for ext in cfg.gamma_sweep_pct]
+            + [mse_point(cfg, cfg.extension_pct, rs, snr_db)
+               for rs in cfg.rs_sweep_pct])
+
+
+def papr_values(cfg, ccdf_point=0.01):
+    """run_papr's record values, one trial at a time, with the CCDF taken
+    by `ccdf_scan`."""
+    scheme, layout, filt, grid = cfg.resolve()
+    base_layout = FrameLayout(0, 0, 0, cfg.alloc_size, 0)
+    base_filt = h.filter_for("NONE", cfg.alloc_size, 0.0)
+    base_grid = h.grid_for(cfg.alloc_size, 0, cfg.scs_khz)
+
+    def power(sym):
+        p = np.abs(sym.body) ** 2
+        return p / p.mean()
+
+    shaped, plain = [], []
+    for trial in range(cfg.trials):
+        rng = SeededRng(cfg.seed, trial)
+        shaped.append(power(generate_otfdm(
+            h._data_bits(rng, layout, scheme), scheme, layout, filt, grid, rng)))
+        plain.append(power(generate_otfdm(
+            h._data_bits(rng, base_layout, scheme), scheme, base_layout,
+            base_filt, base_grid, rng)))
+    shaped, plain = np.concatenate(shaped), np.concatenate(plain)
+    grid_lin = 10.0 ** (np.asarray(h.PAPR_CCDF_GRID_DB) / 10.0)
+    values = []
+    for (_, p_shaped), (_, p_plain) in zip(ccdf_scan(shaped, grid_lin),
+                                           ccdf_scan(plain, grid_lin)):
+        values += [p_shaped, p_plain]
+    q_shaped, q_plain = (float(10.0 * np.log10(np.quantile(p, 1.0 - ccdf_point)))
+                         for p in (shaped, plain))
+    return values + [q_shaped, q_plain, q_plain - q_shaped]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from otfdm.cli import main as cli_main
 from otfdm.harness import (
     CSV_COLUMNS,
@@ -78,6 +79,16 @@ class TestConfigValidation:
         (dict(fc_ghz=0.0), "fc_ghz"),
         (dict(channel="HST", speed_kmh=500.0, fc_ghz=-7.0), "fc_ghz"),
         (dict(n_workers=0), "n_workers"),
+        (dict(snr_db=()), "snr_db"),
+        (dict(snr_db=(10.0, float("nan"))), "snr_db"),
+        (dict(extension_pct=-1.0), "extension_pct"),
+        (dict(extension_pct=101.0), "extension_pct"),
+        (dict(gamma_sweep_pct=(0.0, 150.0)), "gamma_sweep_pct"),
+        (dict(ars_pct=-2.0), "ars_pct"),
+        (dict(ars_pct=100.0), "ars_pct"),
+        (dict(rs_overhead_pct=-5.0), "rs_overhead_pct"),
+        (dict(rs_overhead_pct=100.0), "rs_overhead_pct"),
+        (dict(rs_sweep_pct=(5.0, -5.0)), "rs_sweep_pct"),
     ])
     def test_out_of_range_link_fields_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -128,6 +139,46 @@ class TestDeterminism:
         sweep([cfg], ["pulse", "overhead"], p1)
         sweep([cfg], ["pulse", "overhead"], p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestChunking:
+    """Runners that stack trials give the values of one trial at a time,
+    whatever the chunking and the thread count."""
+
+    @pytest.mark.parametrize("runner, oracle, kwargs", [
+        ("ber", oracles.ber_values,
+         dict(scheme="PI2_BPSK", ars_pct=2.0, ridge=1e-3, snr_db=(6.0, 12.0),
+              trials=37)),
+        ("ber", oracles.ber_values,
+         dict(scheme="QPSK", filter_kind="TAPS3", ridge=0.1, channel="TDLC",
+              delay_spread_ns=300.0, snr_db=(20.0,), trials=20)),
+        ("ber", oracles.ber_values,
+         dict(scheme="QAM16", genie_channel=True, channel="TDLC",
+              speed_kmh=30.0, snr_db=(18.0,), trials=20)),
+        ("ber", oracles.ber_values,
+         dict(scheme="QAM64", compare_baseline=True, channel="TDLC",
+              delay_spread_ns=300.0, snr_db=(24.0,), trials=20)),
+        ("ber", oracles.ber_values,
+         dict(scheme="QAM256", channel="HST", speed_kmh=500.0, ars_pct=2.0,
+              ars_correction=False, snr_db=(30.0,), trials=20)),
+        ("mse", oracles.mse_values,
+         dict(scheme="QPSK", channel="TDLC", delay_spread_ns=300.0,
+              rs_overhead_pct=8.0, gamma_sweep_pct=(0.0, 10.0),
+              rs_sweep_pct=(5.0, 12.0), trials=37)),
+        ("papr", oracles.papr_values,
+         dict(scheme="QPSK", rs_overhead_pct=8.0, trials=37)),
+    ])
+    def test_records_equal_one_trial_at_a_time(self, tmp_path, runner, oracle,
+                                               kwargs):
+        paths = []
+        for workers in (1, 3):
+            cfg = ExperimentConfig(seed=12, n_workers=workers, **kwargs)
+            records = {"ber": run_ber, "mse": run_mse, "papr": run_papr}[
+                runner](cfg)
+            paths.append(tmp_path / f"w{workers}.csv")
+            write_csv(records, paths[-1])
+        assert [r.value for r in records] == oracle(cfg)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestPapr:
@@ -181,8 +232,13 @@ class TestMse:
 
     @pytest.mark.parametrize("snr_db", [(), (20.0, 30.0)])
     def test_needs_exactly_one_snr(self, snr_db):
-        cfg = ExperimentConfig(snr_db=snr_db, trials=1)
+        # an empty snr_db is already refused when the config is built
         with pytest.raises(ValueError, match="one SNR"):
+            run_mse(ExperimentConfig(snr_db=snr_db, trials=1))
+
+    def test_empty_sweeps_rejected(self):
+        cfg = ExperimentConfig(trials=1, gamma_sweep_pct=(), rs_sweep_pct=())
+        with pytest.raises(ValueError, match="both empty"):
             run_mse(cfg)
 
 

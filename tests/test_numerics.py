@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import cyclic_fold_direct, dft_direct
+from oracles import ccdf_scan, cyclic_fold_direct, dft_direct
 from otfdm import SeededRng, ccdf, dft, evm_db, idft, papr_db
 from otfdm.harness import ExperimentConfig
 from otfdm.numerics import cyclic_fold
@@ -147,3 +147,31 @@ def test_cyclic_fold_matches_direct_loop(size, length, offset):
         out = cyclic_fold(vec, length, offset)
         assert out.dtype == vec.dtype
         assert np.array_equal(out, cyclic_fold_direct(vec, length, offset))
+
+
+@pytest.mark.parametrize("count", [1, 3, 17])
+@pytest.mark.parametrize(
+    "size, length, offset", [(252, 240, 6), (240, 17, 0), (240, 17, 5)],
+)
+def test_cyclic_fold_rows_match_direct_loop(count, size, length, offset):
+    rng = np.random.default_rng(count + size + offset)
+    x = rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size))
+    out = cyclic_fold(x, length, offset)
+    assert out.shape == (count, length)
+    for t in range(count):
+        assert np.array_equal(out[t], cyclic_fold(x[t], length, offset))
+        assert np.array_equal(out[t], cyclic_fold_direct(x[t], length, offset))
+
+
+def test_ccdf_equals_per_threshold_scan():
+    rng = np.random.default_rng(4)
+    values = np.round(rng.exponential(size=5000), 2)  # many ties
+    grid = np.concatenate([[-1.0, 0.0], np.unique(values)[::7], [1e3]])
+    assert ccdf(values, grid) == ccdf_scan(values, grid)
+    assert ccdf([3.0, 3.0, 1.0, 5.0], [1.0, 3.0, 5.0]) == \
+        ccdf_scan([3.0, 3.0, 1.0, 5.0], [1.0, 3.0, 5.0])
+
+
+def test_ccdf_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        ccdf([1.0, float("nan")], [0.0])

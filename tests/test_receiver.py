@@ -393,3 +393,144 @@ def test_dump_diagnostics_mentions_all_stages():
     for token in ("demapped", "folded", "channel_estimate", "eq_data",
                   "phase_step"):
         assert token in text
+
+
+def _received_stack(count, name="QAM16", filt_kind="SQRC", seed=70):
+    """`count` independent symbols through their own multipath channels and
+    noise: (scheme, layout, filt, grid, symbols, received rows)."""
+    scheme = MOD_SCHEMES[name]
+    alloc = 96
+    layout = layout_for(name, alloc, ars_len=4)
+    filt = filter_for(filt_kind, alloc, 10.0)
+    grid = grid_for(alloc, filt.excess)
+    step = grid.fft_size // alloc
+    syms, rx = [], []
+    for trial in range(count):
+        rng = SeededRng(seed, trial)
+        sym = generate_otfdm(rng.bits(layout.data_len * scheme.bits_per_symbol),
+                             scheme, layout, filt, grid, rng)
+        gains = rng.complex_normal(3, 1.0 / 3.0)
+        ch = custom_realization([(d * step, g) for d, g in zip((0, 1, 3), gains)],
+                                noise_variance=1e-3)
+        syms.append(sym)
+        rx.append(apply_channel(sym.time_samples, ch, rng))
+    return scheme, layout, filt, grid, syms, rx
+
+
+class TestLeadingTrialAxis:
+    """A stack of T symbols gives, row for row, the 1-D results."""
+
+    @pytest.mark.parametrize("count", [1, 3, 17])
+    def test_chain_rows_equal_one_dimensional_calls(self, count):
+        scheme, layout, filt, grid, syms, rx = _received_stack(count)
+        est_cfg = EstimatorConfig(window_len=window_for("QAM16", layout))
+        demapped = front_end(np.stack(rx), grid)
+        folded = fold_spectrum(demapped, filt)
+        est = estimate_channel(folded, layout,
+                               np.stack([s.rs_core for s in syms]), est_cfg)
+        eq = mmse_equalize(folded, est, 0.01)
+        ars = ars_phase_correct(eq, np.stack([s.ars_symbols for s in syms]),
+                                layout)
+        hard, soft = demodulate(ars.data, scheme, 0.01)
+        assert ars.phase_step.shape == (count,)
+        for t, sym in enumerate(syms):
+            d1 = front_end(rx[t], grid)
+            f1 = fold_spectrum(d1, filt)
+            e1 = estimate_channel(f1, layout, sym.rs_core, est_cfg)
+            q1 = mmse_equalize(f1, e1, 0.01)
+            a1 = ars_phase_correct(q1, sym.ars_symbols, layout)
+            h1, s1 = demodulate(a1.data, scheme, 0.01)
+            assert np.array_equal(demapped[t], d1)
+            assert np.array_equal(folded.folded[t], f1.folded)
+            for field in ("response", "rs_ls", "rs_impulse", "rs_windowed"):
+                assert np.array_equal(getattr(est, field)[t],
+                                      getattr(e1, field))
+            assert np.array_equal(eq.spectrum[t], q1.spectrum)
+            assert np.array_equal(eq.time[t], q1.time)
+            assert np.array_equal(ars.time[t], a1.time)
+            assert ars.phase_step[t] == a1.phase_step
+            assert isinstance(a1.phase_step, float)
+            assert np.array_equal(hard[t], h1)
+            assert np.array_equal(soft[t], s1)
+
+    @pytest.mark.parametrize("count", [1, 3, 17])
+    def test_genie_and_one_sided_rows(self, count):
+        filt = filter_for("SQRC", 96, 10.0)
+        layout = FrameLayout(rs_len=12, rs_cp=12, rs_cs=0, data_len=72,
+                             variant=ONE_SIDED_CP)
+        rng = SeededRng(71, count)
+        folded = fold_spectrum(rng.complex_normal((count, filt.weights.size)),
+                               filt)
+        rs = rng.complex_normal((count, 12))
+        h = rng.complex_normal((count, 96))
+        est = estimate_channel(folded, layout, rs,
+                               EstimatorConfig(window_len=6, rs_offset=5))
+        genie = genie_estimate(h, layout)
+        assert genie.rs_ls.shape == (count, 12)
+        for t in range(count):
+            f1 = fold_spectrum(folded.demapped[t], filt)
+            e1 = estimate_channel(f1, layout, rs[t],
+                                  EstimatorConfig(window_len=6, rs_offset=5))
+            assert np.array_equal(est.response[t], e1.response)
+            assert np.array_equal(genie.response[t],
+                                  genie_estimate(h[t], layout).response)
+
+    @pytest.mark.parametrize("count", [1, 3, 17])
+    @pytest.mark.parametrize("name", list(MOD_SCHEMES))
+    def test_demodulate_rows(self, count, name):
+        scheme = MOD_SCHEMES[name]
+        rng = SeededRng(72, count)
+        rx = modulate(rng.bits(count * 30 * scheme.bits_per_symbol), scheme)
+        rx = rx.reshape(count, 30) + rng.complex_normal((count, 30), 0.05)
+        hard, soft = demodulate(rx, scheme, 0.05)
+        assert hard.shape == soft.shape == (count, 30 * scheme.bits_per_symbol)
+        for t in range(count):
+            h1, s1 = demodulate(rx[t], scheme, 0.05)
+            assert np.array_equal(hard[t], h1)
+            assert np.array_equal(soft[t], s1)
+
+    def test_one_singular_row_raises_for_the_stack(self):
+        # ridge 0: one RS core with a spectral null sinks the whole stack
+        _, layout, filt, grid, syms, rx = _received_stack(3, filt_kind="TAPS3")
+        est_cfg = EstimatorConfig(window_len=window_for("QAM16", layout))
+        rs = np.stack([s.rs_core for s in syms])
+        spectrum = np.fft.fft(rs[1])
+        spectrum[2] = 0.0
+        rs[1] = np.fft.ifft(spectrum)
+        folded = fold_spectrum(front_end(np.stack(rx), grid), filt)
+        for t in (0, 2):
+            f1 = fold_spectrum(front_end(rx[t], grid), filt)
+            estimate_channel(f1, layout, rs[t], est_cfg)
+        with pytest.raises(SingularReference):
+            estimate_channel(fold_spectrum(front_end(rx[1], grid), filt),
+                             layout, rs[1], est_cfg)
+        with pytest.raises(SingularReference):
+            estimate_channel(folded, layout, rs, est_cfg)
+
+    def test_one_degenerate_row_raises_for_the_stack(self):
+        _, layout, filt, grid, _, rx = _received_stack(3)
+        folded = fold_spectrum(front_end(np.stack(rx), grid), filt)
+        h = np.ones((3, 96), dtype=complex)
+        h[2, 40] = 0.0
+        for t in (0, 1):
+            mmse_equalize(fold_spectrum(folded.demapped[t], filt),
+                          genie_estimate(h[t], layout), 0.0)
+        with pytest.raises(DegenerateEqualizer):
+            mmse_equalize(folded, genie_estimate(h, layout), 0.0)
+
+    def test_null_floors_are_per_row(self):
+        # a row a million times louder must not push the others under the
+        # null floors: each row is judged against its own maximum
+        _, layout, filt, grid, syms, rx = _received_stack(3, filt_kind="TAPS3")
+        est_cfg = EstimatorConfig(window_len=window_for("QAM16", layout))
+        rs = np.stack([s.rs_core for s in syms])
+        rs[0] *= 1e6
+        folded = fold_spectrum(front_end(np.stack(rx), grid), filt)
+        est = estimate_channel(folded, layout, rs, est_cfg)
+        h = np.ones((3, 96), dtype=complex)
+        h[0] *= 1e12
+        mmse_equalize(folded, genie_estimate(h, layout), 0.0)
+        for t in range(3):
+            f1 = fold_spectrum(front_end(rx[t], grid), filt)
+            e1 = estimate_channel(f1, layout, rs[t], est_cfg)
+            assert np.array_equal(est.response[t], e1.response)
