@@ -11,20 +11,12 @@ import argparse
 import json
 import sys
 
-from .harness import (
-    ExperimentConfig,
-    run_ber,
-    run_mse,
-    run_papr,
-    run_pulse_decay,
-    sweep,
-    window_for,
-    write_csv,
-)
+from .harness import (RUNNERS, ExperimentConfig, sweep, transmit_frame,
+                      window_for, write_csv)
 from .numerics import SeededRng
 from .receiver import dump_diagnostics, estimate_channel, fold_spectrum, front_end
 from .receiver import EstimatorConfig, mmse_equalize
-from .transmitter import generate_otfdm, write_waveform
+from .transmitter import write_waveform
 
 
 def _load_configs(path, overrides) -> list[ExperimentConfig]:
@@ -59,9 +51,8 @@ def _overrides(args) -> dict:
 def _cmd_tx(args) -> int:
     cfg = _load_configs(args.config, _overrides(args))[0]
     scheme, layout, filt, grid = cfg.resolve()
-    rng = SeededRng(cfg.seed, 0)
-    bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
-    symbol = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+    ((_, symbol),) = transmit_frame(((layout, filt, grid),), scheme,
+                                    SeededRng(cfg.seed, 0))
     write_waveform(args.out, symbol, seed_info=f"{cfg.seed}/0")
     print(f"wrote {symbol.time_samples.size} samples to {args.out}")
     if args.verbose:
@@ -76,33 +67,32 @@ def _cmd_tx(args) -> int:
     return 0
 
 
-def _run_and_write(records, out_path) -> int:
+def _report(records, out_path) -> int:
+    """Say where the records were written (or print them), then print each
+    distinct record warning, in record order, to stderr."""
     if out_path:
-        write_csv(records, out_path)
         print(f"wrote {len(records)} records to {out_path}")
     else:
         for r in records:
             print(f"{r.metric} {r.iv_name}={r.iv_value:g} -> {r.value:.6g}")
-    warned = {r.warning for r in records if r.warning}
-    for w in warned:
+    for w in dict.fromkeys(r.warning for r in records if r.warning):
         print(f"warning: {w}", file=sys.stderr)
     return 0
 
 
 def _cmd_metric(runner):
     def cmd(args) -> int:
-        cfg = _load_configs(args.config, _overrides(args))[0]
-        return _run_and_write(runner(cfg), args.out)
+        records = runner(_load_configs(args.config, _overrides(args))[0])
+        if args.out:
+            write_csv(records, args.out)
+        return _report(records, args.out)
 
     return cmd
 
 
 def _cmd_sweep(args) -> int:
     configs = _load_configs(args.config, _overrides(args))
-    metrics = args.metrics.split(",")
-    records = sweep(configs, metrics, args.out)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
+    return _report(sweep(configs, args.metrics.split(","), args.out), args.out)
 
 
 def main(argv=None) -> int:
@@ -127,20 +117,15 @@ def main(argv=None) -> int:
     common(p_tx, needs_out=True, trials=False)
     p_tx.set_defaults(func=_cmd_tx)
 
-    for name, runner, text in (
-        ("papr", run_papr, "instantaneous-power CCDF and quantile gain"),
-        ("mse", run_mse, "channel-estimation MSE sweeps"),
-        ("ber", run_ber, "uncoded BER and EVM versus SNR"),
-        ("pulse", run_pulse_decay, "effective-pulse tail decay"),
-    ):
-        p = sub.add_parser(name, help=text)
+    for name, runner in RUNNERS.items():
+        p = sub.add_parser(name, help=" ".join((runner.__doc__ or "").split()))
         common(p, needs_out=False)
         p.set_defaults(func=_cmd_metric(runner))
 
     p_sw = sub.add_parser("sweep", help="run metrics over a config grid to CSV")
     common(p_sw, needs_out=True)
     p_sw.add_argument("--metrics", default="overhead",
-                      help="comma-separated: papr,mse,ber,pulse,overhead")
+                      help=f"comma-separated: {','.join(RUNNERS)}")
     p_sw.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)

@@ -10,11 +10,11 @@ Per-subcarrier SNR convention: the target SNR fixes the ratio of demapped
 per-subcarrier signal power to noise power; the equalizer receives the
 inverse linear SNR as its noise variance.
 
-Trials run in chunks of contiguous trial indices. Each trial draws, sends
-and passes its symbol through its channel on its own `SeededRng(seed,
-trial)` stream; the receiver then runs once per chunk on the stacked
-received symbols, and per-trial results are pooled in trial order, so the
-records do not depend on the chunking or on `n_workers`.
+Trials run in chunks of contiguous trial indices. Each trial sends its
+frame (one or more symbols back to back) through one channel realization on
+its own `SeededRng(seed, trial)` stream; the receiver then runs once per
+chunk on the stacked received frames, and per-trial results are pooled in
+trial order, so the records do not depend on the chunking or `n_workers`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,7 @@ from .channel import (
     hst_realization,
     tdlc_realization,
 )
-from .numerics import SeededRng, ccdf, cyclic_fold
+from .numerics import SeededRng, ccdf, cyclic_fold, power_ratio_db
 from .receiver import (
     EstimatorConfig,
     ars_phase_correct,
@@ -71,6 +72,8 @@ __all__ = [
     "run_pulse_decay",
     "run_overhead",
     "pulse_tail_fraction",
+    "transmit_frame",
+    "RUNNERS",
     "sweep",
     "write_csv",
     "CSV_COLUMNS",
@@ -307,13 +310,13 @@ CSV_COLUMNS = (
 )
 
 
-def _record(cfg: ExperimentConfig, layout: FrameLayout, metric: str,
-            iv_name: str, iv_value: float, value: float,
+def _record(cfg: ExperimentConfig, digest: str, layout: FrameLayout,
+            metric: str, iv_name: str, iv_value: float, value: float,
             gamma_pct: float | None = None, snr_db: float = float("nan"),
             warning: str | None = None, note: str = "") -> MetricRecord:
     return MetricRecord(
         metric=metric,
-        config_digest=cfg.digest(),
+        config_digest=digest,
         iv_name=iv_name,
         iv_value=float(iv_value),
         value=float(value),
@@ -357,6 +360,26 @@ def _data_bits(rng: SeededRng, layout: FrameLayout, scheme) -> np.ndarray:
     return rng.bits(layout.data_len * scheme.bits_per_symbol)
 
 
+def transmit_frame(frame, scheme, rng: SeededRng) -> list:
+    """[(data bits, symbol), ...] of a frame of (layout, filter, grid) symbols,
+    in order on `rng`: each draws its data bits (if any), then is generated."""
+    out = []
+    for layout, filt, grid in frame:
+        bits = _data_bits(rng, layout, scheme)
+        out.append((bits, generate_otfdm(bits, scheme, layout, filt, grid, rng)))
+    return out
+
+
+def _dfts_baseline(cfg: ExperimentConfig) -> tuple:
+    """The separate-RS DFT-s-OFDM baseline frame: a full-allocation RS
+    symbol, then an all-data symbol, both unshaped on the zero-excess grid."""
+    m = cfg.alloc_size
+    filt = filter_for("NONE", m, 0.0)
+    grid = grid_for(m, 0, cfg.scs_khz)
+    return ((FrameLayout(m, 0, 0, 0, 0), filt, grid),
+            (FrameLayout(0, 0, 0, m, 0), filt, grid))
+
+
 # --------------------------------------------------------------------------
 # PAPR
 # --------------------------------------------------------------------------
@@ -378,9 +401,8 @@ def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricReco
     """Instantaneous-power CCDF for the configured waveform and the
     separate-RS DFT-s-OFDM baseline, plus the quantile gain at `ccdf_point`."""
     scheme, layout, filt, grid = cfg.resolve()
-    base_layout = FrameLayout(0, 0, 0, cfg.alloc_size, 0)
-    base_filt = filter_for("NONE", cfg.alloc_size, 0.0)
-    base_grid = grid_for(cfg.alloc_size, 0, cfg.scs_khz)
+    frame = ((layout, filt, grid), _dfts_baseline(cfg)[1])
+    record = partial(_record, cfg, cfg.digest())
     notes = []
     if cfg.trials < 10_000:
         notes.append(f"trials={cfg.trials} below 1e4; {ccdf_point:.0%} point is noisy")
@@ -392,18 +414,11 @@ def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricReco
     gamma_pct = 200.0 * filt.excess / cfg.alloc_size
 
     def chunk(trials: range):
-        shaped, plain = [], []
-        for trial in trials:
-            rng = SeededRng(cfg.seed, trial)
-            shaped.append(generate_otfdm(
-                _data_bits(rng, layout, scheme), scheme, layout, filt, grid, rng
-            ).body)
-            plain.append(generate_otfdm(
-                _data_bits(rng, base_layout, scheme),
-                scheme, base_layout, base_filt, base_grid, rng,
-            ).body)
-        return (_normalized_sample_power(np.stack(shaped)),
-                _normalized_sample_power(np.stack(plain)))
+        bodies = [[sym.body for _, sym in
+                   transmit_frame(frame, scheme, SeededRng(cfg.seed, trial))]
+                  for trial in trials]
+        return tuple(_normalized_sample_power(np.stack(col))
+                     for col in zip(*bodies))
 
     shaped, plain = (p.ravel() for p in _map_chunks(chunk, cfg.trials,
                                                      cfg.n_workers))
@@ -414,25 +429,25 @@ def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricReco
     ccdf_plain = ccdf(plain, grid_lin)
     for thr_db, (_, p_shaped), (_, p_plain) in zip(PAPR_CCDF_GRID_DB, ccdf_shaped,
                                                    ccdf_plain):
-        records.append(_record(cfg, layout, "papr_ccdf", "papr_db", thr_db,
-                               p_shaped, gamma_pct=gamma_pct, warning=warning))
-        records.append(_record(cfg, layout, "papr_ccdf_baseline", "papr_db", thr_db,
-                               p_plain, gamma_pct=gamma_pct, warning=warning))
+        records.append(record(layout, "papr_ccdf", "papr_db", thr_db,
+                              p_shaped, gamma_pct=gamma_pct, warning=warning))
+        records.append(record(layout, "papr_ccdf_baseline", "papr_db", thr_db,
+                              p_plain, gamma_pct=gamma_pct, warning=warning))
 
     note = (f"per-sample power CCDF on a {grid.fft_size}-point body "
             f"(>=4x oversampling of alloc {cfg.alloc_size}); "
             f"layout rounding: {ROUNDING_RULE}")
     q_shaped = _sample_quantile_db(shaped, ccdf_point)
     q_plain = _sample_quantile_db(plain, ccdf_point)
-    records.append(_record(cfg, layout, "papr_db_at_ccdf", "ccdf_point",
-                           ccdf_point, q_shaped, gamma_pct=gamma_pct,
-                           warning=warning, note=note))
-    records.append(_record(cfg, layout, "papr_db_at_ccdf_baseline", "ccdf_point",
-                           ccdf_point, q_plain, gamma_pct=gamma_pct,
-                           warning=warning, note=note))
-    records.append(_record(cfg, layout, "papr_gain_db", "ccdf_point",
-                           ccdf_point, q_plain - q_shaped, gamma_pct=gamma_pct,
-                           warning=warning, note=note))
+    records.append(record(layout, "papr_db_at_ccdf", "ccdf_point",
+                          ccdf_point, q_shaped, gamma_pct=gamma_pct,
+                          warning=warning, note=note))
+    records.append(record(layout, "papr_db_at_ccdf_baseline", "ccdf_point",
+                          ccdf_point, q_plain, gamma_pct=gamma_pct,
+                          warning=warning, note=note))
+    records.append(record(layout, "papr_gain_db", "ccdf_point",
+                          ccdf_point, q_plain - q_shaped, gamma_pct=gamma_pct,
+                          warning=warning, note=note))
     return records
 
 
@@ -478,7 +493,7 @@ def _noise_vars(grid: WaveformGrid, snr_db: float) -> tuple[float, float]:
 
 
 class _Sent(NamedTuple):
-    """Transmit side of a chunk, stacked along a leading trial axis."""
+    """Transmit side of a chunk: one row per trial, frame symbols concatenated."""
 
     bits: np.ndarray
     rx: np.ndarray
@@ -488,40 +503,47 @@ class _Sent(NamedTuple):
     truth: np.ndarray | None
 
 
-def _send(cfg: ExperimentConfig, scheme, layout: FrameLayout,
-          filt: ShapingFilter, grid: WaveformGrid, time_var: float,
+def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
           trials: range, with_truth: bool) -> _Sent:
-    """Send a chunk one trial at a time, each on its own stream: data bits,
-    symbol, channel realization, channel application, then (with
-    `with_truth`) the oracle folded composite at mid-symbol. Only what the
-    receiver and the error counts read is kept."""
+    """Send a chunk one trial at a time, each on its own stream: the frame's
+    symbols (`transmit_frame`), one channel realization on the first
+    symbol's grid applied to them all, then (with `with_truth`) the oracle
+    folded composite mid first symbol. Only what the receiver reads is kept."""
+    _, filt, grid = frame[0]
     mid = grid.cp_len + grid.fft_size // 2
     rows = []
     for trial in trials:
         rng = SeededRng(cfg.seed, trial)
-        bits = _data_bits(rng, layout, scheme)
-        sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-        ch = _make_channel(cfg, grid, rng, time_var,
-                           num_samples=sym.time_samples.size)
-        rx = apply_channel(sym.time_samples, ch, rng)
+        sent = transmit_frame(frame, scheme, rng)
+        tx = _join([sym.time_samples for _, sym in sent])
+        ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
+        rx = apply_channel(tx, ch, rng)
         truth = (_composite_truth(ch, grid, filt, sample_index=mid)
                  if with_truth else None)
-        rows.append((bits, rx, sym.rs_core, sym.ars_symbols, sym.data_symbols,
-                     truth))
-    return _Sent(*(None if col[0] is None else np.stack(col)
-                   for col in zip(*rows)))
+        kept = [(bits, sym.rs_core, sym.ars_symbols, sym.data_symbols)
+                for bits, sym in sent]
+        rows.append((kept, rx, truth))
+    kept, rx, truth = zip(*rows)
+    # stack each field per frame position over the chunk, then join positions
+    stacked = [[np.stack(col) for col in zip(*pos)] for pos in zip(*kept)]
+    bits, rs_core, ars, data = (_join(parts) for parts in zip(*stacked))
+    return _Sent(bits, np.stack(rx), rs_core, ars, data,
+                 None if truth[0] is None else np.stack(truth))
 
 
-def _mse_point(cfg: ExperimentConfig, ext_pct: float, rs_pct: float,
-               snr_db: float) -> float:
-    scheme, layout, filt, grid = cfg.resolve(extension_pct=ext_pct,
-                                             rs_overhead_pct=rs_pct)
+def _join(parts) -> np.ndarray:
+    """Concatenate along the last axis, without copying a single part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
+               filt: ShapingFilter, grid: WaveformGrid, snr_db: float) -> float:
     est_cfg = EstimatorConfig(window_len=window_for(cfg.scheme, layout),
                               ridge=cfg.ridge)
     time_var, _ = _noise_vars(grid, snr_db)
 
     def chunk(trials: range):
-        sent = _send(cfg, scheme, layout, filt, grid, time_var, trials,
+        sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, trials,
                      with_truth=True)
         folded = fold_spectrum(front_end(sent.rx, grid), filt)
         est = estimate_channel(folded, layout, sent.rs_core, est_cfg)
@@ -539,19 +561,21 @@ def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
         raise ValueError(f"run_mse: needs exactly one SNR, got {len(cfg.snr_db)}")
     if not cfg.gamma_sweep_pct and not cfg.rs_sweep_pct:
         raise ValueError("run_mse: gamma_sweep_pct and rs_sweep_pct are both empty")
+    if cfg.scheme == "PI2_BPSK" and cfg.ridge == 0:
+        raise ValueError("run_mse: PI2_BPSK RS spectra can have nulls; set ridge > 0")
     snr_db = cfg.snr_db[0]
     rs_fixed = cfg.rs_overhead_pct if cfg.rs_overhead_pct is not None else 8.0
+    points = ([("gamma_pct", ext, ext, rs_fixed) for ext in cfg.gamma_sweep_pct]
+              + [("rs_overhead_pct", rs, cfg.extension_pct, rs)
+                 for rs in cfg.rs_sweep_pct])
+    record = partial(_record, cfg, cfg.digest())
     records = []
-    for ext in cfg.gamma_sweep_pct:
-        _, layout, _, _ = cfg.resolve(extension_pct=ext, rs_overhead_pct=rs_fixed)
-        mse = _mse_point(cfg, ext, rs_fixed, snr_db)
-        records.append(_record(cfg, layout, "chan_mse", "gamma_pct", ext, mse,
-                               gamma_pct=ext, snr_db=snr_db))
-    for rs_pct in cfg.rs_sweep_pct:
-        _, layout, _, _ = cfg.resolve(rs_overhead_pct=rs_pct)
-        mse = _mse_point(cfg, cfg.extension_pct, rs_pct, snr_db)
-        records.append(_record(cfg, layout, "chan_mse", "rs_overhead_pct", rs_pct,
-                               mse, snr_db=snr_db))
+    for iv_name, iv_value, ext, rs_pct in points:
+        scheme, layout, filt, grid = cfg.resolve(extension_pct=ext,
+                                                 rs_overhead_pct=rs_pct)
+        mse = _mse_point(cfg, scheme, layout, filt, grid, snr_db)
+        records.append(record(layout, "chan_mse", iv_name, iv_value, mse,
+                              gamma_pct=ext, snr_db=snr_db))
     return records
 
 
@@ -581,7 +605,7 @@ def _data_errors(eq, est, inv_snr: float, scheme, bits: np.ndarray,
 def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trials):
     """End-to-end OTFDM symbols of one chunk of trials."""
     time_var, inv_snr = _noise_vars(grid, snr_db)
-    sent = _send(cfg, scheme, layout, filt, grid, time_var, trials,
+    sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, trials,
                  with_truth=cfg.genie_channel)
     folded = fold_spectrum(front_end(sent.rx, grid), filt)
     if cfg.genie_channel:
@@ -595,73 +619,52 @@ def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trials):
                         sent.data_symbols)
 
 
-def _dfts_baseline_chunk(cfg, scheme, grid, snr_db, trials):
-    """Two-symbol DFT-s-OFDM reference: a dedicated full-length RS symbol
-    whose LS estimate is reused, unchanged, on the following data symbol."""
-    m = cfg.alloc_size
-    layout = FrameLayout(0, 0, 0, m, 0)
-    filt = filter_for("NONE", m, 0.0)
+def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, trials):
+    """Two-symbol DFT-s-OFDM reference (`_dfts_baseline`): the LS estimate
+    from the RS symbol is reused, unchanged, on the following data symbol."""
+    (_, filt, grid), (layout, _, _) = frame
     time_var, inv_snr = _noise_vars(grid, snr_db)
-    bits, rs, sent, rx = [], [], [], []
-    for trial in trials:
-        rng = SeededRng(cfg.seed, trial)
-        rs_sym = generate_otfdm(np.zeros(0, dtype=np.int64), scheme,
-                                FrameLayout(m, 0, 0, 0, 0), filt, grid, rng)
-        bits.append(rng.bits(m * scheme.bits_per_symbol))
-        data_sym = generate_otfdm(bits[-1], scheme, layout, filt, grid, rng)
-        tx = np.concatenate([rs_sym.time_samples, data_sym.time_samples])
-        ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
-        rx.append(apply_channel(tx, ch, rng))
-        rs.append(rs_sym.rs_core)
-        sent.append(data_sym.data_symbols)
-    rx = np.stack(rx)
+    sent = _send(cfg, scheme, frame, time_var, trials, with_truth=False)
     half = grid.fft_size + grid.cp_len
-    y_rs = fold_spectrum(front_end(rx[:, :half], grid), filt)
-    y_data = fold_spectrum(front_end(rx[:, half:], grid), filt)
-    est = genie_estimate(y_rs.folded / np.fft.fft(np.stack(rs)), layout)
+    y_rs = fold_spectrum(front_end(sent.rx[:, :half], grid), filt)
+    y_data = fold_spectrum(front_end(sent.rx[:, half:], grid), filt)
+    est = genie_estimate(y_rs.folded / np.fft.fft(sent.rs_core), layout)
     eq = mmse_equalize(y_data, est, inv_snr)
-    return _data_errors(eq, est, inv_snr, scheme, np.stack(bits),
-                        np.stack(sent))
+    return _data_errors(eq, est, inv_snr, scheme, sent.bits,
+                        sent.data_symbols)
 
 
 def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
     """Uncoded BER and pooled EVM versus SNR; optionally also for the
     two-symbol DFT-s-OFDM baseline with matched resources."""
+    if cfg.scheme == "PI2_BPSK" and (cfg.compare_baseline or (
+            cfg.ridge == 0 and not cfg.genie_channel)):
+        raise ValueError("run_ber: random PI2_BPSK RS spectra can have exact nulls; "
+                         "set ridge > 0 (or genie_channel) and no compare_baseline")
     scheme, layout, filt, grid = cfg.resolve()
     est_cfg = None
     if not cfg.genie_channel:
         est_cfg = EstimatorConfig(window_len=window_for(cfg.scheme, layout),
                                   ridge=cfg.ridge)
+    baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
+    record = partial(_record, cfg, cfg.digest())
     records = []
     for snr_db in cfg.snr_db:
-        records += _ber_evm_records(
-            cfg, layout, snr_db, "",
-            lambda t: _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg,
-                                   snr_db, t),
-        )
-        if cfg.compare_baseline:
-            base_grid = grid_for(cfg.alloc_size, 0, cfg.scs_khz)
-            records += _ber_evm_records(
-                cfg, layout, snr_db, "_baseline",
-                lambda t: _dfts_baseline_chunk(cfg, scheme, base_grid, snr_db, t),
-            )
+        runs = [("", lambda t: _otfdm_chunk(cfg, scheme, layout, filt, grid,
+                                            est_cfg, snr_db, t))]
+        if baseline:
+            runs.append(("_baseline", lambda t: _dfts_baseline_chunk(
+                cfg, scheme, baseline, snr_db, t)))
+        for suffix, chunk in runs:
+            # per-trial rows summed as Python numbers, in trial order
+            errors, bits, err_pow, ref_pow = (
+                sum(col.tolist())
+                for col in _map_chunks(chunk, cfg.trials, cfg.n_workers))
+            values = (("ber", errors / bits),
+                      ("evm_db", power_ratio_db(err_pow, ref_pow)))
+            records += [record(layout, metric + suffix, "snr_db", snr_db, value,
+                               snr_db=snr_db) for metric, value in values]
     return records
-
-
-def _ber_evm_records(cfg, layout, snr_db, suffix, chunk) -> list[MetricRecord]:
-    """Run `chunk` over every trial and pool its per-trial (bit_errors, bits,
-    error_power, reference_power) rows into one BER and one EVM record.
-    The rows are summed as Python numbers with the builtin `sum`, in trial
-    order."""
-    columns = _map_chunks(chunk, cfg.trials, cfg.n_workers)
-    errors, bits, err_pow, ref_pow = (sum(col.tolist()) for col in columns)
-    evm = 10.0 * math.log10(err_pow / ref_pow) if err_pow > 0 else float("-inf")
-    return [
-        _record(cfg, layout, "ber" + suffix, "snr_db", snr_db, errors / bits,
-                snr_db=snr_db),
-        _record(cfg, layout, "evm_db" + suffix, "snr_db", snr_db, evm,
-                snr_db=snr_db),
-    ]
 
 
 # --------------------------------------------------------------------------
@@ -691,12 +694,13 @@ def run_pulse_decay(cfg: ExperimentConfig) -> list[MetricRecord]:
     """Tail-energy fraction of the transmit pulse per extension factor."""
     if not cfg.gamma_sweep_pct:
         raise ValueError("run_pulse_decay: empty extension sweep")
+    record = partial(_record, cfg, cfg.digest())
     records = []
     for ext in cfg.gamma_sweep_pct:
         _, layout, _, _ = cfg.resolve(extension_pct=ext)
         frac = pulse_tail_fraction(cfg.alloc_size, ext, cfg.tail_periods)
-        records.append(_record(cfg, layout, "pulse_tail_energy", "gamma_pct",
-                               ext, frac, gamma_pct=ext))
+        records.append(record(layout, "pulse_tail_energy", "gamma_pct",
+                              ext, frac, gamma_pct=ext))
     return records
 
 
@@ -709,11 +713,11 @@ def run_overhead(cfg: ExperimentConfig) -> list[MetricRecord]:
     _, layout, filt, _ = cfg.resolve()
     gamma_pct = 200.0 * filt.excess / cfg.alloc_size
     pct = 100.0 * layout.rs_block_len / cfg.alloc_size + gamma_pct
-    return [_record(cfg, layout, "overhead_pct", "alloc_size",
+    return [_record(cfg, cfg.digest(), layout, "overhead_pct", "alloc_size",
                     cfg.alloc_size, pct, gamma_pct=gamma_pct)]
 
 
-_RUNNERS = {
+RUNNERS = {
     "papr": run_papr,
     "mse": run_mse,
     "ber": run_ber,
@@ -731,12 +735,12 @@ def sweep(configs, metrics, out_path) -> list[MetricRecord]:
     if not configs:
         raise ValueError("sweep: empty config list")
     for name in metrics:
-        if name not in _RUNNERS:
+        if name not in RUNNERS:
             raise ValueError(f"sweep: unknown metric {name!r}")
     records: list[MetricRecord] = []
     for cfg in configs:
         for name in metrics:
-            records.extend(_RUNNERS[name](cfg))
+            records.extend(RUNNERS[name](cfg))
     write_csv(records, out_path)
     return records
 

@@ -8,9 +8,12 @@ two, since allocation sizes like 2400 are first class.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["dft", "idft", "cyclic_fold", "papr_db", "ccdf", "evm_db", "SeededRng"]
+__all__ = ["dft", "idft", "cyclic_fold", "papr_db", "ccdf", "evm_db",
+           "power_ratio_db", "SeededRng"]
 
 
 def _as_complex_vec(x) -> np.ndarray:
@@ -89,13 +92,19 @@ def evm_db(estimate, reference) -> float:
     ref = np.asarray(reference, dtype=np.complex128)
     if est.shape != ref.shape:
         raise ValueError("evm_db: shape mismatch")
-    num = np.sum(np.abs(est - ref) ** 2)
-    den = np.sum(np.abs(ref) ** 2)
-    if den == 0.0:
-        raise ValueError("evm_db: all-zero reference")
+    return power_ratio_db(np.sum(np.abs(est - ref) ** 2), np.sum(np.abs(ref) ** 2))
+
+
+def power_ratio_db(error_power, reference_power) -> float:
+    """10*log10(error_power / reference_power), the one EVM-to-dB step: zero
+    error gives -inf; a zero reference or a non-finite (NaN) power raises."""
+    num, den = float(error_power), float(reference_power)
+    if not (math.isfinite(num) and math.isfinite(den) and den > 0.0):
+        raise ValueError("power_ratio_db: needs finite powers and a nonzero "
+                         f"reference; got error {num}, reference {den}")
     if num == 0.0:
         return float("-inf")
-    return float(10.0 * np.log10(num / den))
+    return 10.0 * math.log10(num / den)
 
 
 class SeededRng:

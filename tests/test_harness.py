@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import otfdm.harness as harness
 from otfdm.cli import main as cli_main
 from otfdm.harness import (
     CSV_COLUMNS,
@@ -15,6 +16,7 @@ from otfdm.harness import (
     run_mse,
     run_overhead,
     run_papr,
+    run_pulse_decay,
     sweep,
     window_for,
     write_csv,
@@ -167,6 +169,13 @@ class TestChunking:
               rs_sweep_pct=(5.0, 12.0), trials=37)),
         ("papr", oracles.papr_values,
          dict(scheme="QPSK", rs_overhead_pct=8.0, trials=37)),
+        # the two-symbol baseline frame through one time-varying channel
+        ("ber", oracles.ber_values,
+         dict(scheme="QAM64", compare_baseline=True, channel="TDLC",
+              speed_kmh=120.0, snr_db=(30.0,), trials=20)),
+        ("ber", oracles.ber_values,
+         dict(scheme="QAM256", compare_baseline=True, channel="HST",
+              speed_kmh=500.0, ars_pct=2.0, snr_db=(30.0,), trials=20)),
     ])
     def test_records_equal_one_trial_at_a_time(self, tmp_path, runner, oracle,
                                                kwargs):
@@ -179,6 +188,39 @@ class TestChunking:
             write_csv(records, paths[-1])
         assert [r.value for r in records] == oracle(cfg)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestOncePerRunnerCall:
+    def test_config_digest_computed_once(self, monkeypatch):
+        calls = []
+        digest = ExperimentConfig.digest
+        monkeypatch.setattr(ExperimentConfig, "digest",
+                            lambda cfg: calls.append(cfg) or digest(cfg))
+        cfg = ExperimentConfig(scheme="QPSK", trials=3, seed=2,
+                               rs_overhead_pct=8.0, snr_db=(10.0,),
+                               compare_baseline=True)
+        for runner in (run_papr, run_mse, run_ber, run_pulse_decay,
+                       run_overhead):
+            calls.clear()
+            records = runner(cfg)
+            assert len(calls) == 1
+            assert {r.config_digest for r in records} == {digest(cfg)}
+
+    @pytest.mark.parametrize("runner, kwargs, filters", [
+        # one resolve per sweep point
+        (run_mse, dict(gamma_sweep_pct=(0.0, 5.0, 10.0),
+                       rs_sweep_pct=(5.0, 8.0, 12.0)), 6),
+        # the configured waveform and the baseline, whatever the SNRs
+        (run_ber, dict(compare_baseline=True, snr_db=(6.0, 12.0, 18.0)), 2),
+    ])
+    def test_filters_built_once(self, monkeypatch, runner, kwargs, filters):
+        calls = []
+        make = harness.make_sqrc_filter
+        monkeypatch.setattr(harness, "make_sqrc_filter",
+                            lambda *args: calls.append(args) or make(*args))
+        runner(ExperimentConfig(scheme="QPSK", trials=20, seed=3,
+                                rs_overhead_pct=8.0, n_workers=3, **kwargs))
+        assert len(calls) == filters
 
 
 class TestPapr:
@@ -268,6 +310,45 @@ class TestBer:
         metrics = {r.metric for r in run_ber(cfg)}
         assert {"ber", "evm_db", "ber_baseline", "evm_db_baseline"} <= metrics
 
+    @pytest.mark.parametrize("runner, kwargs", [
+        (run_ber, dict(ridge=0.0)),
+        (run_ber, dict(ridge=1e-3, compare_baseline=True)),
+        (run_ber, dict(genie_channel=True, compare_baseline=True)),
+        (run_mse, dict(ridge=0.0)),
+        (run_mse, dict(ridge=0.0, genie_channel=True)),
+    ])
+    def test_pi2_bpsk_unregularized_rs_division_refused(self, runner, kwargs):
+        # random pi/2-BPSK RS cores can have exact spectral nulls, so these
+        # unregularized divisions would fail mid-run or pool a NaN EVM
+        cfg = ExperimentConfig(scheme="PI2_BPSK", ars_pct=2.0, snr_db=(6.0,),
+                               trials=37, seed=11, **kwargs)
+        with pytest.raises(ValueError, match="PI2_BPSK.*ridge"):
+            runner(cfg)
+
+    def test_pi2_bpsk_genie_needs_no_ridge(self):
+        cfg = ExperimentConfig(scheme="PI2_BPSK", genie_channel=True,
+                               snr_db=(20.0,), trials=4, seed=11)
+        assert [r.metric for r in run_ber(cfg)] == ["ber", "evm_db"]
+
+    @pytest.mark.parametrize("power, evm", [(np.nan, None), (0.0, -np.inf)])
+    def test_pooled_evm_policy(self, monkeypatch, power, evm):
+        data_errors = harness._data_errors
+
+        def with_error_power(*args):
+            errors, bits, _, ref_pow = data_errors(*args)
+            return errors, bits, np.full(len(bits), power), ref_pow
+
+        monkeypatch.setattr(harness, "_data_errors", with_error_power)
+        cfg = ExperimentConfig(scheme="QPSK", alloc_size=96, snr_db=(15.0,),
+                               trials=5, seed=7, compare_baseline=True,
+                               rs_overhead_pct=10.0)
+        if evm is None:
+            with pytest.raises(ValueError, match="finite"):
+                run_ber(cfg)
+        else:
+            assert [r.value for r in run_ber(cfg)
+                    if r.metric.startswith("evm")] == [evm, evm]
+
 
 class TestSweepCsv:
     def test_schema_and_row_count(self, tmp_path):
@@ -340,6 +421,17 @@ class TestCli:
         rows = out.read_text().strip().split("\n")[1:]
         values = sorted(round(float(r.split(",")[7]), 1) for r in rows)
         assert values == [4.9, 5.4, 7.0, 12.7, 13.5]
+
+    def test_sweep_prints_record_warnings(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scheme": "QPSK", "trials": 20,
+                                        "rs_overhead_pct": 8.0}))
+        code = cli_main(["sweep", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "sweep.csv"), "--metrics", "papr"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: trials=20 below 1e4" in err
+        assert err.count("warning:") == 1
 
     def test_bad_config_exits_nonzero(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,7 +4,7 @@ import pytest
 from oracles import ccdf_scan, cyclic_fold_direct, dft_direct
 from otfdm import SeededRng, ccdf, dft, evm_db, idft, papr_db
 from otfdm.harness import ExperimentConfig
-from otfdm.numerics import cyclic_fold
+from otfdm.numerics import cyclic_fold, power_ratio_db
 from otfdm.transmitter import generate_otfdm
 
 
@@ -133,6 +133,38 @@ def test_evm_db():
     assert evm_db(ref, ref) == float("-inf")
     est = ref + np.array([0.1, 0.0])
     assert evm_db(est, ref) == pytest.approx(10 * np.log10(0.01 / 2.0))
+
+
+def test_evm_db_within_a_few_ulps_of_the_numpy_formula():
+    # math.log10 and np.log10 of one ratio can differ by up to 2 ulps (near
+    # ratio 1), which the factor 10 can carry into the dB value
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        ref = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        est = ref + rng.uniform(1e-4, 1.5) * rng.standard_normal(64)
+        num = np.sum(np.abs(est - ref) ** 2)
+        den = np.sum(np.abs(ref) ** 2)
+        direct = float(10.0 * np.log10(num / den))
+        assert abs(evm_db(est, ref) - direct) <= 4 * np.spacing(abs(direct))
+
+
+@pytest.mark.parametrize("err, ref", [
+    (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
+    (1.0, float("inf")), (1.0, 0.0), (0.0, 0.0),
+])
+def test_power_ratio_db_refuses_nonfinite_or_zero_reference(err, ref):
+    with pytest.raises(ValueError, match="power_ratio_db"):
+        power_ratio_db(err, ref)
+
+
+def test_evm_db_policy():
+    assert power_ratio_db(0.0, 2.0) == float("-inf")
+    assert power_ratio_db(1.0, 10.0) == -10.0
+    ref = np.array([1.0 + 0j, -1.0 + 0j])
+    with pytest.raises(ValueError):
+        evm_db(ref, np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        evm_db(np.array([np.nan, 1.0]), ref)
 
 
 @pytest.mark.parametrize(
