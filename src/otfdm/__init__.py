@@ -41,11 +41,13 @@ from .receiver import (
     FoldedSymbol,
     SingularReference,
     ars_phase_correct,
+    check_reference,
     demodulate,
     estimate_channel,
     fold_spectrum,
     front_end,
     genie_estimate,
+    hard_bits,
     mmse_equalize,
 )
 from .sequences import (
@@ -75,6 +77,7 @@ from .transmitter import (
     map_and_modulate,
     multiplex_symbol,
     precode_extend_shape,
+    reference_core,
     write_waveform,
 )
 

@@ -9,6 +9,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import SeededRng
 
@@ -151,6 +152,15 @@ def _tdlc_kernels(delay_spread_ns: float, sample_rate_hz: float) -> np.ndarray:
     return kernels
 
 
+def _phasor(theta: np.ndarray) -> np.ndarray:
+    """exp(1j * theta), written as cos and sin straight into the real and
+    imaginary parts (the same values, without the complex exponential)."""
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _rayleigh_tap_gains(
     powers: np.ndarray,
     num_samples: int,
@@ -184,10 +194,17 @@ def _rayleigh_tap_gains(
     rows = -(-num_samples // block)
     t_coarse = block * np.arange(rows) / sample_rate_hz
     t_fine = np.arange(block) / sample_rate_hz
-    coarse = np.exp(1j * (t_coarse[None, :, None] * w[:, None, :] + phases[:, None, :]))
-    fine = np.exp(1j * (w[:, :, None] * t_fine[None, None, :]))
-    g = np.matmul(coarse, fine).reshape(taps, rows * block)[:, :num_samples]
-    return g / np.sqrt(num_sinusoids) * amp
+    coarse = _phasor(t_coarse[None, :, None] * w[:, None, :] + phases[:, None, :])
+    fine = _phasor(w[:, :, None] * t_fine[None, None, :])
+    g = np.matmul(coarse, fine).reshape(taps, rows * block)
+    # scale the real and imaginary parts as reals: the same values as the
+    # complex g / sqrt(num_sinusoids) * amp, without complex arithmetic
+    out = np.empty((taps, num_samples), dtype=np.complex128)
+    flat = out.view(np.float64)
+    np.multiply(g.view(np.float64)[:, : 2 * num_samples],
+                1.0 / np.sqrt(num_sinusoids), out=flat)
+    flat *= amp
+    return out
 
 
 def tdlc_realization(
@@ -280,16 +297,15 @@ def hst_realization(
     noise_variance: float = 0.0,
 ) -> ChannelRealization:
     """Single unit-gain path whose phase tracks the geometry-driven Doppler
-    over [t0, t0 + duration]."""
+    over [t0, t0 + duration]. It draws nothing, so one read-only realization
+    serves every trial that starts at t0."""
     if num_samples < 1:
         raise ValueError("hst_realization: num_samples must be >= 1")
     t = t0 + np.arange(num_samples) * (duration / max(num_samples, 1))
     phases = cfg.phase_rad(t) - cfg.phase_rad(t0)
-    gains = np.exp(1j * phases)[None, :]
-    kernels = np.ones((1, 1))
-    return ChannelRealization(
-        kernels=kernels,
-        gains=gains,
+    return _shared(ChannelRealization(
+        kernels=np.ones((1, 1)),
+        gains=_phasor(phases)[None, :],
         noise_variance=float(noise_variance),
         model_tag="HST",
         sample_rate_hz=sample_rate_hz,
@@ -301,17 +317,24 @@ def hst_realization(
             "t0": t0,
             "max_doppler_hz": cfg.max_doppler_hz,
         },
-    )
+    ))
 
 
 def flat_realization(gain: complex = 1.0, noise_variance: float = 0.0) -> ChannelRealization:
-    """Single-tap static channel."""
-    return ChannelRealization(
+    """Single-tap static channel, read-only so that trials can share it."""
+    return _shared(ChannelRealization(
         kernels=np.ones((1, 1)),
         gains=np.array([[gain]], dtype=np.complex128),
         noise_variance=float(noise_variance),
         model_tag="FLAT",
-    )
+    ))
+
+
+def _shared(ch: ChannelRealization) -> ChannelRealization:
+    """Freeze the arrays of a realization that several trials share."""
+    ch.kernels.flags.writeable = False
+    ch.gains.flags.writeable = False
+    return ch
 
 
 def custom_realization(
@@ -338,6 +361,33 @@ def custom_realization(
     )
 
 
+def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """sum_t gains[t] * (x convolved with kernels[t]), the last gain held over
+    the convolution tail.
+
+    All taps are convolved at once by one real matrix product: row j of the
+    sliding window holds the zero-padded signal shifted by j, as interleaved
+    (real, imaginary) floats, so the reversed real kernels times the window
+    are the complex convolutions of every tap. Within 1e-13 relative of one
+    np.convolve per tap; the window is about ir_len * 2 * out_len floats.
+    One-sample kernels (HST) only scale the signal, with no window built.
+    """
+    ir_len = kernels.shape[1]
+    out_len = x.size + ir_len - 1
+    if ir_len == 1:
+        conv = kernels * x
+    else:
+        padded = np.zeros(x.size + 2 * (ir_len - 1), dtype=np.complex128)
+        padded[ir_len - 1 : ir_len - 1 + x.size] = x
+        window = sliding_window_view(padded.view(np.float64), 2 * out_len)[::2]
+        conv = (np.ascontiguousarray(kernels[:, ::-1])
+                @ np.ascontiguousarray(window)).view(np.complex128)
+    span = min(gains.shape[1], out_len)
+    np.multiply(gains[:, :span], conv[:, :span], out=conv[:, :span])
+    np.multiply(gains[:, -1:], conv[:, span:], out=conv[:, span:])
+    return conv.sum(axis=0)
+
+
 def apply_channel(signal, ch: ChannelRealization, rng: SeededRng) -> np.ndarray:
     """Time-varying linear convolution with the realized taps, plus AWGN.
 
@@ -349,14 +399,11 @@ def apply_channel(signal, ch: ChannelRealization, rng: SeededRng) -> np.ndarray:
         raise ValueError("apply_channel: empty signal")
     out_len = x.size + ch.ir_len - 1
     if ch.is_static:
+        # impulse_response() is a new, writeable array: np.convolve is
+        # several times slower on a read-only kernel
         y = np.convolve(x, ch.impulse_response())
     else:
-        y = np.zeros(out_len, dtype=np.complex128)
-        for t in range(ch.kernels.shape[0]):
-            traj = ch.gains[t]
-            if traj.size < out_len:
-                traj = np.concatenate([traj, np.full(out_len - traj.size, traj[-1])])
-            y += traj[:out_len] * np.convolve(x, ch.kernels[t])
+        y = _tap_sum(x, ch.kernels, ch.gains)
     if ch.noise_variance > 0.0:
         y += rng.complex_normal(out_len, ch.noise_variance)
     return y

@@ -41,11 +41,12 @@ from .numerics import SeededRng, ccdf, cyclic_fold, power_ratio_db
 from .receiver import (
     EstimatorConfig,
     ars_phase_correct,
-    demodulate,
+    check_reference,
     estimate_channel,
     fold_spectrum,
     front_end,
     genie_estimate,
+    hard_bits,
     mmse_equalize,
 )
 from .sequences import (
@@ -55,7 +56,7 @@ from .sequences import (
     make_sqrc_filter,
     make_taps_filter,
 )
-from .transmitter import WaveformGrid, effective_pulse, generate_otfdm
+from .transmitter import WaveformGrid, effective_pulse, generate_otfdm, reference_core
 
 __all__ = [
     "ModProfile",
@@ -457,6 +458,9 @@ def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricReco
 
 def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
                   noise_var_time: float, num_samples: int) -> ChannelRealization:
+    """The config's channel on one trial's stream `rng`. Only TDL-C draws
+    from it; the AWGN and HST channels (every HST trial starts at t0 = 0) are
+    the same read-only realization for every trial."""
     if cfg.channel in ("AWGN", "NONE"):
         return flat_realization(1.0, noise_var_time)
     if cfg.channel == "TDLC":
@@ -508,18 +512,22 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
     """Send a chunk one trial at a time, each on its own stream: the frame's
     symbols (`transmit_frame`), one channel realization on the first
     symbol's grid applied to them all, then (with `with_truth`) the oracle
-    folded composite mid first symbol. Only what the receiver reads is kept."""
+    folded composite mid first symbol. TDL-C fading is drawn per trial; the
+    other channels draw nothing, so one realization and its composite serve
+    the whole chunk. Only what the receiver reads is kept."""
     _, filt, grid = frame[0]
     mid = grid.cp_len + grid.fft_size // 2
+    ch = truth = None
     rows = []
     for trial in trials:
         rng = SeededRng(cfg.seed, trial)
         sent = transmit_frame(frame, scheme, rng)
         tx = _join([sym.time_samples for _, sym in sent])
-        ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
+        if ch is None or cfg.channel == "TDLC":
+            ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
+            truth = (_composite_truth(ch, grid, filt, sample_index=mid)
+                     if with_truth else None)
         rx = apply_channel(tx, ch, rng)
-        truth = (_composite_truth(ch, grid, filt, sample_index=mid)
-                 if with_truth else None)
         kept = [(bits, sym.rs_core, sym.ars_symbols, sym.data_symbols)
                 for bits, sym in sent]
         rows.append((kept, rx, truth))
@@ -536,10 +544,23 @@ def _join(parts) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
-               filt: ShapingFilter, grid: WaveformGrid, snr_db: float) -> float:
+def _estimator(cfg: ExperimentConfig, scheme, layout: FrameLayout,
+               filt: ShapingFilter) -> EstimatorConfig:
+    """The RS estimator of a layout, checked before any trial: an
+    unregularized ZC reference with a spectral null raises SingularReference
+    here, not mid-run. (The pi/2-BPSK RS is drawn per trial; unregularized,
+    the runners refuse it outright.)"""
     est_cfg = EstimatorConfig(window_len=window_for(cfg.scheme, layout),
                               ridge=cfg.ridge)
+    rs_core = reference_core(layout.rs_len, scheme)
+    if rs_core is not None:
+        check_reference(rs_core, layout, filt, est_cfg)
+    return est_cfg
+
+
+def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
+               filt: ShapingFilter, grid: WaveformGrid,
+               est_cfg: EstimatorConfig, snr_db: float) -> float:
     time_var, _ = _noise_vars(grid, snr_db)
 
     def chunk(trials: range):
@@ -568,13 +589,17 @@ def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
     points = ([("gamma_pct", ext, ext, rs_fixed) for ext in cfg.gamma_sweep_pct]
               + [("rs_overhead_pct", rs, cfg.extension_pct, rs)
                  for rs in cfg.rs_sweep_pct])
+    # resolve and check every point before the first trial
+    resolved = [cfg.resolve(extension_pct=ext, rs_overhead_pct=rs_pct)
+                for _, _, ext, rs_pct in points]
+    estimators = [_estimator(cfg, scheme, layout, filt)
+                  for scheme, layout, filt, _ in resolved]
     record = partial(_record, cfg, cfg.digest())
     records = []
-    for iv_name, iv_value, ext, rs_pct in points:
-        scheme, layout, filt, grid = cfg.resolve(extension_pct=ext,
-                                                 rs_overhead_pct=rs_pct)
-        mse = _mse_point(cfg, scheme, layout, filt, grid, snr_db)
-        records.append(record(layout, "chan_mse", iv_name, iv_value, mse,
+    for (iv_name, iv_value, ext, _), point, est_cfg in zip(points, resolved,
+                                                            estimators):
+        mse = _mse_point(cfg, *point, est_cfg, snr_db)
+        records.append(record(point[1], "chan_mse", iv_name, iv_value, mse,
                               gamma_pct=ext, snr_db=snr_db))
     return records
 
@@ -595,7 +620,7 @@ def _data_errors(eq, est, inv_snr: float, scheme, bits: np.ndarray,
     """Per-trial (bit_errors, bits, error_power, reference_power) of the
     unbiased, demapped data segments of a chunk."""
     data = eq.data / _mmse_bias(est, inv_snr)[:, None]
-    hard, _ = demodulate(data, scheme, inv_snr)
+    hard = hard_bits(data, scheme)
     return (np.count_nonzero(hard != bits, axis=-1),
             np.full(len(bits), bits.shape[-1]),
             np.sum(np.abs(data - sent) ** 2, axis=-1),
@@ -642,10 +667,7 @@ def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
         raise ValueError("run_ber: random PI2_BPSK RS spectra can have exact nulls; "
                          "set ridge > 0 (or genie_channel) and no compare_baseline")
     scheme, layout, filt, grid = cfg.resolve()
-    est_cfg = None
-    if not cfg.genie_channel:
-        est_cfg = EstimatorConfig(window_len=window_for(cfg.scheme, layout),
-                                  ridge=cfg.ridge)
+    est_cfg = None if cfg.genie_channel else _estimator(cfg, scheme, layout, filt)
     baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
     record = partial(_record, cfg, cfg.digest())
     records = []
@@ -694,10 +716,11 @@ def run_pulse_decay(cfg: ExperimentConfig) -> list[MetricRecord]:
     """Tail-energy fraction of the transmit pulse per extension factor."""
     if not cfg.gamma_sweep_pct:
         raise ValueError("run_pulse_decay: empty extension sweep")
+    layout = layout_for(cfg.scheme, cfg.alloc_size, cfg.ars_len(),
+                        cfg.rs_overhead_pct)
     record = partial(_record, cfg, cfg.digest())
     records = []
     for ext in cfg.gamma_sweep_pct:
-        _, layout, _, _ = cfg.resolve(extension_pct=ext)
         frac = pulse_tail_fraction(cfg.alloc_size, ext, cfg.tail_periods)
         records.append(record(layout, "pulse_tail_energy", "gamma_pct",
                               ext, frac, gamma_pct=ext))

@@ -125,10 +125,6 @@ class SeededRng:
         """Sibling stream with the same seed and a different stream_id."""
         return SeededRng(self.seed, stream_id)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def bits(self, count: int) -> np.ndarray:
         return self._gen.integers(0, 2, size=count, dtype=np.int64)
 
@@ -139,11 +135,15 @@ class SeededRng:
         return self._gen.standard_normal(size=size)
 
     def complex_normal(self, size, variance: float = 1.0) -> np.ndarray:
-        """Circularly symmetric complex Gaussian samples of given variance."""
+        """Circularly symmetric complex Gaussian samples of given variance:
+        the real parts are drawn first, then the imaginary parts."""
         scale = np.sqrt(variance / 2.0)
-        return scale * (
-            self._gen.standard_normal(size) + 1j * self._gen.standard_normal(size)
-        )
+        re = self._gen.standard_normal(size)
+        im = self._gen.standard_normal(size)
+        out = np.empty(re.shape, dtype=np.complex128)
+        np.multiply(re, scale, out=out.real)
+        np.multiply(im, scale, out=out.imag)
+        return out
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream_id={self.stream_id})"

@@ -35,10 +35,12 @@ __all__ = [
     "EqualizedSymbol",
     "front_end",
     "fold_spectrum",
+    "check_reference",
     "estimate_channel",
     "genie_estimate",
     "mmse_equalize",
     "ars_phase_correct",
+    "hard_bits",
     "demodulate",
     "dump_diagnostics",
 ]
@@ -120,18 +122,9 @@ class EqualizedSymbol:
     phase_step: float | np.ndarray = 0.0
 
     @property
-    def rs_prefix(self) -> np.ndarray:
-        return self.time[..., : self.layout.rs_core_start]
-
-    @property
     def rs_core(self) -> np.ndarray:
         lo = self.layout.rs_core_start
         return self.time[..., lo : lo + self.layout.rs_len]
-
-    @property
-    def rs_suffix(self) -> np.ndarray:
-        lo = self.layout.rs_core_start + self.layout.rs_len
-        return self.time[..., lo : self.layout.rs_block_len]
 
     @property
     def data(self) -> np.ndarray:
@@ -190,6 +183,47 @@ def _row_floor(power: np.ndarray, scale: float) -> np.ndarray:
     return scale * np.maximum(power.max(axis=-1, keepdims=True), 1.0)
 
 
+def _reference(rs_core, layout: FrameLayout, composite: np.ndarray,
+               est: EstimatorConfig) -> tuple:
+    """(start, spectrum, power) of the known RS reference: where the rs_len
+    received RS samples are read, the reference spectrum times the folded
+    filter gain, and its squared magnitude. One-sided layouts read inside the
+    prefix, so the reference is the core shifted cyclically to match.
+    Without ridge, a null in the spectrum raises SingularReference."""
+    rs_core = np.asarray(rs_core, dtype=np.complex128)
+    l_r = layout.rs_len
+    if rs_core.ndim == 0 or rs_core.shape[-1] != l_r or l_r < 1:
+        raise ValueError(
+            f"estimate_channel: rs core length {rs_core.shape[-1:]} != {l_r}"
+        )
+    if est.window_len > l_r:
+        raise ValueError("estimate_channel: window_len exceeds the RS core length")
+    if layout.variant == ONE_SIDED_CP:
+        start = layout.rs_cp // 2 if est.rs_offset is None else est.rs_offset
+        if not 0 <= start <= layout.rs_cp:
+            raise ValueError("estimate_channel: rs_offset outside the RS prefix")
+        rs_core = np.roll(rs_core, -start, axis=-1)
+    else:
+        start = layout.rs_core_start
+    spectrum = np.fft.fft(rs_core) * _reference_gain(composite, l_r)
+    power = np.abs(spectrum) ** 2
+    if est.ridge == 0.0 and np.any(power <= _row_floor(power, 1e-12)):
+        raise SingularReference(
+            "estimate_channel: reference spectrum has a null; "
+            "set ridge > 0 to regularize"
+        )
+    return start, spectrum, power
+
+
+def check_reference(rs_core, layout: FrameLayout, filt: ShapingFilter,
+                    est: EstimatorConfig) -> None:
+    """Raise what `estimate_channel` would raise about this RS core, layout,
+    filter and estimator, before any symbol is received: SingularReference
+    for a null in an unregularized reference spectrum, ValueError for a core
+    or window that does not fit the layout."""
+    _reference(rs_core, layout, filt.folded_square(), est)
+
+
 def estimate_channel(
     folded: FoldedSymbol,
     layout: FrameLayout,
@@ -203,40 +237,15 @@ def estimate_channel(
     resulting impulse response, and re-expand to the allocation grid.
     rs_core holds the RS core of each folded symbol.
     """
-    rs_core = np.asarray(rs_core, dtype=np.complex128)
     m = folded.alloc_size
     l_r = layout.rs_len
     if layout.total_len != m:
         raise ValueError("estimate_channel: layout does not match the folded symbol")
-    if rs_core.ndim == 0 or rs_core.shape[-1] != l_r or l_r < 1:
-        raise ValueError(
-            f"estimate_channel: rs core length {rs_core.shape[-1:]} != {l_r}"
-        )
-    if est.window_len > l_r:
-        raise ValueError("estimate_channel: window_len exceeds the RS core length")
+    composite = folded.filt.folded_square()
+    start, ref_spectrum, denom = _reference(rs_core, layout, composite, est)
 
     time_symbol = np.fft.ifft(folded.folded)
-    if layout.variant == ONE_SIDED_CP:
-        offset = layout.rs_cp // 2 if est.rs_offset is None else est.rs_offset
-        if not 0 <= offset <= layout.rs_cp:
-            raise ValueError("estimate_channel: rs_offset outside the RS prefix")
-        received = time_symbol[..., offset : offset + l_r]
-        reference = np.roll(rs_core, -offset, axis=-1)
-    else:
-        start = layout.rs_core_start
-        received = time_symbol[..., start : start + l_r]
-        reference = rs_core
-
-    composite = folded.filt.folded_square()
-    rs_spectrum = np.fft.fft(received)
-    ref_spectrum = np.fft.fft(reference) * _reference_gain(composite, l_r)
-
-    denom = np.abs(ref_spectrum) ** 2
-    if est.ridge == 0.0 and np.any(denom <= _row_floor(denom, 1e-12)):
-        raise SingularReference(
-            "estimate_channel: reference spectrum has a null; "
-            "set ridge > 0 to regularize"
-        )
+    rs_spectrum = np.fft.fft(time_symbol[..., start : start + l_r])
     ls = rs_spectrum * np.conj(ref_spectrum) / (denom + est.ridge)
 
     impulse = np.fft.ifft(ls)
@@ -337,53 +346,105 @@ def ars_phase_correct(
     return replace(eq, time=time, phase_step=step)
 
 
-def demodulate(symbols, scheme: ModScheme, noise_var: float):
-    """Minimum-distance hard bits plus max-log soft metrics.
+def _nearest_level(r: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Index of the level nearest to each r in squared distance, the lowest
+    index on ties: what a scan of every level's (r - level)**2 returns.
 
-    Returns (bits, metrics), each with the symbols' bits in order along the
-    last axis; metrics are log-likelihood ratios scaled by the noise
-    variance, positive where the hard decision is a one.
+    Only the two levels that bracket r can be nearest, so only their
+    distances are compared. Beyond |r| = 2**40, or for NaN, rounding can tie
+    farther levels too, and such inputs take the scan.
     """
-    rx = np.asarray(symbols, dtype=np.complex128)
-    if rx.ndim == 0 or rx.size == 0:
-        raise ValueError("demodulate: empty input")
-    scale = max(float(noise_var), 1e-12)
-
-    if scheme.name == "PI2_BPSK":
-        rot = np.where(np.arange(rx.shape[-1]) % 2 == 1, 1j, 1.0 + 0j)
-        rx = rx * np.conj(rot)
-        ref = np.array([(1 + 1j) / np.sqrt(2.0), -(1 + 1j) / np.sqrt(2.0)])
-        d = np.abs(rx[..., None] - ref) ** 2
-        bits = (d[..., 1] < d[..., 0]).astype(np.int64)
-        llr = (d[..., 0] - d[..., 1]) / scale
-        return bits, llr
-
-    # Square QAM: the squared distance splits into I and Q parts, so each
-    # bit's max-log metric needs only the Gray-PAM levels of its own axis
-    # (even bit positions ride on I, odd ones on Q). Sending every per-axis
-    # label on both axes reads those levels off `modulate`. Distances are
-    # kept one array per level, so every minimum is an elementwise one.
-    half = scheme.bits_per_symbol // 2
-    labels = (np.arange(2**half)[:, None] >> np.arange(half - 1, -1, -1)) & 1
-    points = modulate(np.repeat(labels, 2, axis=1).ravel(), scheme)
-    bits = np.empty(rx.shape + (2 * half,), dtype=np.int64)
-    llr = np.empty(bits.shape)
-    for axis, r, levels in ((0, rx.real, points.real), (1, rx.imag, points.imag)):
+    if not np.all(np.abs(r) < 2.0**40):
         d = [(r - level) ** 2 for level in levels]
-        # nearest level, the first one on ties (as argmin picks it)
         best, nearest = d[0], np.zeros(r.shape, dtype=np.intp)
         for k in range(1, len(d)):
             closer = d[k] < best
             best = np.where(closer, d[k], best)
             nearest = np.where(closer, k, nearest)
+        return nearest
+    # the levels are evenly spaced, so r's bracket is one floor away; off by
+    # one only where r is within rounding of a level, which both brackets hold
+    order = np.argsort(levels)
+    low, step = levels[order[0]], np.ptp(levels) / (levels.size - 1)
+    j = np.clip(np.floor((r - low) / step), 0, levels.size - 2).astype(np.intp)
+    lo, hi = order[j], order[j + 1]
+    first, last = np.minimum(lo, hi), np.maximum(lo, hi)
+    return np.where((r - levels[last]) ** 2 < (r - levels[first]) ** 2, last, first)
+
+
+def _received(symbols) -> np.ndarray:
+    rx = np.asarray(symbols, dtype=np.complex128)
+    if rx.ndim == 0 or rx.size == 0:
+        raise ValueError("demodulate: empty input")
+    return rx
+
+
+def _pi2_bpsk_distances(rx: np.ndarray) -> np.ndarray:
+    """Squared distances of the de-rotated symbols to the two BPSK points."""
+    rot = np.where(np.arange(rx.shape[-1]) % 2 == 1, 1j, 1.0 + 0j)
+    ref = np.array([(1 + 1j) / np.sqrt(2.0), -(1 + 1j) / np.sqrt(2.0)])
+    return np.abs((rx * np.conj(rot))[..., None] - ref) ** 2
+
+
+def _qam_axes(rx: np.ndarray, scheme: ModScheme) -> tuple:
+    """(labels, ((0, rx.real, I levels), (1, rx.imag, Q levels))) of square QAM.
+
+    The squared distance splits into I and Q parts, so each bit needs only
+    the Gray-PAM levels of its own axis (even bit positions ride on I, odd
+    ones on Q); labels[k] holds the bits of level k. Sending every per-axis
+    label on both axes reads those levels off `modulate`.
+    """
+    half = scheme.bits_per_symbol // 2
+    labels = (np.arange(2**half)[:, None] >> np.arange(half - 1, -1, -1)) & 1
+    points = modulate(np.repeat(labels, 2, axis=1).ravel(), scheme)
+    return labels, ((0, rx.real, points.real), (1, rx.imag, points.imag))
+
+
+def hard_bits(symbols, scheme: ModScheme) -> np.ndarray:
+    """Minimum-distance hard bits, the symbols' bits in order along the last
+    axis: the labels of the nearest constellation point."""
+    rx = _received(symbols)
+    if scheme.name == "PI2_BPSK":
+        d = _pi2_bpsk_distances(rx)
+        return (d[..., 1] < d[..., 0]).astype(np.int64)
+    labels, axes = _qam_axes(rx, scheme)
+    half = labels.shape[1]
+    bits = np.empty(rx.shape + (2 * half,), dtype=np.int64)
+    for axis, r, levels in axes:
+        nearest = _nearest_level(r, levels)
         for c in range(half):
             bits[..., axis + 2 * c] = labels[:, c][nearest]
+    return bits.reshape(rx.shape[:-1] + (-1,))
+
+
+def demodulate(symbols, scheme: ModScheme, noise_var: float):
+    """Minimum-distance hard bits plus max-log soft metrics.
+
+    Returns (bits, metrics), each with the symbols' bits in order along the
+    last axis; bits are those of `hard_bits`, and metrics are log-likelihood
+    ratios scaled by the noise variance, positive where the hard decision is
+    a one.
+    """
+    bits = hard_bits(symbols, scheme)
+    rx = _received(symbols)
+    scale = max(float(noise_var), 1e-12)
+    if scheme.name == "PI2_BPSK":
+        d = _pi2_bpsk_distances(rx)
+        return bits, (d[..., 0] - d[..., 1]) / scale
+    # each bit's metric compares the nearest levels of its axis labelled 0
+    # and 1; distances are kept one array per level, so every minimum is an
+    # elementwise one
+    labels, axes = _qam_axes(rx, scheme)
+    half = labels.shape[1]
+    llr = np.empty(rx.shape + (2 * half,))
+    for axis, r, levels in axes:
+        d = [(r - level) ** 2 for level in levels]
+        for c in range(half):
             ones = labels[:, c] == 1
             zero = reduce(np.minimum, (d[k] for k in np.flatnonzero(~ones)))
             one = reduce(np.minimum, (d[k] for k in np.flatnonzero(ones)))
             llr[..., axis + 2 * c] = (zero - one) / scale
-    flat = rx.shape[:-1] + (-1,)
-    return bits.reshape(flat), llr.reshape(flat)
+    return bits, llr.reshape(bits.shape)
 
 
 def dump_diagnostics(

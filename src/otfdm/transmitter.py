@@ -29,6 +29,7 @@ __all__ = [
     "precode_extend_shape",
     "map_and_modulate",
     "effective_pulse",
+    "reference_core",
     "generate_otfdm",
     "write_waveform",
 ]
@@ -77,11 +78,6 @@ class WaveformGrid:
     @property
     def sample_rate_hz(self) -> float:
         return self.fft_size * self.scs_khz * 1e3
-
-    @property
-    def symbol_duration_s(self) -> float:
-        """Body duration 1/scs; the CP adds cp_len/sample_rate on top."""
-        return 1.0 / (self.scs_khz * 1e3)
 
     def mapped_bins(self) -> np.ndarray:
         """FFT bin index for each extended-grid position."""
@@ -188,6 +184,25 @@ def effective_pulse(
     return np.roll(pulse, grid.fft_size // 2)
 
 
+# Zadoff-Chu root of the RS and ARS cores unless the caller picks another.
+DEFAULT_RS_ROOT = 1
+
+
+def reference_core(length: int, scheme: ModScheme, rng: SeededRng | None = None,
+                   root: int = DEFAULT_RS_ROOT) -> np.ndarray | None:
+    """RS or ARS core of `length` samples sent with `scheme` data: pi/2-BPSK
+    symbols drawn from `rng` for pi/2-BPSK data, the Zadoff-Chu core of
+    `root` otherwise. A pi/2-BPSK core without an rng is None: it is only
+    known once drawn."""
+    if length == 0:
+        return np.zeros(0, dtype=np.complex128)
+    if scheme.name == "PI2_BPSK":
+        if rng is None:
+            return None
+        return make_rs_core(length, kind="pi2_bpsk", rng=rng)
+    return make_rs_core(length, kind="zc", root=root)
+
+
 def generate_otfdm(
     bits,
     scheme: ModScheme,
@@ -195,13 +210,13 @@ def generate_otfdm(
     filt: ShapingFilter,
     grid: WaveformGrid,
     rng: SeededRng,
-    rs_root: int = 1,
+    rs_root: int = DEFAULT_RS_ROOT,
 ) -> OtfdmSymbol:
     """Full pipeline from data bits to one transmit symbol.
 
-    RS and ARS sequences are derived from the scheme family (pi/2-BPSK for
-    pi/2-BPSK data, Zadoff-Chu otherwise); their material is drawn from `rng`
-    so a (seed, stream) pair pins the whole symbol.
+    RS and ARS sequences are derived from the scheme family
+    (`reference_core`); their material is drawn from `rng` so a (seed,
+    stream) pair pins the whole symbol.
     """
     if layout.total_len != grid.alloc_size or filt.alloc_size != grid.alloc_size:
         raise ValueError(
@@ -217,17 +232,10 @@ def generate_otfdm(
             f"generate_otfdm: {bits.size} data bits, layout needs {expected}"
         )
 
-    ref_kind = "pi2_bpsk" if scheme.name == "PI2_BPSK" else "zc"
-    if layout.rs_len:
-        rs_core = make_rs_core(layout.rs_len, kind=ref_kind, root=rs_root, rng=rng)
-    else:
-        rs_core = np.zeros(0, dtype=np.complex128)
+    rs_core = reference_core(layout.rs_len, scheme, rng, rs_root)
     rs_block = build_rs_block(rs_core, layout)
     data = modulate(bits, scheme)
-    if layout.ars_len:
-        ars = make_rs_core(layout.ars_len, kind=ref_kind, root=rs_root, rng=rng)
-    else:
-        ars = np.zeros(0, dtype=np.complex128)
+    ars = reference_core(layout.ars_len, scheme, rng, rs_root)
 
     multiplexed = multiplex_symbol(data, rs_block, ars, layout)
     shaped = precode_extend_shape(multiplexed, filt)

@@ -89,6 +89,20 @@ def jakes_direct(powers, num_samples, doppler_hz, sample_rate_hz, rng,
     return np.stack(rows)
 
 
+def apply_per_tap_direct(signal, kernels, gains):
+    """Time-varying tap sum with one np.convolve per tap: tap t's full
+    convolution weighted sample by sample by its gain trajectory, the last
+    gain held over the convolution tail; no noise."""
+    x = np.asarray(signal, dtype=np.complex128)
+    out_len = x.size + kernels.shape[1] - 1
+    y = np.zeros(out_len, dtype=np.complex128)
+    for kernel, traj in zip(kernels, gains):
+        if traj.size < out_len:
+            traj = np.concatenate([traj, np.full(out_len - traj.size, traj[-1])])
+        y += traj[:out_len] * np.convolve(x, kernel)
+    return y
+
+
 def hst_phase_direct(cfg, t):
     """Closed-form HST carrier phase at one time t, in Python floats:
     2*pi*fd_max/v * (d(0) - d(t)), d(u) the distance to the site at u."""

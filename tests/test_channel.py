@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bessel_j0, hst_phase_direct, jakes_direct
+from oracles import apply_per_tap_direct, bessel_j0, hst_phase_direct, jakes_direct
 from otfdm import (
     HstConfig,
     SeededRng,
@@ -49,6 +49,32 @@ class TestTdlc:
                                SeededRng(12, stream))
             assert fast.shape == ref.shape == (24, n)
             np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 65, 1284, 2568])
+    def test_gains_equal_complex_exponential_tables(self, n):
+        # the coarse x fine tables as complex exponentials, scaled by a
+        # complex division: the same values, bit for bit
+        def exp_tables(rng, doppler, fs, k=32):
+            draws = rng.uniform(0.0, 2.0 * np.pi, size=(24, 2, k))
+            phases, angles = draws[:, 0, :], draws[:, 1, :]
+            w = 2.0 * np.pi * doppler * np.cos(angles)
+            block = int(np.ceil(np.sqrt(n)))
+            rows = -(-n // block)
+            t_coarse = block * np.arange(rows) / fs
+            t_fine = np.arange(block) / fs
+            coarse = np.exp(1j * (t_coarse[None, :, None] * w[:, None, :]
+                                  + phases[:, None, :]))
+            fine = np.exp(1j * (w[:, :, None] * t_fine[None, None, :]))
+            g = np.matmul(coarse, fine).reshape(24, rows * block)[:, :n]
+            return g / np.sqrt(k) * np.sqrt(_TDLC_POWERS)[:, None]
+
+        for speed in (30.0, 500.0):
+            doppler = (speed / 3.6) / SPEED_OF_LIGHT * 7.0e9
+            for seed in range(8):
+                fast = _rayleigh_tap_gains(_TDLC_POWERS, n, doppler, 36e6,
+                                           SeededRng(seed, 4))
+                ref = exp_tables(SeededRng(seed, 4), doppler, 36e6)
+                assert np.array_equal(fast, ref)
 
     @pytest.mark.parametrize("n", [1, 64])
     def test_zero_doppler_gains_equal_direct(self, n):
@@ -208,6 +234,51 @@ class TestApplyChannel:
         x = np.ones(n, dtype=complex)
         y = apply_channel(x, ch, SeededRng(11, 0))
         np.testing.assert_allclose(y[:n], ch.gains[0], atol=1e-12)
+
+
+def _tdlc(rng, speed_kmh, n=1284, noise_variance=0.0):
+    return tdlc_realization(1000.0, speed_kmh, 7.0, 36e6, rng, num_samples=n,
+                            noise_variance=noise_variance)
+
+
+def _hst(n=1284, noise_variance=0.0):
+    return hst_realization(HstConfig(speed_kmh=500.0, fc_ghz=7.0), 0.0,
+                           n / 36e6, n, 36e6, noise_variance=noise_variance)
+
+
+def test_shared_realizations_are_read_only():
+    # every trial of a chunk applies the one HST or flat realization
+    for ch in (_hst(), flat_realization(0.5)):
+        with pytest.raises(ValueError):
+            ch.gains[0, 0] = 2.0
+
+
+class TestTapSum:
+    """The time-varying tap sum as one matrix product stays within 1e-13
+    relative of one np.convolve per tap."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: _tdlc(rng, 30.0),
+        lambda rng: _tdlc(rng, 120.0),
+        lambda rng: _tdlc(rng, 120.0, n=700),  # gains shorter than the signal
+        lambda rng: _hst(),
+    ])
+    def test_matches_per_tap_convolutions(self, make):
+        for seed in range(4):
+            x = SeededRng(seed, 0).complex_normal(1284)
+            ch = make(SeededRng(seed, 1))
+            y = apply_channel(x, ch, SeededRng(seed, 2))
+            ref = apply_per_tap_direct(x, ch.kernels, ch.gains)
+            assert y.shape == ref.shape
+            assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_one_sample_kernel_scales_the_signal(self):
+        # HST's unit kernel builds no window: each sample times its gain
+        x = SeededRng(3, 0).complex_normal(1284)
+        ch = _hst()
+        assert ch.ir_len == 1
+        assert np.array_equal(apply_channel(x, ch, SeededRng(3, 1)),
+                              ch.gains[0] * x)
 
 
 def test_describe_dump():

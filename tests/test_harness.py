@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 import otfdm.harness as harness
+from otfdm import MOD_SCHEMES, SeededRng, SingularReference
 from otfdm.cli import main as cli_main
 from otfdm.harness import (
     CSV_COLUMNS,
@@ -143,6 +144,25 @@ class TestDeterminism:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_benchmark_config_digests_are_pinned():
+    # the benchmark compares every record's config_digest with stored ones
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    digests = {name: [cfg.digest() for _, cfg in workloads.build(name, seed=1)]
+               for name in workloads.WORKLOADS}
+    assert digests == {
+        "papr_qpsk": ["f3d69ad95aec"],
+        "ber_awgn_qam64": ["b4460fa0d2a6"],
+        "mse_tdlc_static": ["07765909e8c0"],
+        "ber_mobility": ["63f50c1bfebe", "2ba1135a8cd7"],
+    }
+
+
 class TestChunking:
     """Runners that stack trials give the values of one trial at a time,
     whatever the chunking and the thread count."""
@@ -205,6 +225,35 @@ class TestOncePerRunnerCall:
             records = runner(cfg)
             assert len(calls) == 1
             assert {r.config_digest for r in records} == {digest(cfg)}
+
+    def test_pulse_decay_builds_one_filter_per_point(self, monkeypatch):
+        calls = []
+        make = harness.make_sqrc_filter
+        monkeypatch.setattr(harness, "make_sqrc_filter",
+                            lambda *args: calls.append(args) or make(*args))
+        run_pulse_decay(ExperimentConfig(scheme="QPSK",
+                                         gamma_sweep_pct=(0.0, 5.0, 10.0)))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("kwargs, trials, calls", [
+        # HST and AWGN draw nothing: one realization per chunk of 16 trials
+        (dict(channel="HST", speed_kmh=500.0), 40, ("hst_realization", 3)),
+        (dict(channel="AWGN"), 20, ("flat_realization", 2)),
+        # TDL-C fading is drawn per trial, static or not
+        (dict(channel="TDLC", speed_kmh=120.0), 5, ("tdlc_realization", 5)),
+        (dict(channel="TDLC"), 20, ("tdlc_realization", 20)),
+    ])
+    def test_channel_realized_per_chunk(self, monkeypatch, kwargs, trials,
+                                        calls):
+        name, count = calls
+        made = []
+        make = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, **k: made.append(a) or make(*a, **k))
+        run_ber(ExperimentConfig(scheme="QAM64", alloc_size=240,
+                                 extension_pct=5.0, trials=trials, seed=4,
+                                 snr_db=(30.0,), **kwargs))
+        assert len(made) == count
 
     @pytest.mark.parametrize("runner, kwargs, filters", [
         # one resolve per sweep point
@@ -282,6 +331,36 @@ class TestMse:
         cfg = ExperimentConfig(trials=1, gamma_sweep_pct=(), rs_sweep_pct=())
         with pytest.raises(ValueError, match="both empty"):
             run_mse(cfg)
+
+    @pytest.mark.parametrize("runner, kwargs", [
+        # the last sweep point's 2-sample ZC core has a spectral null
+        (run_mse, dict(gamma_sweep_pct=(0.0,), rs_sweep_pct=(8.0, 5.0))),
+        (run_ber, dict(rs_overhead_pct=5.0)),
+    ])
+    def test_rs_null_raises_before_the_first_trial(self, monkeypatch, runner,
+                                                   kwargs):
+        streams = []
+        rng = harness.SeededRng
+        monkeypatch.setattr(harness, "SeededRng",
+                            lambda *a: streams.append(a) or rng(*a))
+        cfg = ExperimentConfig(scheme="QPSK", alloc_size=96, trials=3, **kwargs)
+        with pytest.raises(SingularReference):
+            runner(cfg)
+        assert streams == []
+
+    @pytest.mark.parametrize("scheme", ["QPSK", "QAM64"])
+    def test_checked_reference_is_the_one_sent(self, monkeypatch, scheme):
+        checked = []
+        monkeypatch.setattr(harness, "check_reference",
+                            lambda core, *a: checked.append(core))
+        cfg = ExperimentConfig(scheme=scheme, trials=1, snr_db=(30.0,))
+        run_ber(cfg)
+        _, layout, filt, grid = cfg.resolve()
+        frame = ((layout, filt, grid),)
+        (_, sent), = harness.transmit_frame(frame, MOD_SCHEMES[scheme],
+                                            SeededRng(cfg.seed, 0))
+        assert len(checked) == 1
+        assert np.array_equal(checked[0], sent.rs_core)
 
 
 class TestBer:

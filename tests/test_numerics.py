@@ -128,6 +128,16 @@ def test_seeded_rng_complex_normal_variance():
     assert np.mean(np.abs(z) ** 2) == pytest.approx(0.5, rel=0.02)
 
 
+@pytest.mark.parametrize("size, variance", [(1, 1.0), (1284, 0.37), ((3, 5), 2e-3)])
+def test_complex_normal_equals_scaled_pair_of_draws(size, variance):
+    got = SeededRng(21, 4).complex_normal(size, variance)
+    gen = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(4,)))
+    a, b = gen.standard_normal(size), gen.standard_normal(size)
+    want = np.sqrt(variance / 2.0) * (a + 1j * b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
 def test_evm_db():
     ref = np.array([1.0 + 0j, -1.0 + 0j])
     assert evm_db(ref, ref) == float("-inf")

@@ -26,6 +26,7 @@ from otfdm import (
     front_end,
     generate_otfdm,
     genie_estimate,
+    hard_bits,
     make_sqrc_filter,
     mmse_equalize,
     modulate,
@@ -379,6 +380,43 @@ class TestDemodulate:
         ref_hard, ref_soft = maxlog_demap_direct(rx, points, labels, noise_var)
         assert np.array_equal(hard, ref_hard)
         np.testing.assert_allclose(soft, ref_soft, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", list(MOD_SCHEMES))
+    def test_hard_bits_are_the_demodulated_bits(self, name):
+        scheme = MOD_SCHEMES[name]
+        rng = SeededRng(54, 0)
+        rx = (modulate(rng.bits(600 * scheme.bits_per_symbol), scheme)
+              + rng.complex_normal(600, 0.2)).reshape(3, 200)
+        hard = hard_bits(rx, scheme)
+        assert hard.shape == (3, 200 * scheme.bits_per_symbol)
+        assert np.array_equal(hard, demodulate(rx, scheme, 0.2)[0])
+
+    @pytest.mark.parametrize("name", ["QPSK", "QAM16", "QAM64", "QAM256"])
+    def test_nearest_level_equals_a_scan_of_every_level(self, name):
+        # ties included: the scan keeps the first level of equal distance
+        from otfdm.receiver import _nearest_level
+
+        def scan(r, levels):
+            d = np.stack([(r - level) ** 2 for level in levels])
+            return np.argmin(d, axis=0)
+
+        scheme = MOD_SCHEMES[name]
+        half = scheme.bits_per_symbol // 2
+        labels = (np.arange(2**half)[:, None] >> np.arange(half - 1, -1, -1)) & 1
+        levels = modulate(np.repeat(labels, 2, axis=1).ravel(), scheme).real
+        ordered = np.sort(levels)
+        mids = (ordered[:-1] + ordered[1:]) / 2.0
+        special = np.concatenate([
+            levels, mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+            [0.0, -0.0, 1e6, -1e6, 2.0**40, -2.0**41, 1e17, -1e300,
+             np.inf, -np.inf, np.nan]])
+        r = np.concatenate([special, SeededRng(55, 0).uniform(-2.0, 2.0, 5000)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = scan(r, levels)
+            assert np.array_equal(_nearest_level(r, levels), want)
+            finite = r[np.abs(r) < 2.0**40]
+            assert np.array_equal(_nearest_level(finite, levels),
+                                  scan(finite, levels))
 
 
 def test_dump_diagnostics_mentions_all_stages():
