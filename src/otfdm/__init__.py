@@ -32,7 +32,7 @@ from .harness import (
     run_pulse_decay,
     sweep,
 )
-from .numerics import SeededRng, ccdf, dft, evm_db, idft, papr_db
+from .numerics import SeededRng, ccdf, dft, evm_db, papr_db
 from .receiver import (
     ChannelEstimate,
     DegenerateEqualizer,

@@ -6,7 +6,7 @@ so trials can run concurrently, each with its own rng stream.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,6 +60,14 @@ _TDLC_PROFILE = np.array(
 # Half-width of the windowed-sinc kernel realizing fractional tap delays.
 _INTERP_HALFWIDTH = 16
 
+# Sinusoids summed per Rayleigh tap (classical Doppler spectrum).
+NUM_SINUSOIDS = 32
+
+
+def _max_doppler_hz(speed_kmh: float, fc_ghz: float) -> float:
+    """Largest Doppler shift (speed / c) * fc of a terminal at speed_kmh."""
+    return (speed_kmh / 3.6) / SPEED_OF_LIGHT * fc_ghz * 1e9
+
 
 def _delay_kernel(delay: float, length: int) -> np.ndarray:
     """Unit-energy kernel placing a tap at a (possibly fractional) delay.
@@ -94,9 +102,6 @@ class ChannelRealization:
     kernels: np.ndarray
     gains: np.ndarray
     noise_variance: float
-    model_tag: str
-    sample_rate_hz: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def ir_len(self) -> int:
@@ -114,27 +119,6 @@ class ChannelRealization:
     def frequency_response(self, fft_size: int, sample_index: int = 0) -> np.ndarray:
         """fft_size-point response of the realized impulse response."""
         return np.fft.fft(self.impulse_response(sample_index), fft_size)
-
-    def describe(self) -> str:
-        """Structured text dump of taps and trajectory for debugging."""
-        lines = [
-            f"model={self.model_tag}",
-            f"noise_variance={self.noise_variance!r}",
-            f"sample_rate_hz={self.sample_rate_hz!r}",
-            f"num_taps={self.kernels.shape[0]}",
-            f"ir_len={self.ir_len}",
-            f"time_varying={not self.is_static}",
-        ]
-        for key, val in self.meta.items():
-            lines.append(f"{key}={val}")
-        for t in range(self.kernels.shape[0]):
-            peak = int(np.argmax(np.abs(self.kernels[t])))
-            g0 = self.gains[t, 0]
-            lines.append(
-                f"tap{t}: delay~{peak} gain0={g0.real:+.6f}{g0.imag:+.6f}j "
-                f"mean_power={np.mean(np.abs(self.gains[t]) ** 2):.6f}"
-            )
-        return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=32)
@@ -167,7 +151,6 @@ def _rayleigh_tap_gains(
     doppler_hz: float,
     sample_rate_hz: float,
     rng: SeededRng,
-    num_sinusoids: int = 32,
 ) -> np.ndarray:
     """(num_taps, num_samples) Rayleigh gain trajectories, classical Doppler
     spectrum, tap t with mean power powers[t].
@@ -184,10 +167,10 @@ def _rayleigh_tap_gains(
     taps = powers.size
     amp = np.sqrt(powers)[:, None]
     if doppler_hz == 0.0:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(taps, num_sinusoids))
-        g = np.sum(np.exp(1j * phases), axis=1) / np.sqrt(num_sinusoids)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(taps, NUM_SINUSOIDS))
+        g = np.sum(np.exp(1j * phases), axis=1) / np.sqrt(NUM_SINUSOIDS)
         return np.repeat(amp * g[:, None], num_samples, axis=1)
-    draws = rng.uniform(0.0, 2.0 * np.pi, size=(taps, 2, num_sinusoids))
+    draws = rng.uniform(0.0, 2.0 * np.pi, size=(taps, 2, NUM_SINUSOIDS))
     phases, angles = draws[:, 0, :], draws[:, 1, :]
     w = 2.0 * np.pi * doppler_hz * np.cos(angles)
     block = int(np.ceil(np.sqrt(num_samples)))
@@ -198,11 +181,11 @@ def _rayleigh_tap_gains(
     fine = _phasor(w[:, :, None] * t_fine[None, None, :])
     g = np.matmul(coarse, fine).reshape(taps, rows * block)
     # scale the real and imaginary parts as reals: the same values as the
-    # complex g / sqrt(num_sinusoids) * amp, without complex arithmetic
+    # complex g / sqrt(NUM_SINUSOIDS) * amp, without complex arithmetic
     out = np.empty((taps, num_samples), dtype=np.complex128)
     flat = out.view(np.float64)
     np.multiply(g.view(np.float64)[:, : 2 * num_samples],
-                1.0 / np.sqrt(num_sinusoids), out=flat)
+                1.0 / np.sqrt(NUM_SINUSOIDS), out=flat)
     flat *= amp
     return out
 
@@ -227,22 +210,13 @@ def tdlc_realization(
     powers /= powers.sum()
     kernels = _tdlc_kernels(delay_spread_ns, sample_rate_hz)
 
-    doppler = (speed_kmh / 3.6) / SPEED_OF_LIGHT * fc_ghz * 1e9
     span = num_samples if (speed_kmh > 0 and num_samples > 1) else 1
-    gains = _rayleigh_tap_gains(powers, span, doppler if span > 1 else 0.0,
-                                sample_rate_hz, rng)
+    doppler = _max_doppler_hz(speed_kmh, fc_ghz) if span > 1 else 0.0
+    gains = _rayleigh_tap_gains(powers, span, doppler, sample_rate_hz, rng)
     return ChannelRealization(
         kernels=kernels,
         gains=gains,
         noise_variance=float(noise_variance),
-        model_tag="TDLC",
-        sample_rate_hz=sample_rate_hz,
-        meta={
-            "delay_spread_ns": delay_spread_ns,
-            "speed_kmh": speed_kmh,
-            "fc_ghz": fc_ghz,
-            "doppler_hz": doppler,
-        },
     )
 
 
@@ -266,7 +240,7 @@ class HstConfig:
 
     @property
     def max_doppler_hz(self) -> float:
-        return self.speed_ms / SPEED_OF_LIGHT * self.fc_ghz * 1e9
+        return _max_doppler_hz(self.speed_kmh, self.fc_ghz)
 
     def cos_theta(self, t: float) -> float:
         """Direction cosine toward the site at absolute time t (t=0 puts the
@@ -293,7 +267,6 @@ def hst_realization(
     t0: float,
     duration: float,
     num_samples: int,
-    sample_rate_hz: float,
     noise_variance: float = 0.0,
 ) -> ChannelRealization:
     """Single unit-gain path whose phase tracks the geometry-driven Doppler
@@ -307,26 +280,15 @@ def hst_realization(
         kernels=np.ones((1, 1)),
         gains=_phasor(phases)[None, :],
         noise_variance=float(noise_variance),
-        model_tag="HST",
-        sample_rate_hz=sample_rate_hz,
-        meta={
-            "ds_m": cfg.ds_m,
-            "dmin_m": cfg.dmin_m,
-            "speed_kmh": cfg.speed_kmh,
-            "fc_ghz": cfg.fc_ghz,
-            "t0": t0,
-            "max_doppler_hz": cfg.max_doppler_hz,
-        },
     ))
 
 
-def flat_realization(gain: complex = 1.0, noise_variance: float = 0.0) -> ChannelRealization:
-    """Single-tap static channel, read-only so that trials can share it."""
+def flat_realization(noise_variance: float = 0.0) -> ChannelRealization:
+    """Single unit-gain tap, read-only so that trials can share it."""
     return _shared(ChannelRealization(
         kernels=np.ones((1, 1)),
-        gains=np.array([[gain]], dtype=np.complex128),
+        gains=np.ones((1, 1), dtype=np.complex128),
         noise_variance=float(noise_variance),
-        model_tag="FLAT",
     ))
 
 
@@ -340,7 +302,6 @@ def _shared(ch: ChannelRealization) -> ChannelRealization:
 def custom_realization(
     taps: list[tuple[float, complex]],
     noise_variance: float = 0.0,
-    sample_rate_hz: float = 0.0,
 ) -> ChannelRealization:
     """Static channel from explicit (delay_samples, gain) pairs."""
     if not taps:
@@ -356,8 +317,6 @@ def custom_realization(
         kernels=kernels,
         gains=gains,
         noise_variance=float(noise_variance),
-        model_tag="CUSTOM",
-        sample_rate_hz=sample_rate_hz,
     )
 
 

@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from .harness import (RUNNERS, ExperimentConfig, sweep, transmit_frame,
-                      window_for, write_csv)
+from .harness import (RUNNERS, SWEEP_FIELDS, ExperimentConfig, sweep,
+                      transmit_frame, window_for, write_csv)
 from .numerics import SeededRng
 from .receiver import dump_diagnostics, estimate_channel, fold_spectrum, front_end
 from .receiver import EstimatorConfig, mmse_equalize
@@ -32,8 +32,9 @@ def _load_configs(path, overrides) -> list[ExperimentConfig]:
         item.update(overrides)
         if "snr_db" in item and not isinstance(item["snr_db"], (list, tuple)):
             item["snr_db"] = [item["snr_db"]]
-        for key in ("snr_db", "gamma_sweep_pct", "rs_sweep_pct"):
-            if key in item:
+        # JSON arrays become tuples; ExperimentConfig rejects anything else
+        for key in SWEEP_FIELDS:
+            if isinstance(item.get(key), list):
                 item[key] = tuple(item[key])
         configs.append(ExperimentConfig(**item))
     return configs

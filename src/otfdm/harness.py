@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -86,7 +87,6 @@ class ModProfile:
     """Per-modulation RS budget and extension factor at a reference
     allocation; desk-scale layouts are proportional rescalings of this."""
 
-    scheme: str
     rs_len: int
     rs_cp: int
     rs_cs: int
@@ -96,11 +96,11 @@ class ModProfile:
 
 
 MOD_PROFILES = {
-    "PI2_BPSK": ModProfile("PI2_BPSK", 72, 56, 18, 36, 0.0, 2976),
-    "QPSK": ModProfile("QPSK", 84, 63, 21, 63, 0.0, 3120),
-    "QAM16": ModProfile("QAM16", 108, 81, 27, 108, 0.0, 3084),
-    "QAM64": ModProfile("QAM64", 120, 90, 30, 120, 5.0, 3120),
-    "QAM256": ModProfile("QAM256", 132, 108, 34, 132, 5.0, 3228),
+    "PI2_BPSK": ModProfile(72, 56, 18, 36, 0.0, 2976),
+    "QPSK": ModProfile(84, 63, 21, 63, 0.0, 3120),
+    "QAM16": ModProfile(108, 81, 27, 108, 0.0, 3084),
+    "QAM64": ModProfile(120, 90, 30, 120, 5.0, 3120),
+    "QAM256": ModProfile(132, 108, 34, 132, 5.0, 3228),
 }
 
 # pi/2-BPSK needs even segment sizes so the alternating rotation stays
@@ -152,16 +152,15 @@ def window_for(scheme_name: str, layout: FrameLayout) -> int:
     return min(max(wl, 1), layout.rs_len)
 
 
-def grid_for(
-    alloc_size: int,
-    excess: int,
-    scs_khz: float = 30.0,
-    oversample: float = 4.0,
-) -> WaveformGrid:
+# Least factor by which the fft grid oversamples the extended block.
+OVERSAMPLE = 4.0
+
+
+def grid_for(alloc_size: int, excess: int, scs_khz: float = 30.0) -> WaveformGrid:
     """Desk-scale grid: fft size is the smallest multiple of the allocation
-    that oversamples the extended block by the requested factor, so
-    symbol-spaced lags stay on the sample grid."""
-    mult = max(int(math.ceil(oversample * (alloc_size + 2 * excess) / alloc_size)), 1)
+    that oversamples the extended block by OVERSAMPLE, so symbol-spaced lags
+    stay on the sample grid."""
+    mult = max(int(math.ceil(OVERSAMPLE * (alloc_size + 2 * excess) / alloc_size)), 1)
     fft_size = mult * alloc_size
     cp_len = int(round(0.07 * fft_size))
     return WaveformGrid(
@@ -175,6 +174,17 @@ def grid_for(
 
 FILTER_KINDS = ("SQRC", "NONE", "TAPS2", "TAPS3")
 CHANNELS = ("AWGN", "TDLC", "HST", "NONE")
+
+# ExperimentConfig's numeric fields by type: sweep axes, counts, and reals
+# (rs_overhead_pct may also be None).
+SWEEP_FIELDS = ("snr_db", "gamma_sweep_pct", "rs_sweep_pct")
+COUNT_FIELDS = ("alloc_size", "trials", "seed", "tail_periods", "n_workers")
+REAL_FIELDS = ("extension_pct", "rs_overhead_pct", "ars_pct", "scs_khz",
+               "delay_spread_ns", "speed_kmh", "fc_ghz", "ridge")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def filter_for(kind: str, alloc_size: int, extension_pct: float) -> ShapingFilter:
@@ -219,6 +229,19 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        for name in SWEEP_FIELDS:
+            values = getattr(self, name)
+            if not (isinstance(values, (tuple, list)) and all(map(_is_real, values))):
+                raise ValueError(f"ExperimentConfig: {name} must be a tuple or "
+                                 "list of real numbers")
+        for name in COUNT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"ExperimentConfig: {name} must be an integer")
+        for name in REAL_FIELDS:
+            value = getattr(self, name)
+            if not (_is_real(value) or (name == "rs_overhead_pct" and value is None)):
+                raise ValueError(f"ExperimentConfig: {name} must be a real number")
         if self.scheme not in MOD_SCHEMES:
             raise ValueError(f"ExperimentConfig: unknown scheme {self.scheme!r}")
         if self.channel not in CHANNELS:
@@ -386,6 +409,8 @@ def _dfts_baseline(cfg: ExperimentConfig) -> tuple:
 # --------------------------------------------------------------------------
 
 PAPR_CCDF_GRID_DB = tuple(np.arange(0.0, 12.25, 0.25))
+# Exceedance probability at which PAPR quantiles and gains are read.
+PAPR_CCDF_POINT = 0.01
 
 
 def _normalized_sample_power(bodies) -> np.ndarray:
@@ -394,19 +419,21 @@ def _normalized_sample_power(bodies) -> np.ndarray:
     return p / p.mean(axis=-1, keepdims=True)
 
 
-def _sample_quantile_db(pooled: np.ndarray, ccdf_point: float) -> float:
-    return float(10.0 * np.log10(np.quantile(pooled, 1.0 - ccdf_point)))
+def _sample_quantile_db(pooled: np.ndarray) -> float:
+    return float(10.0 * np.log10(np.quantile(pooled, 1.0 - PAPR_CCDF_POINT)))
 
 
-def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricRecord]:
+def run_papr(cfg: ExperimentConfig) -> list[MetricRecord]:
     """Instantaneous-power CCDF for the configured waveform and the
-    separate-RS DFT-s-OFDM baseline, plus the quantile gain at `ccdf_point`."""
+    separate-RS DFT-s-OFDM baseline, plus the quantile gain at the 1%
+    exceedance point (PAPR_CCDF_POINT)."""
     scheme, layout, filt, grid = cfg.resolve()
     frame = ((layout, filt, grid), _dfts_baseline(cfg)[1])
     record = partial(_record, cfg, cfg.digest())
     notes = []
     if cfg.trials < 10_000:
-        notes.append(f"trials={cfg.trials} below 1e4; {ccdf_point:.0%} point is noisy")
+        notes.append(f"trials={cfg.trials} below 1e4; "
+                     f"{PAPR_CCDF_POINT:.0%} point is noisy")
     if cfg.channel not in ("AWGN", "NONE") or cfg.speed_kmh != 0:
         notes.append(f"PAPR is a transmit-only metric; channel={cfg.channel} and "
                      f"speed_kmh={cfg.speed_kmh} were ignored")
@@ -438,16 +465,16 @@ def run_papr(cfg: ExperimentConfig, ccdf_point: float = 0.01) -> list[MetricReco
     note = (f"per-sample power CCDF on a {grid.fft_size}-point body "
             f"(>=4x oversampling of alloc {cfg.alloc_size}); "
             f"layout rounding: {ROUNDING_RULE}")
-    q_shaped = _sample_quantile_db(shaped, ccdf_point)
-    q_plain = _sample_quantile_db(plain, ccdf_point)
+    q_shaped = _sample_quantile_db(shaped)
+    q_plain = _sample_quantile_db(plain)
     records.append(record(layout, "papr_db_at_ccdf", "ccdf_point",
-                          ccdf_point, q_shaped, gamma_pct=gamma_pct,
+                          PAPR_CCDF_POINT, q_shaped, gamma_pct=gamma_pct,
                           warning=warning, note=note))
     records.append(record(layout, "papr_db_at_ccdf_baseline", "ccdf_point",
-                          ccdf_point, q_plain, gamma_pct=gamma_pct,
+                          PAPR_CCDF_POINT, q_plain, gamma_pct=gamma_pct,
                           warning=warning, note=note))
     records.append(record(layout, "papr_gain_db", "ccdf_point",
-                          ccdf_point, q_plain - q_shaped, gamma_pct=gamma_pct,
+                          PAPR_CCDF_POINT, q_plain - q_shaped, gamma_pct=gamma_pct,
                           warning=warning, note=note))
     return records
 
@@ -462,7 +489,7 @@ def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
     from it; the AWGN and HST channels (every HST trial starts at t0 = 0) are
     the same read-only realization for every trial."""
     if cfg.channel in ("AWGN", "NONE"):
-        return flat_realization(1.0, noise_var_time)
+        return flat_realization(noise_var_time)
     if cfg.channel == "TDLC":
         return tdlc_realization(
             cfg.delay_spread_ns, cfg.speed_kmh, cfg.fc_ghz,
@@ -473,8 +500,7 @@ def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
         hst = HstConfig(speed_kmh=cfg.speed_kmh, fc_ghz=cfg.fc_ghz)
         return hst_realization(
             hst, t0=0.0, duration=num_samples / grid.sample_rate_hz,
-            num_samples=num_samples, sample_rate_hz=grid.sample_rate_hz,
-            noise_variance=noise_var_time,
+            num_samples=num_samples, noise_variance=noise_var_time,
         )
     raise ValueError(f"unknown channel model {cfg.channel!r}")
 
@@ -694,12 +720,12 @@ def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
 # --------------------------------------------------------------------------
 
 def pulse_tail_fraction(alloc_size: int, extension_pct: float,
-                        tail_periods: int, matched: bool = False) -> float:
+                        tail_periods: int) -> float:
     """Fraction of effective-pulse energy outside +-tail_periods symbol
     periods around the peak."""
     filt = filter_for("SQRC", alloc_size, extension_pct)
     grid = grid_for(alloc_size, filt.excess)
-    pulse = effective_pulse(filt, grid, matched=matched)
+    pulse = effective_pulse(filt, grid)
     energy = np.abs(pulse) ** 2
     peak = int(np.argmax(energy))
     half = tail_periods * grid.fft_size // alloc_size
@@ -718,12 +744,16 @@ def run_pulse_decay(cfg: ExperimentConfig) -> list[MetricRecord]:
         raise ValueError("run_pulse_decay: empty extension sweep")
     layout = layout_for(cfg.scheme, cfg.alloc_size, cfg.ars_len(),
                         cfg.rs_overhead_pct)
+    warning = None
+    if cfg.filter_kind != "SQRC":
+        warning = (f"pulse decay uses the SQRC filter; "
+                   f"filter_kind={cfg.filter_kind} was ignored")
     record = partial(_record, cfg, cfg.digest())
     records = []
     for ext in cfg.gamma_sweep_pct:
         frac = pulse_tail_fraction(cfg.alloc_size, ext, cfg.tail_periods)
         records.append(record(layout, "pulse_tail_energy", "gamma_pct",
-                              ext, frac, gamma_pct=ext))
+                              ext, frac, gamma_pct=ext, warning=warning))
     return records
 
 
@@ -779,10 +809,7 @@ def _fmt(value) -> str:
 def write_csv(records: list[MetricRecord], path) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.metric, r.scheme, r.gamma_pct, r.rs_overhead_pct, r.scs_khz,
-            r.speed_kmh, r.snr_db, r.value, r.trials, r.seed,
-        )))
+        lines.append(",".join(_fmt(getattr(r, col)) for col in CSV_COLUMNS))
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dft", "idft", "cyclic_fold", "papr_db", "ccdf", "evm_db",
+__all__ = ["dft", "cyclic_fold", "papr_db", "ccdf", "evm_db",
            "power_ratio_db", "SeededRng"]
 
 
@@ -23,17 +23,12 @@ def _as_complex_vec(x) -> np.ndarray:
     return x
 
 
-def dft(x, inverse: bool = False) -> np.ndarray:
-    """Forward (unnormalized) or inverse (1/size) DFT of a complex vector."""
+def dft(x) -> np.ndarray:
+    """Forward (unnormalized) DFT of a complex vector."""
     x = _as_complex_vec(x)
     if x.size == 0:
         raise ValueError("dft: zero-length input")
-    return np.fft.ifft(x) if inverse else np.fft.fft(x)
-
-
-def idft(x) -> np.ndarray:
-    """Inverse DFT with the 1/size factor."""
-    return dft(x, inverse=True)
+    return np.fft.fft(x)
 
 
 def cyclic_fold(x, length: int, offset: int = 0) -> np.ndarray:
@@ -112,7 +107,7 @@ class SeededRng:
 
     Two instances built from the same key emit identical draws regardless of
     process or thread schedule. Instances hold state and must not be shared
-    across workers; give each worker its own stream via `derive`.
+    across workers; give each worker its own stream_id.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -120,10 +115,6 @@ class SeededRng:
         self.stream_id = int(stream_id)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.default_rng(ss)
-
-    def derive(self, stream_id: int) -> "SeededRng":
-        """Sibling stream with the same seed and a different stream_id."""
-        return SeededRng(self.seed, stream_id)
 
     def bits(self, count: int) -> np.ndarray:
         return self._gen.integers(0, 2, size=count, dtype=np.int64)

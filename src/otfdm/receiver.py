@@ -72,20 +72,24 @@ class FoldedSymbol:
         return self.folded.shape[-1]
 
 
+# Cyclic pre-cursor samples the estimator window keeps, beyond window_len,
+# for fractional-delay leakage.
+PRE_MARGIN = 2
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Channel-estimator knobs.
 
     window_len samples of the impulse response are retained (rectangular
-    window), plus pre_margin cyclic pre-cursor samples for fractional-delay
-    leakage. ridge is the LS regularization added to the squared reference
-    magnitude. rs_offset picks the extraction point inside the prefix for
-    one-sided layouts (None -> middle of the prefix).
+    window), plus PRE_MARGIN cyclic pre-cursor samples. ridge is the LS
+    regularization added to the squared reference magnitude. rs_offset
+    picks the extraction point inside the prefix for one-sided layouts
+    (None -> middle of the prefix).
     """
 
     window_len: int
     ridge: float = 0.0
-    pre_margin: int = 2
     rs_offset: int | None = None
 
     def __post_init__(self):
@@ -93,8 +97,6 @@ class EstimatorConfig:
             raise ValueError("EstimatorConfig: window_len must be >= 1")
         if self.ridge < 0:
             raise ValueError("EstimatorConfig: ridge must be >= 0")
-        if self.pre_margin < 0:
-            raise ValueError("EstimatorConfig: pre_margin must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,6 @@ class ChannelEstimate:
     rs_impulse: np.ndarray
     rs_windowed: np.ndarray
     layout: FrameLayout
-    config: EstimatorConfig | None = None
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,7 @@ def estimate_channel(
     ls = rs_spectrum * np.conj(ref_spectrum) / (denom + est.ridge)
 
     impulse = np.fft.ifft(ls)
-    margin = min(est.pre_margin, l_r - est.window_len)
+    margin = min(PRE_MARGIN, l_r - est.window_len)
     mask = np.zeros(l_r)
     mask[: est.window_len] = 1.0
     if margin > 0:
@@ -269,7 +270,6 @@ def estimate_channel(
         rs_impulse=impulse,
         rs_windowed=windowed,
         layout=layout,
-        config=est,
     )
 
 
@@ -447,28 +447,26 @@ def demodulate(symbols, scheme: ModScheme, noise_var: float):
     return bits, llr.reshape(bits.shape)
 
 
+# Leading values of each array that the diagnostics dump prints.
+DIAGNOSTIC_ITEMS = 8
+
+
 def dump_diagnostics(
-    folded: FoldedSymbol,
-    est: ChannelEstimate | None = None,
-    eq: EqualizedSymbol | None = None,
-    max_items: int = 8,
+    folded: FoldedSymbol, est: ChannelEstimate, eq: EqualizedSymbol
 ) -> str:
     """Structured text snapshot of the receive chain for one symbol."""
 
     def fmt(name, vec):
         vec = np.asarray(vec)
-        head = ", ".join(
-            f"{z.real:+.5f}{z.imag:+.5f}j" for z in vec.ravel()[:max_items]
-        )
-        return f"{name}[{vec.size}]: {head}{', ...' if vec.size > max_items else ''}"
+        head = ", ".join(f"{z.real:+.5f}{z.imag:+.5f}j"
+                         for z in vec.ravel()[:DIAGNOSTIC_ITEMS])
+        more = ", ..." if vec.size > DIAGNOSTIC_ITEMS else ""
+        return f"{name}[{vec.size}]: {head}{more}"
 
-    lines = [fmt("demapped", folded.demapped), fmt("folded", folded.folded)]
-    if est is not None:
-        lines.append(fmt("channel_estimate", est.response))
-    if eq is not None:
-        lines.append(fmt("eq_rs_core", eq.rs_core))
-        lines.append(fmt("eq_data", eq.data))
-        if eq.layout.ars_len:
-            lines.append(fmt("eq_ars", eq.ars))
-        lines.append(f"phase_step: {eq.phase_step:+.3e} rad/sample")
+    lines = [fmt("demapped", folded.demapped), fmt("folded", folded.folded),
+             fmt("channel_estimate", est.response), fmt("eq_rs_core", eq.rs_core),
+             fmt("eq_data", eq.data)]
+    if eq.layout.ars_len:
+        lines.append(fmt("eq_ars", eq.ars))
+    lines.append(f"phase_step: {eq.phase_step:+.3e} rad/sample")
     return "\n".join(lines)

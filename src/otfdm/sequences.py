@@ -26,6 +26,7 @@ __all__ = [
     "ShapingFilter",
     "modulate",
     "zadoff_chu",
+    "ZC_ROOT",
     "make_rs_core",
     "build_rs_block",
     "make_sqrc_filter",
@@ -116,23 +117,26 @@ def _largest_prime_le(n: int) -> int:
     return n
 
 
+# Zadoff-Chu root of every ZC reference-sequence core.
+ZC_ROOT = 1
+
+
 def make_rs_core(
     length: int,
     kind: str = "zc",
-    root: int = 1,
     rng: SeededRng | None = None,
 ) -> np.ndarray:
     """Reference-sequence core of the requested length.
 
-    kind "zc": Zadoff-Chu of the largest prime length <= `length`, cyclically
-    extended, spectrally near flat. kind "pi2_bpsk": pi/2-BPSK symbols from a
-    seeded bit source (rng required).
+    kind "zc": Zadoff-Chu of root ZC_ROOT and the largest prime length <=
+    `length`, cyclically extended, spectrally near flat. kind "pi2_bpsk":
+    pi/2-BPSK symbols from a seeded bit source (rng required).
     """
     if length < 1:
         raise ValueError("make_rs_core: length must be >= 1")
     if kind == "zc":
         prime = _largest_prime_le(length) if length >= 2 else 1
-        base = zadoff_chu(root, prime)
+        base = zadoff_chu(ZC_ROOT, prime)
         return base[np.arange(length) % prime]
     if kind == "pi2_bpsk":
         if rng is None:

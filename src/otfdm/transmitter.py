@@ -14,6 +14,7 @@ import numpy as np
 
 from .numerics import SeededRng, dft
 from .sequences import (
+    ZC_ROOT,
     FrameLayout,
     ModScheme,
     ShapingFilter,
@@ -40,8 +41,8 @@ class WaveformGrid:
     """Subcarrier budget of one symbol.
 
     alloc_size subcarriers carry the DFT precoder output, plus `excess` cyclic
-    copies per side; the extended block is mapped onto fft_size bins starting
-    at subcarrier index start_sc (frequencies in [-fft_size/2, fft_size/2)).
+    copies per side; the extended block is mapped onto fft_size bins centred
+    on subcarrier zero (frequencies in [-fft_size/2, fft_size/2)).
     """
 
     alloc_size: int
@@ -49,7 +50,6 @@ class WaveformGrid:
     fft_size: int
     cp_len: int
     scs_khz: float = 30.0
-    start_sc: int | None = None  # None -> symmetric around subcarrier zero
 
     def __post_init__(self):
         m, g, n = self.alloc_size, self.excess, self.fft_size
@@ -61,14 +61,9 @@ class WaveformGrid:
             )
         if self.cp_len < 0:
             raise ValueError("WaveformGrid: cp_len must be >= 0")
-        lo = self.first_subcarrier
-        if lo < -(n // 2) or lo + m + 2 * g > n - n // 2:
-            raise ValueError("WaveformGrid: mapped window outside [-N/2, N/2)")
 
     @property
     def first_subcarrier(self) -> int:
-        if self.start_sc is not None:
-            return self.start_sc
         return -(self.alloc_size // 2 + self.excess)
 
     @property
@@ -90,8 +85,8 @@ class OtfdmSymbol:
     """One generated symbol with its debug taps.
 
     time_samples is the cp_len + fft_size transmit vector. The taps hold the
-    unnormalized stage outputs: multiplexed, extended and shaped, and the
-    mapped fft_size spectrum.
+    unnormalized stage outputs: the multiplexed symbol and the extended,
+    shaped block.
     """
 
     time_samples: np.ndarray
@@ -99,7 +94,6 @@ class OtfdmSymbol:
     layout: FrameLayout | None = None
     multiplexed: np.ndarray | None = None
     shaped: np.ndarray | None = None
-    mapped: np.ndarray | None = None
     data_symbols: np.ndarray | None = None
     ars_symbols: np.ndarray | None = None
     rs_core: np.ndarray | None = None
@@ -165,7 +159,7 @@ def map_and_modulate(shaped, grid: WaveformGrid) -> OtfdmSymbol:
     mapped[grid.mapped_bins()] = shaped
     body = np.fft.ifft(mapped) * (n / grid.alloc_size)
     time = np.concatenate([body[n - grid.cp_len :], body]) if grid.cp_len else body
-    return OtfdmSymbol(time_samples=time, grid=grid, shaped=shaped, mapped=mapped)
+    return OtfdmSymbol(time_samples=time, grid=grid, shaped=shaped)
 
 
 def effective_pulse(
@@ -184,23 +178,19 @@ def effective_pulse(
     return np.roll(pulse, grid.fft_size // 2)
 
 
-# Zadoff-Chu root of the RS and ARS cores unless the caller picks another.
-DEFAULT_RS_ROOT = 1
-
-
-def reference_core(length: int, scheme: ModScheme, rng: SeededRng | None = None,
-                   root: int = DEFAULT_RS_ROOT) -> np.ndarray | None:
+def reference_core(length: int, scheme: ModScheme,
+                   rng: SeededRng | None = None) -> np.ndarray | None:
     """RS or ARS core of `length` samples sent with `scheme` data: pi/2-BPSK
-    symbols drawn from `rng` for pi/2-BPSK data, the Zadoff-Chu core of
-    `root` otherwise. A pi/2-BPSK core without an rng is None: it is only
-    known once drawn."""
+    symbols drawn from `rng` for pi/2-BPSK data, the Zadoff-Chu core
+    otherwise. A pi/2-BPSK core without an rng is None: it is only known
+    once drawn."""
     if length == 0:
         return np.zeros(0, dtype=np.complex128)
     if scheme.name == "PI2_BPSK":
         if rng is None:
             return None
         return make_rs_core(length, kind="pi2_bpsk", rng=rng)
-    return make_rs_core(length, kind="zc", root=root)
+    return make_rs_core(length, kind="zc")
 
 
 def generate_otfdm(
@@ -210,7 +200,6 @@ def generate_otfdm(
     filt: ShapingFilter,
     grid: WaveformGrid,
     rng: SeededRng,
-    rs_root: int = DEFAULT_RS_ROOT,
 ) -> OtfdmSymbol:
     """Full pipeline from data bits to one transmit symbol.
 
@@ -232,10 +221,10 @@ def generate_otfdm(
             f"generate_otfdm: {bits.size} data bits, layout needs {expected}"
         )
 
-    rs_core = reference_core(layout.rs_len, scheme, rng, rs_root)
+    rs_core = reference_core(layout.rs_len, scheme, rng)
     rs_block = build_rs_block(rs_core, layout)
     data = modulate(bits, scheme)
-    ars = reference_core(layout.ars_len, scheme, rng, rs_root)
+    ars = reference_core(layout.ars_len, scheme, rng)
 
     multiplexed = multiplex_symbol(data, rs_block, ars, layout)
     shaped = precode_extend_shape(multiplexed, filt)
@@ -245,7 +234,7 @@ def generate_otfdm(
     sym.data_symbols = data
     sym.ars_symbols = ars
     sym.rs_core = rs_core
-    sym.meta = {"scheme": scheme.name, "filter": filt.kind, "rs_root": rs_root}
+    sym.meta = {"scheme": scheme.name, "filter": filt.kind, "rs_root": ZC_ROOT}
     return sym
 
 

@@ -132,8 +132,7 @@ class TestHst:
 
     def test_far_approach_phase_ramp_is_linear(self):
         cfg = HstConfig(ds_m=30000.0, dmin_m=2.0, speed_kmh=500.0, fc_ghz=7.0)
-        ch = hst_realization(cfg, t0=0.0, duration=1e-4, num_samples=256,
-                             sample_rate_hz=2.56e6)
+        ch = hst_realization(cfg, t0=0.0, duration=1e-4, num_samples=256)
         phases = np.unwrap(np.angle(ch.gains[0]))
         steps = np.diff(phases)
         assert np.max(np.abs(steps - steps[0])) <= 1e-6 * abs(steps[0]) + 1e-9
@@ -142,7 +141,7 @@ class TestHst:
 
     def test_unit_gain_path(self):
         cfg = HstConfig()
-        ch = hst_realization(cfg, 0.0, 1e-4, 64, 640e3)
+        ch = hst_realization(cfg, 0.0, 1e-4, 64)
         np.testing.assert_allclose(np.abs(ch.gains), 1.0, atol=1e-12)
 
     def test_invalid_config_raises(self):
@@ -154,7 +153,7 @@ class TestHst:
         # t0 = 2.16 s is past closest approach (ds/2 / v = 1.08 s)
         cfg = HstConfig()
         n, fs = 1284, 28.8e6
-        ch = hst_realization(cfg, t0, n / fs, n, fs)
+        ch = hst_realization(cfg, t0, n / fs, n)
         t = t0 + np.arange(n) * (n / fs / n)
         loop = np.array([cfg.phase_rad(u) for u in t]) - cfg.phase_rad(t0)
         direct = (np.array([hst_phase_direct(cfg, u) for u in t])
@@ -167,7 +166,7 @@ class TestApplyChannel:
     def test_identity_channel(self):
         rng = SeededRng(4, 0)
         x = rng.complex_normal(64)
-        y = apply_channel(x, flat_realization(1.0), rng)
+        y = apply_channel(x, flat_realization(), rng)
         np.testing.assert_allclose(y, x, atol=1e-14)
 
     def test_impulse_returns_tap_sequence(self):
@@ -217,7 +216,7 @@ class TestApplyChannel:
     def test_noise_variance_calibration(self):
         rng = SeededRng(10, 0)
         x = np.zeros(200_000, dtype=complex)
-        ch = flat_realization(1.0, noise_variance=0.37)
+        ch = flat_realization(noise_variance=0.37)
         y = apply_channel(x, ch, rng)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.37, rel=0.02)
 
@@ -230,7 +229,7 @@ class TestApplyChannel:
         cfg = HstConfig(ds_m=30000.0, dmin_m=2.0, speed_kmh=500.0, fc_ghz=7.0)
         n = 128
         fs = 1.28e6
-        ch = hst_realization(cfg, 0.0, n / fs, n, fs)
+        ch = hst_realization(cfg, 0.0, n / fs, n)
         x = np.ones(n, dtype=complex)
         y = apply_channel(x, ch, SeededRng(11, 0))
         np.testing.assert_allclose(y[:n], ch.gains[0], atol=1e-12)
@@ -243,12 +242,12 @@ def _tdlc(rng, speed_kmh, n=1284, noise_variance=0.0):
 
 def _hst(n=1284, noise_variance=0.0):
     return hst_realization(HstConfig(speed_kmh=500.0, fc_ghz=7.0), 0.0,
-                           n / 36e6, n, 36e6, noise_variance=noise_variance)
+                           n / 36e6, n, noise_variance=noise_variance)
 
 
 def test_shared_realizations_are_read_only():
     # every trial of a chunk applies the one HST or flat realization
-    for ch in (_hst(), flat_realization(0.5)):
+    for ch in (_hst(), flat_realization()):
         with pytest.raises(ValueError):
             ch.gains[0, 0] = 2.0
 
@@ -279,11 +278,3 @@ class TestTapSum:
         assert ch.ir_len == 1
         assert np.array_equal(apply_channel(x, ch, SeededRng(3, 1)),
                               ch.gains[0] * x)
-
-
-def test_describe_dump():
-    ch = custom_realization([(0.0, 1.0), (3.0, 0.5j)], noise_variance=0.1)
-    text = ch.describe()
-    assert "model=CUSTOM" in text
-    assert "num_taps=2" in text
-    assert "noise_variance=0.1" in text

@@ -97,6 +97,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(snr_db=20.0), "snr_db"),
+        (dict(snr_db="30"), "snr_db"),
+        (dict(gamma_sweep_pct=5.0), "gamma_sweep_pct"),
+        (dict(trials="10"), "trials"),
+    ])
+    def test_bad_field_types_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**kwargs)
+
 
 class TestDeterminism:
     def test_identical_config_identical_records(self):
@@ -302,6 +312,17 @@ class TestPapr:
                                rs_overhead_pct=0.0)
         gain = [r for r in run_papr(cfg) if r.metric == "papr_gain_db"][0]
         assert abs(gain.value) < 0.05
+
+
+class TestPulseDecay:
+    def test_ignored_filter_kind_is_warned(self):
+        sqrc = run_pulse_decay(ExperimentConfig(gamma_sweep_pct=(5.0,)))
+        taps = run_pulse_decay(ExperimentConfig(filter_kind="TAPS2",
+                                                gamma_sweep_pct=(5.0,)))
+        assert [r.value for r in taps] == [r.value for r in sqrc]
+        assert [r.warning for r in sqrc] == [None]
+        assert [r.warning for r in taps] == [
+            "pulse decay uses the SQRC filter; filter_kind=TAPS2 was ignored"]
 
 
 class TestMse:
@@ -519,3 +540,12 @@ class TestCli:
         code = cli_main(["papr", "--config", str(bad), "--out", str(out)])
         assert code != 0
         assert not out.exists()
+
+    def test_bad_field_type_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"gamma_sweep_pct": 5}')
+        code = cli_main(["pulse", "--config", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "otfdm: error:" in err and "gamma_sweep_pct" in err
+        assert "Traceback" not in err

@@ -319,7 +319,7 @@ class TestArsPhaseCorrect:
         cfg = HstConfig(ds_m=50000.0, dmin_m=2.0, speed_kmh=500.0, fc_ghz=7.0)
         n = sym.time_samples.size
         ch = hst_realization(cfg, t0=0.0, duration=n / grid.sample_rate_hz,
-                             num_samples=n, sample_rate_hz=grid.sample_rate_hz)
+                             num_samples=n)
         rx = apply_channel(sym.time_samples, ch, SeededRng(43, 1))
         folded = fold_spectrum(front_end(rx, grid), filt)
         est = estimate_channel(folded, layout, sym.rs_core,

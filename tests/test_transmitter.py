@@ -107,9 +107,6 @@ class TestMapAndModulate:
     def test_grid_invariant_violation_raises(self):
         with pytest.raises(ValueError):
             WaveformGrid(alloc_size=16, excess=2, fft_size=18, cp_len=0)
-        with pytest.raises(ValueError):
-            WaveformGrid(alloc_size=16, excess=0, fft_size=64, cp_len=0,
-                         start_sc=30)
 
 
 class TestEffectivePulse:
