@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .harness import (RUNNERS, SWEEP_FIELDS, ExperimentConfig, sweep,
                       transmit_frame, window_for, write_csv)
@@ -26,8 +27,15 @@ def _load_configs(path, overrides) -> list[ExperimentConfig]:
     else:
         raw = {}
     items = raw if isinstance(raw, list) else [raw]
+    known = {f.name for f in fields(ExperimentConfig)}
     configs = []
-    for item in items:
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"config entry {index} is not a JSON object: {item!r}")
+        unknown = sorted(set(item) - known)
+        if unknown:
+            raise ValueError(f"config entry {index}: unknown field(s) "
+                             f"{', '.join(unknown)}")
         item = dict(item)
         item.update(overrides)
         if "snr_db" in item and not isinstance(item["snr_db"], (list, tuple)):

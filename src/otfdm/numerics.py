@@ -66,18 +66,25 @@ def ccdf(values, grid) -> list[tuple[float, float]]:
 
     Returns (threshold, Pr[value > threshold]) pairs; the probabilities are
     monotone non-increasing along the grid. One sort serves every
-    threshold: the count above t is n minus the insertion point right of t.
+    threshold (`_ccdf_of_sorted`).
     """
-    values = np.asarray(values, dtype=float).ravel()
+    return _ccdf_of_sorted(np.sort(np.asarray(values, dtype=float).ravel()), grid)
+
+
+def _ccdf_of_sorted(values: np.ndarray, grid) -> list[tuple[float, float]]:
+    """`ccdf` of values already sorted ascending, so a caller that also
+    reads quantiles off them sorts once: the count above t is n minus the
+    insertion point right of t. NaNs sort last, so the last value shows
+    whether there are any."""
     grid = np.asarray(grid, dtype=float)
     if values.size == 0 or grid.size == 0:
         raise ValueError("ccdf: values and grid must be non-empty")
     if np.any(np.diff(grid) < 0):
         raise ValueError("ccdf: grid must be sorted ascending")
-    if np.isnan(values).any():
+    if np.isnan(values[-1]):
         raise ValueError("ccdf: values contain NaN")
     n = values.size
-    above = n - np.searchsorted(np.sort(values), grid, side="right")
+    above = n - np.searchsorted(values, grid, side="right")
     return [(float(t), float(k / n)) for t, k in zip(grid, above.tolist())]
 
 

@@ -7,6 +7,7 @@ pi/2-BPSK sequences for pi/2-BPSK data so RS and data share the same envelope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,34 @@ def _gray_pam(bits: np.ndarray) -> np.ndarray:
     return 2 * level - (2**m - 1)
 
 
+# Bounded caches of the values that depend only on a frozen key (scheme,
+# length, layout, grid); each holds a few KiB at most.
+CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _constellation(scheme: ModScheme) -> tuple:
+    """Read-only (points, place values) of a QPSK or square-QAM scheme.
+
+    points[k] is the symbol of the bit group whose bits, first bit most
+    significant, spell k; the Gray formula computes every point once.
+    """
+    bps = scheme.bits_per_symbol
+    labels = (np.arange(2**bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1
+    if scheme.name == "QPSK":
+        points = ((1 - 2 * labels[:, 0]) + 1j * (1 - 2 * labels[:, 1])) / np.sqrt(2.0)
+    else:
+        # even bit positions drive I, odd drive Q, Gray per axis
+        i = _gray_pam(labels[:, 0::2])
+        q = _gray_pam(labels[:, 1::2])
+        levels = 2 ** (bps // 2)
+        points = (i + 1j * q) / math.sqrt(2.0 * (levels * levels - 1) / 3.0)
+    place = 1 << np.arange(bps - 1, -1, -1)
+    points.flags.writeable = False
+    place.flags.writeable = False
+    return points, place
+
+
 def modulate(bits, scheme: ModScheme) -> np.ndarray:
     """Map a bit sequence to unit-average-power constellation symbols."""
     bits = np.asarray(bits, dtype=np.int64).ravel()
@@ -75,20 +104,15 @@ def modulate(bits, scheme: ModScheme) -> np.ndarray:
         raise ValueError(
             f"modulate: {bits.size} bits not divisible by {bps} for {scheme.name}"
         )
-    nsym = bits.size // bps
+    # the OR of all the bits is 0 or 1 exactly when every bit is
+    if np.bitwise_or.reduce(bits) not in (0, 1):
+        raise ValueError("modulate: bits must be 0 or 1")
     if scheme.name == "PI2_BPSK":
         bpsk = (1 - 2 * bits) * (1 + 1j) / np.sqrt(2.0)
-        rot = np.where(np.arange(nsym) % 2 == 1, 1j, 1.0 + 0j)
+        rot = np.where(np.arange(bits.size) % 2 == 1, 1j, 1.0 + 0j)
         return bpsk * rot
-    if scheme.name == "QPSK":
-        return ((1 - 2 * bits[0::2]) + 1j * (1 - 2 * bits[1::2])) / np.sqrt(2.0)
-    # square QAM: even bit positions drive I, odd drive Q, Gray per axis
-    grouped = bits.reshape(nsym, bps)
-    i = _gray_pam(grouped[:, 0::2])
-    q = _gray_pam(grouped[:, 1::2])
-    levels = 2 ** (bps // 2)
-    scale = math.sqrt(2.0 * (levels * levels - 1) / 3.0)
-    return (i + 1j * q) / scale
+    points, place = _constellation(scheme)
+    return points[bits.reshape(-1, bps) @ place]
 
 
 def zadoff_chu(root: int, length: int) -> np.ndarray:
@@ -121,6 +145,14 @@ def _largest_prime_le(n: int) -> int:
 ZC_ROOT = 1
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _zc_core(length: int) -> np.ndarray:
+    prime = _largest_prime_le(length) if length >= 2 else 1
+    core = zadoff_chu(ZC_ROOT, prime)[np.arange(length) % prime]
+    core.flags.writeable = False
+    return core
+
+
 def make_rs_core(
     length: int,
     kind: str = "zc",
@@ -129,15 +161,14 @@ def make_rs_core(
     """Reference-sequence core of the requested length.
 
     kind "zc": Zadoff-Chu of root ZC_ROOT and the largest prime length <=
-    `length`, cyclically extended, spectrally near flat. kind "pi2_bpsk":
-    pi/2-BPSK symbols from a seeded bit source (rng required).
+    `length`, cyclically extended, spectrally near flat; built once per
+    length and returned read-only. kind "pi2_bpsk": pi/2-BPSK symbols from a
+    seeded bit source (rng required), drawn on every call.
     """
     if length < 1:
         raise ValueError("make_rs_core: length must be >= 1")
     if kind == "zc":
-        prime = _largest_prime_le(length) if length >= 2 else 1
-        base = zadoff_chu(ZC_ROOT, prime)
-        return base[np.arange(length) % prime]
+        return _zc_core(length)
     if kind == "pi2_bpsk":
         if rng is None:
             raise ValueError("make_rs_core: pi2_bpsk kind needs an rng")

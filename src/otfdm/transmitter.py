@@ -8,12 +8,15 @@ stays linear.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import SeededRng, dft
 from .sequences import (
+    CACHE_SIZE,
+    QPSK,
     ZC_ROOT,
     FrameLayout,
     ModScheme,
@@ -75,9 +78,24 @@ class WaveformGrid:
         return self.fft_size * self.scs_khz * 1e3
 
     def mapped_bins(self) -> np.ndarray:
-        """FFT bin index for each extended-grid position."""
-        j = np.arange(self.extended_size)
-        return (self.first_subcarrier + j) % self.fft_size
+        """FFT bin index for each extended-grid position (read-only)."""
+        return _mapped_bins(self)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _mapped_bins(grid: WaveformGrid) -> np.ndarray:
+    bins = (grid.first_subcarrier + np.arange(grid.extended_size)) % grid.fft_size
+    bins.flags.writeable = False
+    return bins
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _extension_index(alloc_size: int, excess: int) -> np.ndarray:
+    """Read-only spectrum index (j - excess) % alloc_size of each extended
+    position j."""
+    index = (np.arange(alloc_size + 2 * excess) - excess) % alloc_size
+    index.flags.writeable = False
+    return index
 
 
 @dataclass
@@ -106,22 +124,20 @@ class OtfdmSymbol:
 
 
 def multiplex_symbol(data, rs_block, ars, layout: FrameLayout) -> np.ndarray:
-    """Concatenate [RS block | data | ARS] into one alloc-size symbol."""
-    data = np.asarray(data, dtype=np.complex128)
-    rs_block = np.asarray(rs_block, dtype=np.complex128)
-    ars = np.asarray(ars, dtype=np.complex128)
-    if rs_block.size != layout.rs_block_len:
-        raise ValueError(
-            f"multiplex_symbol: rs_block length {rs_block.size} != "
-            f"{layout.rs_block_len}"
-        )
-    if data.size != layout.data_len:
-        raise ValueError(
-            f"multiplex_symbol: data length {data.size} != {layout.data_len}"
-        )
-    if ars.size != layout.ars_len:
-        raise ValueError(f"multiplex_symbol: ars length {ars.size} != {layout.ars_len}")
-    return np.concatenate([rs_block, data, ars])
+    """Write [RS block | data | ARS] into one alloc-size symbol."""
+    parts = ((rs_block, layout.rs_block_len, "rs_block"),
+             (data, layout.data_len, "data"), (ars, layout.ars_len, "ars"))
+    out = np.empty(layout.total_len, dtype=np.complex128)
+    start = 0
+    for part, length, name in parts:
+        part = np.asarray(part)
+        if part.size != length:
+            raise ValueError(
+                f"multiplex_symbol: {name} length {part.size} != {length}"
+            )
+        out[start : start + length] = part.ravel()
+        start += length
+    return out
 
 
 def precode_extend_shape(multiplexed, filt: ShapingFilter) -> np.ndarray:
@@ -136,17 +152,17 @@ def precode_extend_shape(multiplexed, filt: ShapingFilter) -> np.ndarray:
         raise ValueError(
             f"precode_extend_shape: input length {x.size} != filter alloc {m}"
         )
-    spectrum = dft(x)
-    j = np.arange(m + 2 * filt.excess)
-    extended = spectrum[(j - filt.excess) % m]
-    return filt.weights * extended
+    shaped = dft(x)[_extension_index(m, filt.excess)]
+    return np.multiply(filt.weights, shaped, out=shaped)
 
 
 def map_and_modulate(shaped, grid: WaveformGrid) -> OtfdmSymbol:
     """Place the shaped block on the fft grid, inverse transform, prepend CP.
 
     The fixed fft_size/alloc_size amplitude scale makes the mean time-sample
-    power unity for unit-power constellations under a fold-flat filter.
+    power unity for unit-power constellations under a fold-flat filter. The
+    scaled transform is written straight into the body of the cp_len +
+    fft_size output, whose prefix then copies the body's tail.
     """
     shaped = np.asarray(shaped, dtype=np.complex128)
     if shaped.size != grid.extended_size:
@@ -154,11 +170,12 @@ def map_and_modulate(shaped, grid: WaveformGrid) -> OtfdmSymbol:
             f"map_and_modulate: block length {shaped.size} != "
             f"grid extended size {grid.extended_size}"
         )
-    n = grid.fft_size
+    n, cp = grid.fft_size, grid.cp_len
     mapped = np.zeros(n, dtype=np.complex128)
     mapped[grid.mapped_bins()] = shaped
-    body = np.fft.ifft(mapped) * (n / grid.alloc_size)
-    time = np.concatenate([body[n - grid.cp_len :], body]) if grid.cp_len else body
+    time = np.empty(cp + n, dtype=np.complex128)
+    body = np.multiply(np.fft.ifft(mapped), n / grid.alloc_size, out=time[cp:])
+    time[:cp] = body[n - cp :]
     return OtfdmSymbol(time_samples=time, grid=grid, shaped=shaped)
 
 
@@ -181,9 +198,9 @@ def effective_pulse(
 def reference_core(length: int, scheme: ModScheme,
                    rng: SeededRng | None = None) -> np.ndarray | None:
     """RS or ARS core of `length` samples sent with `scheme` data: pi/2-BPSK
-    symbols drawn from `rng` for pi/2-BPSK data, the Zadoff-Chu core
-    otherwise. A pi/2-BPSK core without an rng is None: it is only known
-    once drawn."""
+    symbols drawn from `rng` for pi/2-BPSK data, the read-only Zadoff-Chu
+    core otherwise. A pi/2-BPSK core without an rng is None: it is only
+    known once drawn."""
     if length == 0:
         return np.zeros(0, dtype=np.complex128)
     if scheme.name == "PI2_BPSK":
@@ -191,6 +208,18 @@ def reference_core(length: int, scheme: ModScheme,
             return None
         return make_rs_core(length, kind="pi2_bpsk", rng=rng)
     return make_rs_core(length, kind="zc")
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _zc_references(layout: FrameLayout) -> tuple:
+    """Read-only (RS core, RS block, ARS core) of a layout's Zadoff-Chu
+    references, which draw nothing and so are built once per layout."""
+    # every scheme but pi/2-BPSK sends the ZC references; QPSK stands for them
+    rs_core, ars = (reference_core(n, QPSK) for n in (layout.rs_len, layout.ars_len))
+    refs = (rs_core, build_rs_block(rs_core, layout), ars)
+    for ref in refs:
+        ref.flags.writeable = False
+    return refs
 
 
 def generate_otfdm(
@@ -204,8 +233,9 @@ def generate_otfdm(
     """Full pipeline from data bits to one transmit symbol.
 
     RS and ARS sequences are derived from the scheme family
-    (`reference_core`); their material is drawn from `rng` so a (seed,
-    stream) pair pins the whole symbol.
+    (`reference_core`); pi/2-BPSK material is drawn from `rng` so a (seed,
+    stream) pair pins the whole symbol, and the Zadoff-Chu references are
+    the layout's read-only arrays.
     """
     if layout.total_len != grid.alloc_size or filt.alloc_size != grid.alloc_size:
         raise ValueError(
@@ -221,10 +251,13 @@ def generate_otfdm(
             f"generate_otfdm: {bits.size} data bits, layout needs {expected}"
         )
 
-    rs_core = reference_core(layout.rs_len, scheme, rng)
-    rs_block = build_rs_block(rs_core, layout)
+    if scheme.name == "PI2_BPSK":
+        rs_core = reference_core(layout.rs_len, scheme, rng)
+        rs_block = build_rs_block(rs_core, layout)
+        ars = reference_core(layout.ars_len, scheme, rng)
+    else:
+        rs_core, rs_block, ars = _zc_references(layout)
     data = modulate(bits, scheme)
-    ars = reference_core(layout.ars_len, scheme, rng)
 
     multiplexed = multiplex_symbol(data, rs_block, ars, layout)
     shaped = precode_extend_shape(multiplexed, filt)

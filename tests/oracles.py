@@ -366,3 +366,92 @@ def papr_values(cfg, ccdf_point=0.01):
     q_shaped, q_plain = (float(10.0 * np.log10(np.quantile(p, 1.0 - ccdf_point)))
                          for p in (shaped, plain))
     return values + [q_shaped, q_plain, q_plain - q_shaped]
+
+
+# --------------------------------------------------------------------------
+# The transmit chain written out stage by stage, with nothing cached: the
+# Gray formula per call, the ZC core, RS block and extension index rebuilt
+# per symbol, and every stage output a fresh array. The library's
+# transmitter must give the same symbol to the bit.
+# --------------------------------------------------------------------------
+
+from otfdm.sequences import ONE_SIDED_CP, ZC_ROOT  # noqa: E402
+from otfdm.transmitter import OtfdmSymbol  # noqa: E402
+
+
+def _gray_pam_direct(bits):
+    """Gray-coded PAM levels {-(L-1), ..., L-1} of the rows of `bits`."""
+    n, m = bits.shape
+    level = np.zeros(n, dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int64)
+    for c in range(m):
+        acc ^= bits[:, c]
+        level = 2 * level + acc
+    return 2 * level - (2**m - 1)
+
+
+def modulate_direct(bits, scheme):
+    """Unit-average-power constellation symbols, computed per bit group."""
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    bps = scheme.bits_per_symbol
+    nsym = bits.size // bps
+    if scheme.name == "PI2_BPSK":
+        bpsk = (1 - 2 * bits) * (1 + 1j) / np.sqrt(2.0)
+        rot = np.where(np.arange(nsym) % 2 == 1, 1j, 1.0 + 0j)
+        return bpsk * rot
+    if scheme.name == "QPSK":
+        return ((1 - 2 * bits[0::2]) + 1j * (1 - 2 * bits[1::2])) / np.sqrt(2.0)
+    grouped = bits.reshape(nsym, bps)
+    i = _gray_pam_direct(grouped[:, 0::2])
+    q = _gray_pam_direct(grouped[:, 1::2])
+    levels = 2 ** (bps // 2)
+    scale = math.sqrt(2.0 * (levels * levels - 1) / 3.0)
+    return (i + 1j * q) / scale
+
+
+def _largest_prime_le_direct(n):
+    while n >= 2 and any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
+
+
+def _reference_core_direct(length, scheme, rng):
+    if length == 0:
+        return np.zeros(0, dtype=np.complex128)
+    if scheme.name == "PI2_BPSK":
+        return modulate_direct(rng.bits(length), scheme)
+    prime = _largest_prime_le_direct(length) if length >= 2 else 1
+    n = np.arange(prime, dtype=np.float64)
+    base = np.exp(-1j * np.pi * ZC_ROOT * n * (n + 1) / prime)
+    return base[np.arange(length) % prime]
+
+
+def _rs_block_direct(core, layout):
+    if layout.variant == ONE_SIDED_CP:
+        return np.concatenate([core, core])
+    head = core[core.size - layout.rs_cp :] if layout.rs_cp else core[:0]
+    return np.concatenate([head, core, core[: layout.rs_cs]])
+
+
+def generate_otfdm_direct(bits, scheme, layout, filt, grid, rng):
+    """generate_otfdm's symbol, every field, drawing the RS then the ARS
+    from `rng` as the library does."""
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    rs_core = _reference_core_direct(layout.rs_len, scheme, rng)
+    rs_block = _rs_block_direct(rs_core, layout)
+    data = modulate_direct(bits, scheme)
+    ars = _reference_core_direct(layout.ars_len, scheme, rng)
+    multiplexed = np.concatenate([rs_block, data, ars])
+
+    m, g, n = grid.alloc_size, grid.excess, grid.fft_size
+    spectrum = np.fft.fft(multiplexed)
+    j = np.arange(m + 2 * g)
+    shaped = filt.weights * spectrum[(j - g) % m]
+    mapped = np.zeros(n, dtype=np.complex128)
+    mapped[(grid.first_subcarrier + j) % n] = shaped
+    body = np.fft.ifft(mapped) * (n / m)
+    time = np.concatenate([body[n - grid.cp_len :], body]) if grid.cp_len else body
+    return OtfdmSymbol(
+        time_samples=time, grid=grid, layout=layout, multiplexed=multiplexed,
+        shaped=shaped, data_symbols=data, ars_symbols=ars, rs_core=rs_core,
+        meta={"scheme": scheme.name, "filter": filt.kind, "rs_root": ZC_ROOT})

@@ -102,6 +102,9 @@ class TestConfigValidation:
         (dict(snr_db="30"), "snr_db"),
         (dict(gamma_sweep_pct=5.0), "gamma_sweep_pct"),
         (dict(trials="10"), "trials"),
+        (dict(genie_channel="false"), "genie_channel"),
+        (dict(ars_correction=1), "ars_correction"),
+        (dict(compare_baseline=None), "compare_baseline"),
     ])
     def test_bad_field_types_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -548,4 +551,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert "otfdm: error:" in err and "gamma_sweep_pct" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"bogus": 1}', "bogus"),
+        ('[{"trials": 1}, {"trails": 1}]', "entry 1: unknown field(s) trails"),
+        ("[1, 2]", "entry 0 is not a JSON object"),
+        ('"QPSK"', "entry 0 is not a JSON object"),
+    ])
+    def test_malformed_config_is_an_error_not_a_traceback(self, tmp_path,
+                                                          capsys, text, needle):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = cli_main(["pulse", "--config", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "otfdm: error:" in err and needle in err
         assert "Traceback" not in err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fold_composite_direct
+from oracles import fold_composite_direct, modulate_direct
 from otfdm import (
     MOD_SCHEMES,
     ONE_SIDED_CP,
@@ -77,6 +77,30 @@ class TestModulate:
     def test_indivisible_bit_count_raises(self):
         with pytest.raises(ValueError):
             modulate([0, 1, 0], QPSK)
+
+    @pytest.mark.parametrize("name", list(MOD_SCHEMES))
+    @pytest.mark.parametrize("bad", [2, -1, 3])
+    def test_non_binary_bits_raise(self, name, bad):
+        # a table index must never pick another symbol for a bad bit
+        bits = np.zeros(2 * MOD_SCHEMES[name].bits_per_symbol, dtype=np.int64)
+        bits[-1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            modulate(bits, MOD_SCHEMES[name])
+
+    @pytest.mark.parametrize("name", list(MOD_SCHEMES))
+    def test_matches_gray_formula_on_random_bits(self, name):
+        scheme = MOD_SCHEMES[name]
+        bits = SeededRng(21, 0).bits(600 * scheme.bits_per_symbol)
+        got, want = modulate(bits, scheme), modulate_direct(bits, scheme)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["QPSK", "QAM16", "QAM64", "QAM256"])
+    def test_output_is_a_fresh_writeable_array(self, name):
+        scheme = MOD_SCHEMES[name]
+        bits = np.zeros(2 * scheme.bits_per_symbol, dtype=np.int64)
+        first = modulate(bits, scheme)
+        first[:] = 0.0
+        assert modulate(bits, scheme)[0] != 0.0
 
 
 class TestZadoffChu:
@@ -223,3 +247,12 @@ def test_make_rs_core_pi2_needs_rng():
         make_rs_core(8, kind="pi2_bpsk")
     core = make_rs_core(8, kind="pi2_bpsk", rng=SeededRng(1, 0))
     np.testing.assert_allclose(np.abs(core), 1.0, atol=1e-12)
+
+
+def test_zc_core_is_built_once_and_read_only():
+    core = make_rs_core(31)
+    assert make_rs_core(31) is core
+    assert not core.flags.writeable
+    with pytest.raises(ValueError):
+        core[0] = 0.0
+    np.testing.assert_array_equal(core, zadoff_chu(1, 31))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import extend_and_shape_direct
+from oracles import extend_and_shape_direct, generate_otfdm_direct
 from otfdm import (
     MOD_SCHEMES,
     FrameLayout,
@@ -16,7 +18,8 @@ from otfdm import (
     precode_extend_shape,
     write_waveform,
 )
-from otfdm.harness import filter_for, grid_for, layout_for
+from otfdm.harness import ExperimentConfig, filter_for, grid_for, layout_for
+from otfdm.sequences import ONE_SIDED_CP
 
 
 class TestMultiplex:
@@ -235,3 +238,129 @@ def test_write_waveform_roundtrip(tmp_path):
     for key in ("format=interleaved_float64_le", "alloc_size=240",
                 "rs_len=", "seed=14/0"):
         assert key in header
+
+
+SYMBOL_ARRAYS = ("time_samples", "multiplexed", "shaped", "data_symbols",
+                 "ars_symbols", "rs_core")
+
+
+def _assert_same_symbol(sym, ref):
+    for name in SYMBOL_ARRAYS:
+        got, want = getattr(sym, name), getattr(ref, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    assert (sym.grid, sym.layout, sym.meta) == (ref.grid, ref.layout, ref.meta)
+
+
+def _assert_matches_direct(scheme, layout, filt, grid, seed):
+    """generate_otfdm equals the uncached chain to the bit, and leaves its
+    stream where the chain leaves it."""
+    rng, rng_ref = SeededRng(seed, 3), SeededRng(seed, 3)
+    bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
+    rng_ref.bits(bits.size)
+    sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+    ref = generate_otfdm_direct(bits, scheme, layout, filt, grid, rng_ref)
+    _assert_same_symbol(sym, ref)
+    assert rng._gen.bit_generator.state == rng_ref._gen.bit_generator.state
+
+
+def _even_ars(name, alloc, pct):
+    return ExperimentConfig(scheme=name, alloc_size=alloc, ars_pct=pct).ars_len()
+
+
+class TestMatchesDirectChain:
+    """The transmitter gives the uncached chain's symbol (oracles) to the bit
+    on every scheme, layout shape and filter family, so building layout
+    constants once changes no sample and no draw."""
+
+    @pytest.mark.parametrize("name", list(MOD_SCHEMES))
+    @pytest.mark.parametrize("ars_pct", [0.0, 2.0])
+    def test_every_scheme_with_and_without_ars(self, name, ars_pct):
+        scheme = MOD_SCHEMES[name]
+        layout = layout_for(name, 240, _even_ars(name, 240, ars_pct))
+        filt = filter_for("SQRC", 240, 5.0)
+        grid = grid_for(240, filt.excess)
+        for seed in range(3):
+            _assert_matches_direct(scheme, layout, filt, grid, seed)
+
+    @pytest.mark.parametrize("kind", ["SQRC", "NONE", "TAPS2", "TAPS3"])
+    @pytest.mark.parametrize("name", ["PI2_BPSK", "QAM16"])
+    def test_every_filter_family(self, kind, name):
+        filt = filter_for(kind, 120, 10.0)
+        grid = grid_for(120, filt.excess)
+        layout = layout_for(name, 120)
+        _assert_matches_direct(MOD_SCHEMES[name], layout, filt, grid, 7)
+
+    @pytest.mark.parametrize("name", list(MOD_SCHEMES))
+    def test_one_sided_rs_only_and_data_only_layouts(self, name):
+        m = 96
+        filt = filter_for("SQRC", m, 5.0)
+        grid = grid_for(m, filt.excess)
+        layouts = (FrameLayout(12, 12, 0, m - 28, 4, variant=ONE_SIDED_CP),
+                   FrameLayout(m, 0, 0, 0, 0), FrameLayout(0, 0, 0, m, 0))
+        for layout in layouts:
+            _assert_matches_direct(MOD_SCHEMES[name], layout, filt, grid, 5)
+
+    def test_repeated_calls_share_no_output_buffer(self):
+        # the second symbol on a layout must not alter the first one's arrays
+        scheme, filt = MOD_SCHEMES["QAM64"], filter_for("SQRC", 240, 5.0)
+        layout, grid = layout_for("QAM64", 240, 6), grid_for(240, filt.excess)
+        first = generate_otfdm(SeededRng(1, 0).bits(layout.data_len * 6),
+                               scheme, layout, filt, grid, SeededRng(1, 1))
+        kept = {name: getattr(first, name).copy() for name in SYMBOL_ARRAYS}
+        generate_otfdm(SeededRng(2, 0).bits(layout.data_len * 6),
+                       scheme, layout, filt, grid, SeededRng(2, 1))
+        for name, before in kept.items():
+            np.testing.assert_array_equal(getattr(first, name), before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(MOD_SCHEMES)),
+           alloc=st.integers(16, 400),
+           rs_pct=st.one_of(st.none(), st.floats(0.0, 30.0)),
+           ars_pct=st.floats(0.0, 10.0),
+           ext_pct=st.floats(0.0, 20.0),
+           kind=st.sampled_from(["SQRC", "TAPS2"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_layouts_match(self, name, alloc, rs_pct, ars_pct, ext_pct,
+                                  kind, seed):
+        cfg = ExperimentConfig(scheme=name, alloc_size=alloc,
+                               rs_overhead_pct=rs_pct, ars_pct=ars_pct,
+                               extension_pct=ext_pct, filter_kind=kind)
+        try:
+            scheme, layout, filt, grid = cfg.resolve()
+        except ValueError:
+            assume(False)
+        _assert_matches_direct(scheme, layout, filt, grid, seed)
+
+
+class TestLayoutConstants:
+    """What depends only on the layout, filter or grid is built once and
+    shared read-only, so no caller can alter another symbol through it."""
+
+    def test_mapped_bins_cached_read_only(self):
+        grid = WaveformGrid(alloc_size=16, excess=2, fft_size=64, cp_len=4)
+        bins = grid.mapped_bins()
+        assert WaveformGrid(16, 2, 64, 4).mapped_bins() is bins
+        assert not bins.flags.writeable
+        np.testing.assert_array_equal(bins, (np.arange(20) - 10) % 64)
+
+    def test_zc_references_shared_read_only(self):
+        scheme, filt = MOD_SCHEMES["QAM16"], filter_for("SQRC", 120, 5.0)
+        layout, grid = layout_for("QAM16", 120, 4), grid_for(120, filt.excess)
+        syms = [generate_otfdm(np.zeros(layout.data_len * 4, dtype=np.int64),
+                               scheme, layout, filt, grid, SeededRng(s, 0))
+                for s in (1, 2)]
+        for name in ("rs_core", "ars_symbols"):
+            assert getattr(syms[0], name) is getattr(syms[1], name)
+            assert not getattr(syms[0], name).flags.writeable
+        for name in ("time_samples", "multiplexed", "shaped", "data_symbols"):
+            assert getattr(syms[0], name).flags.writeable
+
+    def test_pi2_bpsk_references_drawn_per_symbol(self):
+        scheme, filt = MOD_SCHEMES["PI2_BPSK"], filter_for("SQRC", 120, 0.0)
+        layout, grid = FrameLayout(32, 0, 0, 84, 4), grid_for(120, 0)
+        a, b = (generate_otfdm(np.zeros(layout.data_len, dtype=np.int64),
+                               scheme, layout, filt, grid, SeededRng(s, 0))
+                for s in (1, 2))
+        assert not np.array_equal(a.rs_core, b.rs_core)
+        assert a.rs_core.flags.writeable
