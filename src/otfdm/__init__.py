@@ -77,7 +77,6 @@ from .transmitter import (
     map_and_modulate,
     multiplex_symbol,
     precode_extend_shape,
-    reference_core,
     write_waveform,
 )
 

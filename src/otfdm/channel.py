@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import SeededRng
+from .numerics import CACHE_SIZE, SeededRng
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -121,7 +121,7 @@ class ChannelRealization:
         return np.fft.fft(self.impulse_response(sample_index), fft_size)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _tdlc_kernels(delay_spread_ns: float, sample_rate_hz: float) -> np.ndarray:
     """Read-only (num_taps, ir_len) delay kernels of the TDL-C taps.
 
@@ -274,7 +274,7 @@ def hst_realization(
     serves every trial that starts at t0."""
     if num_samples < 1:
         raise ValueError("hst_realization: num_samples must be >= 1")
-    t = t0 + np.arange(num_samples) * (duration / max(num_samples, 1))
+    t = t0 + np.arange(num_samples) * (duration / num_samples)
     phases = cfg.phase_rad(t) - cfg.phase_rad(t0)
     return _shared(ChannelRealization(
         kernels=np.ones((1, 1)),

@@ -54,10 +54,11 @@ from .sequences import (
     MOD_SCHEMES,
     FrameLayout,
     ShapingFilter,
+    make_rs_core,
     make_sqrc_filter,
     make_taps_filter,
 )
-from .transmitter import WaveformGrid, effective_pulse, generate_otfdm, reference_core
+from .transmitter import WaveformGrid, effective_pulse, generate_otfdm
 
 __all__ = [
     "ModProfile",
@@ -581,15 +582,17 @@ def _join(parts) -> np.ndarray:
 
 def _estimator(cfg: ExperimentConfig, scheme, layout: FrameLayout,
                filt: ShapingFilter) -> EstimatorConfig:
-    """The RS estimator of a layout, checked before any trial: an
-    unregularized ZC reference with a spectral null raises SingularReference
-    here, not mid-run. (The pi/2-BPSK RS is drawn per trial; unregularized,
-    the runners refuse it outright.)"""
+    """The RS estimator of a layout, checked before any trial. A pi/2-BPSK
+    RS is drawn per symbol and any draw can have a spectral null, so
+    without ridge it is refused. Every other RS is fixed: an unregularized
+    one with a null raises SingularReference here, not mid-run."""
     est_cfg = EstimatorConfig(window_len=window_for(cfg.scheme, layout),
                               ridge=cfg.ridge)
-    rs_core = reference_core(layout.rs_len, scheme)
-    if rs_core is not None:
-        check_reference(rs_core, layout, filt, est_cfg)
+    if scheme.name != "PI2_BPSK":
+        check_reference(make_rs_core(layout.rs_len, scheme), layout, filt, est_cfg)
+    elif cfg.ridge == 0:
+        raise ValueError("PI2_BPSK RS spectra are drawn per symbol and can have "
+                         "nulls; set ridge > 0")
     return est_cfg
 
 
@@ -617,8 +620,6 @@ def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
         raise ValueError(f"run_mse: needs exactly one SNR, got {len(cfg.snr_db)}")
     if not cfg.gamma_sweep_pct and not cfg.rs_sweep_pct:
         raise ValueError("run_mse: gamma_sweep_pct and rs_sweep_pct are both empty")
-    if cfg.scheme == "PI2_BPSK" and cfg.ridge == 0:
-        raise ValueError("run_mse: PI2_BPSK RS spectra can have nulls; set ridge > 0")
     snr_db = cfg.snr_db[0]
     rs_fixed = cfg.rs_overhead_pct if cfg.rs_overhead_pct is not None else 8.0
     points = ([("gamma_pct", ext, ext, rs_fixed) for ext in cfg.gamma_sweep_pct]
@@ -697,10 +698,10 @@ def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, trials):
 def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
     """Uncoded BER and pooled EVM versus SNR; optionally also for the
     two-symbol DFT-s-OFDM baseline with matched resources."""
-    if cfg.scheme == "PI2_BPSK" and (cfg.compare_baseline or (
-            cfg.ridge == 0 and not cfg.genie_channel)):
-        raise ValueError("run_ber: random PI2_BPSK RS spectra can have exact nulls; "
-                         "set ridge > 0 (or genie_channel) and no compare_baseline")
+    if cfg.scheme == "PI2_BPSK" and cfg.compare_baseline:
+        raise ValueError("run_ber: the baseline's random PI2_BPSK RS can have "
+                         "exact nulls and is divided without ridge; drop "
+                         "compare_baseline")
     scheme, layout, filt, grid = cfg.resolve()
     est_cfg = None if cfg.genie_channel else _estimator(cfg, scheme, layout, filt)
     baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None

@@ -12,6 +12,11 @@ import math
 
 import numpy as np
 
+# Bound of every library cache: each holds values that depend only on a
+# frozen key (scheme, layout, grid, delay profile), a few KiB to a few tens
+# of KiB per entry.
+CACHE_SIZE = 32
+
 __all__ = ["dft", "cyclic_fold", "papr_db", "ccdf", "evm_db",
            "power_ratio_db", "SeededRng"]
 

@@ -347,25 +347,20 @@ def ars_phase_correct(
 
 
 def _nearest_level(r: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Index of the level nearest to each r in squared distance, the lowest
-    index on ties: what a scan of every level's (r - level)**2 returns.
+    """Index of the level nearest to each finite r in squared distance, the
+    lowest index on ties: what a scan of every level's (r - level)**2
+    returns for |r| < 2**40, and the outer level on r's side beyond.
 
     Only the two levels that bracket r can be nearest, so only their
-    distances are compared. Beyond |r| = 2**40, or for NaN, rounding can tie
-    farther levels too, and such inputs take the scan.
+    distances are compared. r is first clipped to one level step beyond the
+    outer levels, which keeps the nearest level and keeps huge r from
+    rounding its two distances into a tie.
     """
-    if not np.all(np.abs(r) < 2.0**40):
-        d = [(r - level) ** 2 for level in levels]
-        best, nearest = d[0], np.zeros(r.shape, dtype=np.intp)
-        for k in range(1, len(d)):
-            closer = d[k] < best
-            best = np.where(closer, d[k], best)
-            nearest = np.where(closer, k, nearest)
-        return nearest
     # the levels are evenly spaced, so r's bracket is one floor away; off by
     # one only where r is within rounding of a level, which both brackets hold
     order = np.argsort(levels)
     low, step = levels[order[0]], np.ptp(levels) / (levels.size - 1)
+    r = np.clip(r, low - step, levels[order[-1]] + step)
     j = np.clip(np.floor((r - low) / step), 0, levels.size - 2).astype(np.intp)
     lo, hi = order[j], order[j + 1]
     first, last = np.minimum(lo, hi), np.maximum(lo, hi)
@@ -376,6 +371,8 @@ def _received(symbols) -> np.ndarray:
     rx = np.asarray(symbols, dtype=np.complex128)
     if rx.ndim == 0 or rx.size == 0:
         raise ValueError("demodulate: empty input")
+    if not np.all(np.isfinite(rx)):
+        raise ValueError("demodulate: non-finite received symbol (NaN or inf)")
     return rx
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, cyclic_fold
+from .numerics import CACHE_SIZE, SeededRng, cyclic_fold
 
 __all__ = [
     "ModScheme",
@@ -66,11 +66,6 @@ def _gray_pam(bits: np.ndarray) -> np.ndarray:
         acc ^= bits[:, c]
         level = 2 * level + acc
     return 2 * level - (2**m - 1)
-
-
-# Bounded caches of the values that depend only on a frozen key (scheme,
-# length, layout, grid); each holds a few KiB at most.
-CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -145,35 +140,24 @@ def _largest_prime_le(n: int) -> int:
 ZC_ROOT = 1
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _zc_core(length: int) -> np.ndarray:
-    prime = _largest_prime_le(length) if length >= 2 else 1
-    core = zadoff_chu(ZC_ROOT, prime)[np.arange(length) % prime]
-    core.flags.writeable = False
-    return core
+def make_rs_core(length: int, scheme: ModScheme,
+                 rng: SeededRng | None = None) -> np.ndarray:
+    """RS or ARS core of `length` samples sent with `scheme` data.
 
-
-def make_rs_core(
-    length: int,
-    kind: str = "zc",
-    rng: SeededRng | None = None,
-) -> np.ndarray:
-    """Reference-sequence core of the requested length.
-
-    kind "zc": Zadoff-Chu of root ZC_ROOT and the largest prime length <=
-    `length`, cyclically extended, spectrally near flat; built once per
-    length and returned read-only. kind "pi2_bpsk": pi/2-BPSK symbols from a
-    seeded bit source (rng required), drawn on every call.
+    pi/2-BPSK data gets pi/2-BPSK symbols drawn from `rng` (required), so RS
+    and data share one envelope. Every other scheme gets the Zadoff-Chu
+    sequence of root ZC_ROOT and the largest prime length <= `length`,
+    cyclically extended and spectrally near flat, which draws nothing.
+    Length 0 gives an empty core and draws nothing.
     """
-    if length < 1:
-        raise ValueError("make_rs_core: length must be >= 1")
-    if kind == "zc":
-        return _zc_core(length)
-    if kind == "pi2_bpsk":
+    if length < 0:
+        raise ValueError("make_rs_core: length must be >= 0")
+    if scheme.name == "PI2_BPSK":
         if rng is None:
-            raise ValueError("make_rs_core: pi2_bpsk kind needs an rng")
+            raise ValueError("make_rs_core: pi/2-BPSK data needs an rng")
         return modulate(rng.bits(length), PI2_BPSK)
-    raise ValueError(f"make_rs_core: unknown kind {kind!r}")
+    prime = _largest_prime_le(length) if length >= 2 else 1
+    return zadoff_chu(ZC_ROOT, prime)[np.arange(length) % prime]
 
 
 TWO_SIDED = "TWO_SIDED"

@@ -9,14 +9,12 @@ stays linear.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, dft
+from .numerics import CACHE_SIZE, SeededRng, dft
 from .sequences import (
-    CACHE_SIZE,
-    QPSK,
     ZC_ROOT,
     FrameLayout,
     ModScheme,
@@ -33,7 +31,6 @@ __all__ = [
     "precode_extend_shape",
     "map_and_modulate",
     "effective_pulse",
-    "reference_core",
     "generate_otfdm",
     "write_waveform",
 ]
@@ -109,13 +106,13 @@ class OtfdmSymbol:
 
     time_samples: np.ndarray
     grid: WaveformGrid
-    layout: FrameLayout | None = None
-    multiplexed: np.ndarray | None = None
-    shaped: np.ndarray | None = None
-    data_symbols: np.ndarray | None = None
-    ars_symbols: np.ndarray | None = None
-    rs_core: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    layout: FrameLayout
+    multiplexed: np.ndarray
+    shaped: np.ndarray
+    data_symbols: np.ndarray
+    ars_symbols: np.ndarray
+    rs_core: np.ndarray
+    meta: dict
 
     @property
     def body(self) -> np.ndarray:
@@ -156,13 +153,14 @@ def precode_extend_shape(multiplexed, filt: ShapingFilter) -> np.ndarray:
     return np.multiply(filt.weights, shaped, out=shaped)
 
 
-def map_and_modulate(shaped, grid: WaveformGrid) -> OtfdmSymbol:
-    """Place the shaped block on the fft grid, inverse transform, prepend CP.
+def map_and_modulate(shaped, grid: WaveformGrid) -> np.ndarray:
+    """Place the shaped block on the fft grid, inverse transform, prepend CP:
+    the cp_len + fft_size transmit samples.
 
     The fixed fft_size/alloc_size amplitude scale makes the mean time-sample
     power unity for unit-power constellations under a fold-flat filter. The
-    scaled transform is written straight into the body of the cp_len +
-    fft_size output, whose prefix then copies the body's tail.
+    scaled transform is written straight into the body of the output, whose
+    prefix then copies the body's tail.
     """
     shaped = np.asarray(shaped, dtype=np.complex128)
     if shaped.size != grid.extended_size:
@@ -176,47 +174,35 @@ def map_and_modulate(shaped, grid: WaveformGrid) -> OtfdmSymbol:
     time = np.empty(cp + n, dtype=np.complex128)
     body = np.multiply(np.fft.ifft(mapped), n / grid.alloc_size, out=time[cp:])
     time[:cp] = body[n - cp :]
-    return OtfdmSymbol(time_samples=time, grid=grid, shaped=shaped)
+    return time
 
 
-def effective_pulse(
-    filt: ShapingFilter, grid: WaveformGrid, matched: bool = False
-) -> np.ndarray:
-    """Time response seen by one multiplexed sample, circularly centered.
+def effective_pulse(filt: ShapingFilter, grid: WaveformGrid) -> np.ndarray:
+    """Transmit pulse seen by one multiplexed sample (inverse transform of
+    the mapped filter weights), circularly centered."""
+    time = map_and_modulate(filt.weights.astype(np.complex128), grid)
+    return np.roll(time[grid.cp_len :], grid.fft_size // 2)
 
-    With matched=False this is the transmit pulse (inverse transform of the
-    mapped filter weights); matched=True returns the transmit/receive
-    composite (squared weights), the pulse whose symbol-spaced samples vanish
-    for a fold-flat filter.
+
+def _references(layout: FrameLayout, scheme: ModScheme, rng: SeededRng) -> tuple:
+    """(RS core, RS block, ARS core) of one symbol sent with `scheme` data.
+
+    pi/2-BPSK cores are drawn from `rng` for each symbol, RS then ARS. The
+    Zadoff-Chu references of every other scheme draw nothing, so they are
+    built once per (layout, scheme) and shared read-only.
     """
-    weights = filt.weights**2 if matched else filt.weights
-    sym = map_and_modulate(weights.astype(np.complex128), grid)
-    pulse = sym.body
-    return np.roll(pulse, grid.fft_size // 2)
-
-
-def reference_core(length: int, scheme: ModScheme,
-                   rng: SeededRng | None = None) -> np.ndarray | None:
-    """RS or ARS core of `length` samples sent with `scheme` data: pi/2-BPSK
-    symbols drawn from `rng` for pi/2-BPSK data, the read-only Zadoff-Chu
-    core otherwise. A pi/2-BPSK core without an rng is None: it is only
-    known once drawn."""
-    if length == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if scheme.name == "PI2_BPSK":
-        if rng is None:
-            return None
-        return make_rs_core(length, kind="pi2_bpsk", rng=rng)
-    return make_rs_core(length, kind="zc")
+    if scheme.name != "PI2_BPSK":
+        return _fixed_references(layout, scheme)
+    rs_core = make_rs_core(layout.rs_len, scheme, rng)
+    return (rs_core, build_rs_block(rs_core, layout),
+            make_rs_core(layout.ars_len, scheme, rng))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _zc_references(layout: FrameLayout) -> tuple:
-    """Read-only (RS core, RS block, ARS core) of a layout's Zadoff-Chu
-    references, which draw nothing and so are built once per layout."""
-    # every scheme but pi/2-BPSK sends the ZC references; QPSK stands for them
-    rs_core, ars = (reference_core(n, QPSK) for n in (layout.rs_len, layout.ars_len))
-    refs = (rs_core, build_rs_block(rs_core, layout), ars)
+def _fixed_references(layout: FrameLayout, scheme: ModScheme) -> tuple:
+    rs_core = make_rs_core(layout.rs_len, scheme)
+    refs = (rs_core, build_rs_block(rs_core, layout),
+            make_rs_core(layout.ars_len, scheme))
     for ref in refs:
         ref.flags.writeable = False
     return refs
@@ -232,10 +218,9 @@ def generate_otfdm(
 ) -> OtfdmSymbol:
     """Full pipeline from data bits to one transmit symbol.
 
-    RS and ARS sequences are derived from the scheme family
-    (`reference_core`); pi/2-BPSK material is drawn from `rng` so a (seed,
-    stream) pair pins the whole symbol, and the Zadoff-Chu references are
-    the layout's read-only arrays.
+    The RS and ARS cores follow the scheme (`sequences.make_rs_core`):
+    pi/2-BPSK ones are drawn from `rng`, so a (seed, stream) pair pins the
+    whole symbol, and the Zadoff-Chu ones are the layout's read-only arrays.
     """
     if layout.total_len != grid.alloc_size or filt.alloc_size != grid.alloc_size:
         raise ValueError(
@@ -251,24 +236,15 @@ def generate_otfdm(
             f"generate_otfdm: {bits.size} data bits, layout needs {expected}"
         )
 
-    if scheme.name == "PI2_BPSK":
-        rs_core = reference_core(layout.rs_len, scheme, rng)
-        rs_block = build_rs_block(rs_core, layout)
-        ars = reference_core(layout.ars_len, scheme, rng)
-    else:
-        rs_core, rs_block, ars = _zc_references(layout)
+    rs_core, rs_block, ars = _references(layout, scheme, rng)
     data = modulate(bits, scheme)
-
     multiplexed = multiplex_symbol(data, rs_block, ars, layout)
     shaped = precode_extend_shape(multiplexed, filt)
-    sym = map_and_modulate(shaped, grid)
-    sym.layout = layout
-    sym.multiplexed = multiplexed
-    sym.data_symbols = data
-    sym.ars_symbols = ars
-    sym.rs_core = rs_core
-    sym.meta = {"scheme": scheme.name, "filter": filt.kind, "rs_root": ZC_ROOT}
-    return sym
+    return OtfdmSymbol(
+        time_samples=map_and_modulate(shaped, grid), grid=grid, layout=layout,
+        multiplexed=multiplexed, shaped=shaped, data_symbols=data,
+        ars_symbols=ars, rs_core=rs_core,
+        meta={"scheme": scheme.name, "filter": filt.kind, "rs_root": ZC_ROOT})
 
 
 def write_waveform(path, symbol: OtfdmSymbol, seed_info: str = "") -> None:
@@ -280,7 +256,7 @@ def write_waveform(path, symbol: OtfdmSymbol, seed_info: str = "") -> None:
     raw[1::2] = samples.imag
     raw.tofile(path)
 
-    g = symbol.grid
+    g, lo = symbol.grid, symbol.layout
     lines = [
         "format=interleaved_float64_le",
         f"num_samples={samples.size}",
@@ -290,17 +266,13 @@ def write_waveform(path, symbol: OtfdmSymbol, seed_info: str = "") -> None:
         f"cp_len={g.cp_len}",
         f"scs_khz={g.scs_khz}",
         f"start_sc={g.first_subcarrier}",
+        f"rs_len={lo.rs_len}",
+        f"rs_cp={lo.rs_cp}",
+        f"rs_cs={lo.rs_cs}",
+        f"data_len={lo.data_len}",
+        f"ars_len={lo.ars_len}",
+        f"variant={lo.variant}",
     ]
-    if symbol.layout is not None:
-        lo = symbol.layout
-        lines += [
-            f"rs_len={lo.rs_len}",
-            f"rs_cp={lo.rs_cp}",
-            f"rs_cs={lo.rs_cs}",
-            f"data_len={lo.data_len}",
-            f"ars_len={lo.ars_len}",
-            f"variant={lo.variant}",
-        ]
     for key, val in symbol.meta.items():
         lines.append(f"{key}={val}")
     if seed_info:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import fold_composite_direct, modulate_direct
+from oracles import _reference_core_direct, fold_composite_direct, modulate_direct
 from otfdm import (
     MOD_SCHEMES,
     ONE_SIDED_CP,
@@ -126,7 +128,7 @@ class TestZadoffChu:
 
     def test_extended_core_has_no_spectral_nulls(self):
         for l_r in (9, 10, 12, 72, 84, 108, 120, 132):
-            core = make_rs_core(l_r, kind="zc")
+            core = make_rs_core(l_r, QPSK)
             assert np.abs(np.fft.fft(core)).min() > 0.5
 
 
@@ -244,15 +246,34 @@ class TestTapsFilter:
 
 def test_make_rs_core_pi2_needs_rng():
     with pytest.raises(ValueError):
-        make_rs_core(8, kind="pi2_bpsk")
-    core = make_rs_core(8, kind="pi2_bpsk", rng=SeededRng(1, 0))
+        make_rs_core(8, PI2_BPSK)
+    core = make_rs_core(8, PI2_BPSK, rng=SeededRng(1, 0))
     np.testing.assert_allclose(np.abs(core), 1.0, atol=1e-12)
 
 
-def test_zc_core_is_built_once_and_read_only():
-    core = make_rs_core(31)
-    assert make_rs_core(31) is core
-    assert not core.flags.writeable
-    with pytest.raises(ValueError):
-        core[0] = 0.0
-    np.testing.assert_array_equal(core, zadoff_chu(1, 31))
+def test_zc_core_of_prime_length_is_the_zadoff_chu_sequence():
+    np.testing.assert_array_equal(make_rs_core(31, QPSK), zadoff_chu(1, 31))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(MOD_SCHEMES)), length=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_make_rs_core_equals_direct_rule(name, length, seed):
+    # one rule for every scheme: the bits of the direct core, the same draws
+    scheme = MOD_SCHEMES[name]
+    rng, rng_ref = SeededRng(seed, 2), SeededRng(seed, 2)
+    core = make_rs_core(length, scheme, rng)
+    want = _reference_core_direct(length, scheme, rng_ref)
+    assert core.dtype == want.dtype and core.tobytes() == want.tobytes()
+    assert rng._gen.bit_generator.state == rng_ref._gen.bit_generator.state
+    if name == "PI2_BPSK":
+        with pytest.raises(ValueError, match="rng"):
+            make_rs_core(length, scheme)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alloc=st.integers(1, 4096), data=st.data())
+def test_sqrc_fold_flat_for_any_alloc_and_excess(alloc, data):
+    # criterion 1's bound, over the whole (alloc, excess) domain
+    excess = data.draw(st.integers(0, alloc // 2), label="excess")
+    assert make_sqrc_filter(alloc, excess).fold_flatness_error() <= 1e-12
