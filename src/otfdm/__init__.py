@@ -32,7 +32,7 @@ from .harness import (
     run_pulse_decay,
     sweep,
 )
-from .numerics import SeededRng, ccdf, dft, evm_db, papr_db
+from .numerics import SeededRng, ccdf, dft, evm_db
 from .receiver import (
     ChannelEstimate,
     DegenerateEqualizer,
@@ -42,7 +42,6 @@ from .receiver import (
     SingularReference,
     ars_phase_correct,
     check_reference,
-    demodulate,
     estimate_channel,
     fold_spectrum,
     front_end,

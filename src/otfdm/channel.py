@@ -242,15 +242,6 @@ class HstConfig:
     def max_doppler_hz(self) -> float:
         return _max_doppler_hz(self.speed_kmh, self.fc_ghz)
 
-    def cos_theta(self, t: float) -> float:
-        """Direction cosine toward the site at absolute time t (t=0 puts the
-        terminal ds/2 before the closest-approach point)."""
-        x = self.ds_m / 2.0 - self.speed_ms * t
-        return x / np.hypot(self.dmin_m, x)
-
-    def doppler_hz(self, t: float) -> float:
-        return self.max_doppler_hz * self.cos_theta(t)
-
     def phase_rad(self, t):
         """Accumulated carrier phase 2*pi * integral of the Doppler shift,
         evaluated in closed form; t may be a scalar or an array of times."""

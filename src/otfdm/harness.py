@@ -242,8 +242,10 @@ class ExperimentConfig:
                 raise ValueError(f"ExperimentConfig: {name} must be an integer")
         for name in REAL_FIELDS:
             value = getattr(self, name)
-            if not (_is_real(value) or (name == "rs_overhead_pct" and value is None)):
-                raise ValueError(f"ExperimentConfig: {name} must be a real number")
+            if not ((_is_real(value) and math.isfinite(value))
+                    or (name == "rs_overhead_pct" and value is None)):
+                raise ValueError(f"ExperimentConfig: {name} must be a finite "
+                                 "real number")
         for name in BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"ExperimentConfig: {name} must be true or false")
@@ -267,12 +269,18 @@ class ExperimentConfig:
             raise ValueError("ExperimentConfig: delay_spread_ns must be > 0")
         if self.fc_ghz <= 0:
             raise ValueError("ExperimentConfig: fc_ghz must be > 0")
+        if self.scs_khz <= 0:
+            raise ValueError("ExperimentConfig: scs_khz must be > 0")
+        if self.ridge < 0:
+            raise ValueError("ExperimentConfig: ridge must be >= 0")
+        if self.tail_periods < 0:
+            raise ValueError("ExperimentConfig: tail_periods must be >= 0")
         if self.n_workers < 1:
             raise ValueError("ExperimentConfig: n_workers must be >= 1")
         if not self.snr_db:
             raise ValueError("ExperimentConfig: snr_db needs at least one SNR")
-        if any(math.isnan(v) for v in self.snr_db):
-            raise ValueError("ExperimentConfig: snr_db contains NaN")
+        if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
+            raise ValueError("ExperimentConfig: snr_db contains NaN or -inf")
         for name, values in (("extension_pct", (self.extension_pct,)),
                              ("gamma_sweep_pct", self.gamma_sweep_pct)):
             if any(not 0.0 <= v <= 100.0 for v in values):
@@ -524,8 +532,9 @@ def _composite_truth(ch: ChannelRealization, grid: WaveformGrid,
 
 
 def _noise_vars(grid: WaveformGrid, snr_db: float) -> tuple[float, float]:
-    """(time-domain noise variance, per-subcarrier noise-to-signal ratio)."""
-    if math.isinf(snr_db):
+    """(time-domain noise variance, per-subcarrier noise-to-signal ratio);
+    an infinite SNR is the noiseless link."""
+    if snr_db == math.inf:
         return 0.0, 0.0
     inv_snr = 10.0 ** (-snr_db / 10.0)
     time_var = inv_snr * grid.fft_size / grid.alloc_size
@@ -732,13 +741,16 @@ def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
 def pulse_tail_fraction(alloc_size: int, extension_pct: float,
                         tail_periods: int) -> float:
     """Fraction of effective-pulse energy outside +-tail_periods symbol
-    periods around the peak."""
+    periods around the peak (0 once the window spans the whole pulse)."""
+    if tail_periods < 0:
+        raise ValueError("pulse_tail_fraction: tail_periods must be >= 0")
     filt = filter_for("SQRC", alloc_size, extension_pct)
     grid = grid_for(alloc_size, filt.excess)
-    pulse = effective_pulse(filt, grid)
-    energy = np.abs(pulse) ** 2
-    peak = int(np.argmax(energy))
     half = tail_periods * grid.fft_size // alloc_size
+    if 2 * half + 1 >= grid.fft_size:
+        return 0.0
+    energy = np.abs(effective_pulse(filt, grid)) ** 2
+    peak = int(np.argmax(energy))
     lo, hi = peak - half, peak + half + 1
     inside = energy[max(lo, 0) : hi].sum()
     if lo < 0:

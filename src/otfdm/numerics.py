@@ -17,7 +17,7 @@ import numpy as np
 # of KiB per entry.
 CACHE_SIZE = 32
 
-__all__ = ["dft", "cyclic_fold", "papr_db", "ccdf", "evm_db",
+__all__ = ["dft", "cyclic_fold", "ccdf", "evm_db",
            "power_ratio_db", "SeededRng"]
 
 
@@ -52,18 +52,6 @@ def cyclic_fold(x, length: int, offset: int = 0) -> np.ndarray:
     rows = np.arange(out.size // length)[:, None] * length
     np.add.at(out.reshape(-1), (rows + bins).ravel(), x.reshape(-1))
     return out
-
-
-def papr_db(x) -> float:
-    """Peak-to-average power ratio 10*log10(max|x|^2 / mean|x|^2) in dB."""
-    x = _as_complex_vec(x)
-    if x.size == 0:
-        raise ValueError("papr_db: empty input")
-    p = np.abs(x) ** 2
-    mean = p.mean()
-    if mean == 0.0:
-        raise ValueError("papr_db: all-zero input")
-    return float(10.0 * np.log10(p.max() / mean))
 
 
 def ccdf(values, grid) -> list[tuple[float, float]]:

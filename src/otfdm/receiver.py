@@ -1,6 +1,6 @@
 """Receive chain for one symbol: front end, matched filter with spectrum
 folding, self-contained channel estimation from the embedded RS, MMSE
-equalization, tail-pilot phase correction, demodulation.
+equalization, tail-pilot phase correction, hard-decision demapping.
 
 Every stage works on the last axis and takes any leading axes as
 independent symbols (trials), so a stack of T received symbols runs
@@ -18,7 +18,6 @@ regularized (`ridge`) to stay solvable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "mmse_equalize",
     "ars_phase_correct",
     "hard_bits",
-    "demodulate",
     "dump_diagnostics",
 ]
 
@@ -370,9 +368,9 @@ def _nearest_level(r: np.ndarray, levels: np.ndarray) -> np.ndarray:
 def _received(symbols) -> np.ndarray:
     rx = np.asarray(symbols, dtype=np.complex128)
     if rx.ndim == 0 or rx.size == 0:
-        raise ValueError("demodulate: empty input")
+        raise ValueError("hard_bits: empty input")
     if not np.all(np.isfinite(rx)):
-        raise ValueError("demodulate: non-finite received symbol (NaN or inf)")
+        raise ValueError("hard_bits: non-finite received symbol (NaN or inf)")
     return rx
 
 
@@ -412,36 +410,6 @@ def hard_bits(symbols, scheme: ModScheme) -> np.ndarray:
         for c in range(half):
             bits[..., axis + 2 * c] = labels[:, c][nearest]
     return bits.reshape(rx.shape[:-1] + (-1,))
-
-
-def demodulate(symbols, scheme: ModScheme, noise_var: float):
-    """Minimum-distance hard bits plus max-log soft metrics.
-
-    Returns (bits, metrics), each with the symbols' bits in order along the
-    last axis; bits are those of `hard_bits`, and metrics are log-likelihood
-    ratios scaled by the noise variance, positive where the hard decision is
-    a one.
-    """
-    bits = hard_bits(symbols, scheme)
-    rx = _received(symbols)
-    scale = max(float(noise_var), 1e-12)
-    if scheme.name == "PI2_BPSK":
-        d = _pi2_bpsk_distances(rx)
-        return bits, (d[..., 0] - d[..., 1]) / scale
-    # each bit's metric compares the nearest levels of its axis labelled 0
-    # and 1; distances are kept one array per level, so every minimum is an
-    # elementwise one
-    labels, axes = _qam_axes(rx, scheme)
-    half = labels.shape[1]
-    llr = np.empty(rx.shape + (2 * half,))
-    for axis, r, levels in axes:
-        d = [(r - level) ** 2 for level in levels]
-        for c in range(half):
-            ones = labels[:, c] == 1
-            zero = reduce(np.minimum, (d[k] for k in np.flatnonzero(~ones)))
-            one = reduce(np.minimum, (d[k] for k in np.flatnonzero(ones)))
-            llr[..., axis + 2 * c] = (zero - one) / scale
-    return bits, llr.reshape(bits.shape)
 
 
 # Leading values of each array that the diagnostics dump prints.

@@ -112,25 +112,17 @@ def hst_phase_direct(cfg, t):
     return 2.0 * np.pi * cfg.max_doppler_hz / cfg.speed_ms * (dist(0.0) - dist(t))
 
 
-def maxlog_demap_direct(rx, points, labels, noise_var):
-    """Brute-force max-log demapper over the full constellation.
+def nearest_point_bits(rx, points, labels):
+    """Brute-force hard demapper over the full constellation.
 
-    points[i] carries the bit row labels[i]. Per received sample: hard bits
-    of the nearest point, and per bit (min distance over points with a zero
-    minus min distance over points with a one) / noise_var. Both outputs
-    are flattened sample by sample.
+    points[i] carries the bit row labels[i]. Per received sample: the bits
+    of the nearest point, flattened sample by sample.
     """
     rx = np.asarray(rx, dtype=np.complex128)
-    bps = labels.shape[1]
-    bits = np.empty((rx.size, bps), dtype=np.int64)
-    llr = np.empty((rx.size, bps))
+    bits = np.empty((rx.size, labels.shape[1]), dtype=np.int64)
     for n, r in enumerate(rx):
-        d = np.abs(r - points) ** 2
-        bits[n] = labels[np.argmin(d)]
-        for b in range(bps):
-            ones = labels[:, b] == 1
-            llr[n, b] = (d[~ones].min() - d[ones].min()) / noise_var
-    return bits.ravel(), llr.ravel()
+        bits[n] = labels[np.argmin(np.abs(r - points) ** 2)]
+    return bits.ravel()
 
 
 def qfunc(z):
@@ -211,11 +203,11 @@ from otfdm.numerics import SeededRng  # noqa: E402
 from otfdm.receiver import (  # noqa: E402
     EstimatorConfig,
     ars_phase_correct,
-    demodulate,
     estimate_channel,
     fold_spectrum,
     front_end,
     genie_estimate,
+    hard_bits,
     mmse_equalize,
 )
 from otfdm.sequences import FrameLayout  # noqa: E402
@@ -229,7 +221,7 @@ def _mmse_bias_1d(est, inv_snr):
 
 def _data_errors_1d(eq, est, inv_snr, scheme, bits, sent):
     data = eq.data / _mmse_bias_1d(est, inv_snr)
-    hard, _ = demodulate(data, scheme, inv_snr)
+    hard = hard_bits(data, scheme)
     return (int(np.count_nonzero(hard != bits)), bits.size,
             float(np.sum(np.abs(data - sent) ** 2)),
             float(np.sum(np.abs(sent) ** 2)))

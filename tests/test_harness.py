@@ -13,6 +13,7 @@ from otfdm.harness import (
     ExperimentConfig,
     grid_for,
     layout_for,
+    pulse_tail_fraction,
     run_ber,
     run_mse,
     run_overhead,
@@ -92,6 +93,17 @@ class TestConfigValidation:
         (dict(rs_overhead_pct=-5.0), "rs_overhead_pct"),
         (dict(rs_overhead_pct=100.0), "rs_overhead_pct"),
         (dict(rs_sweep_pct=(5.0, -5.0)), "rs_sweep_pct"),
+        (dict(snr_db=(10.0, float("-inf"))), "snr_db"),
+        (dict(channel="HST", speed_kmh=500.0, scs_khz=-30.0), "scs_khz"),
+        (dict(channel="HST", speed_kmh=500.0, scs_khz=0.0), "scs_khz"),
+        (dict(scs_khz=float("inf")), "scs_khz"),
+        (dict(channel="TDLC", speed_kmh=float("nan")), "speed_kmh"),
+        (dict(channel="HST", speed_kmh=float("inf")), "speed_kmh"),
+        (dict(channel="HST", speed_kmh=500.0, fc_ghz=float("inf")), "fc_ghz"),
+        (dict(channel="TDLC", delay_spread_ns=float("nan")), "delay_spread_ns"),
+        (dict(ridge=float("nan")), "ridge"),
+        (dict(ridge=-0.1), "ridge"),
+        (dict(tail_periods=-1), "tail_periods"),
     ])
     def test_out_of_range_link_fields_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -326,6 +338,18 @@ class TestPulseDecay:
         assert [r.warning for r in sqrc] == [None]
         assert [r.warning for r in taps] == [
             "pulse decay uses the SQRC filter; filter_kind=TAPS2 was ignored"]
+
+    def test_tail_fraction_is_zero_once_the_window_spans_the_pulse(self):
+        # alloc 240 at 5% has a 1200-sample pulse: +-120 periods span it
+        periods = (0, 4, 100, 119, 120, 200, 1000)
+        fracs = [pulse_tail_fraction(240, 5.0, p) for p in periods]
+        assert fracs[-3:] == [0.0, 0.0, 0.0]
+        assert all(a >= b for a, b in zip(fracs, fracs[1:]))
+        assert 0.0 < fracs[3] < fracs[0] <= 1.0
+
+    def test_negative_tail_periods_raises(self):
+        with pytest.raises(ValueError, match="tail_periods"):
+            pulse_tail_fraction(240, 5.0, -1)
 
 
 class TestMse:

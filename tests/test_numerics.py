@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import ccdf_scan, cyclic_fold_direct, dft_direct
-from otfdm import SeededRng, ccdf, dft, evm_db, papr_db
-from otfdm.harness import ExperimentConfig
+from otfdm import SeededRng, ccdf, dft, evm_db
 from otfdm.numerics import cyclic_fold, power_ratio_db
-from otfdm.transmitter import generate_otfdm
 
 
 def test_dft_unit_impulse():
@@ -47,36 +45,6 @@ def test_parseval():
 def test_dft_zero_length_raises():
     with pytest.raises(ValueError):
         dft(np.zeros(0))
-
-
-def test_papr_constant_envelope_is_zero_db():
-    x = np.exp(1j * np.linspace(0, 5, 64))
-    assert abs(papr_db(x)) < 1e-12
-
-
-def test_papr_single_spike():
-    x = np.zeros(100, dtype=complex)
-    x[3] = 1.0
-    assert abs(papr_db(x) - 20.0) < 1e-12
-
-
-def test_papr_matches_direct_recomputation():
-    cfg = ExperimentConfig(scheme="QPSK", alloc_size=120, extension_pct=0.0,
-                           rs_overhead_pct=0.0, seed=9)
-    scheme, layout, filt, grid = cfg.resolve()
-    rng = SeededRng(9, 0)
-    sym = generate_otfdm(rng.bits(layout.data_len * 2), scheme, layout, filt,
-                         grid, rng)
-    x = sym.body
-    expected = 10.0 * np.log10(
-        np.max(np.abs(x) ** 2) / np.mean(np.abs(x) ** 2)
-    )
-    assert papr_db(x) == pytest.approx(expected, abs=1e-12)
-
-
-def test_papr_all_zero_raises():
-    with pytest.raises(ValueError):
-        papr_db(np.zeros(8, dtype=complex))
 
 
 def test_ccdf_examples():
