@@ -17,7 +17,7 @@ import numpy as np
 # of KiB per entry.
 CACHE_SIZE = 32
 
-__all__ = ["dft", "cyclic_fold", "ccdf", "evm_db",
+__all__ = ["dft", "cyclic_fold", "ccdf", "CcdfCounter", "evm_db",
            "power_ratio_db", "SeededRng"]
 
 
@@ -58,27 +58,95 @@ def ccdf(values, grid) -> list[tuple[float, float]]:
     """Complementary CDF of `values` over ascending thresholds `grid`.
 
     Returns (threshold, Pr[value > threshold]) pairs; the probabilities are
-    monotone non-increasing along the grid. One sort serves every
-    threshold (`_ccdf_of_sorted`).
+    monotone non-increasing along the grid. One `CcdfCounter` pass.
     """
-    return _ccdf_of_sorted(np.sort(np.asarray(values, dtype=float).ravel()), grid)
+    values = np.asarray(values, dtype=float).ravel()
+    counter = CcdfCounter(grid, values.size)
+    counter.add(values)
+    return counter.ccdf()
 
 
-def _ccdf_of_sorted(values: np.ndarray, grid) -> list[tuple[float, float]]:
-    """`ccdf` of values already sorted ascending, so a caller that also
-    reads quantiles off them sorts once: the count above t is n minus the
-    insertion point right of t. NaNs sort last, so the last value shows
-    whether there are any."""
-    grid = np.asarray(grid, dtype=float)
-    if values.size == 0 or grid.size == 0:
-        raise ValueError("ccdf: values and grid must be non-empty")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("ccdf: grid must be sorted ascending")
-    if np.isnan(values[-1]):
-        raise ValueError("ccdf: values contain NaN")
-    n = values.size
-    above = n - np.searchsorted(values, grid, side="right")
-    return [(float(t), float(k / n)) for t, k in zip(grid, above.tolist())]
+class CcdfCounter:
+    """Exact CCDF over ascending thresholds `grid`, and optionally the
+    sample quantile `q`, of `total` values offered in chunks.
+
+    The values are not kept: each chunk is sorted on its own and counted
+    above every threshold (its size minus the insertion point right of the
+    threshold), and only its largest values join a tail buffer that
+    `np.partition` prunes back whenever it holds twice the `(1 - q) total`
+    or so values the quantile reads (exact selection; Floyd & Rivest, CACM
+    1975). Counts and tail are order-free, so chunks may arrive in any
+    order; the results equal a count over the pooled values and
+    `np.quantile` on them, bit for bit.
+    """
+
+    def __init__(self, grid, total: int, q: float | None = None):
+        self.grid = np.asarray(grid, dtype=float)
+        if total < 1 or self.grid.size == 0:
+            raise ValueError("ccdf: values and grid must be non-empty")
+        if np.any(np.diff(self.grid) < 0):
+            raise ValueError("ccdf: grid must be sorted ascending")
+        if q is not None and not 0.0 <= q <= 1.0:
+            raise ValueError(f"ccdf: quantile {q} outside [0, 1]")
+        self.total = total
+        self._seen = 0
+        self._above = np.zeros(self.grid.size, dtype=np.int64)
+        # the Hyndman & Fan type 7 (numpy "linear") virtual index of q, as
+        # numpy 2 computes it; the quantile reads order statistics from
+        # floor(vidx) up
+        self._vidx = None if q is None else (total - 1) * q
+        self._keep = 0 if q is None else total - math.floor(self._vidx)
+        self._tail: list[np.ndarray] = []
+        self._tail_size = 0
+
+    def add(self, values) -> None:
+        """Count one chunk of values. NaNs sort last, so the last sorted
+        value shows whether there are any."""
+        values = np.sort(np.asarray(values, dtype=float).ravel())
+        if values.size and np.isnan(values[-1]):
+            raise ValueError("ccdf: values contain NaN")
+        self._above += values.size - np.searchsorted(values, self.grid, side="right")
+        self._seen += values.size
+        if self._keep:
+            top = values[-self._keep:].copy()
+            self._tail.append(top)
+            self._tail_size += top.size
+            if self._tail_size > 2 * self._keep:
+                self._tail = [self._largest()]
+                self._tail_size = self._keep
+
+    def _largest(self) -> np.ndarray:
+        """The `_keep` largest values offered so far, in no order."""
+        pool = np.concatenate(self._tail)
+        pool.partition(pool.size - self._keep)
+        return pool[pool.size - self._keep:].copy()
+
+    def _check_complete(self) -> None:
+        if self._seen != self.total:
+            raise ValueError(f"ccdf: counted {self._seen} of {self.total} values")
+
+    def ccdf(self) -> list[tuple[float, float]]:
+        """(threshold, Pr[value > threshold]) pairs, as `ccdf` returns them."""
+        self._check_complete()
+        n = self.total
+        return [(float(t), float(k / n))
+                for t, k in zip(self.grid, self._above.tolist())]
+
+    def quantile(self) -> float:
+        """The sample quantile `q`, as `np.quantile` (method "linear") gives
+        it on the pooled values."""
+        if self._vidx is None:
+            raise ValueError("ccdf: counter was built without a quantile")
+        self._check_complete()
+        vidx = self._vidx
+        tail = self._largest()
+        if vidx >= self.total - 1:  # one value kept: numpy takes the largest
+            return float(tail[0])
+        tail.partition((0, 1))
+        a, b = float(tail[0]), float(tail[1])
+        g = vidx - math.floor(vidx)
+        d = b - a
+        return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def evm_db(estimate, reference) -> float:

@@ -214,6 +214,10 @@ class TestChunking:
               rs_sweep_pct=(5.0, 12.0), trials=37)),
         ("papr", oracles.papr_values,
          dict(scheme="QPSK", rs_overhead_pct=8.0, trials=37)),
+        # the 1% tail the quantile reads (10201 values of the shaped body)
+        # is larger than one chunk's 16 x 600 values
+        ("papr", oracles.papr_values,
+         dict(scheme="QPSK", alloc_size=120, rs_overhead_pct=8.0, trials=1700)),
         # the two-symbol baseline frame through one time-varying channel
         ("ber", oracles.ber_values,
          dict(scheme="QAM64", compare_baseline=True, channel="TDLC",
@@ -393,6 +397,26 @@ class TestMse:
                             lambda *a: streams.append(a) or rng(*a))
         cfg = ExperimentConfig(scheme="QPSK", alloc_size=96, trials=3, **kwargs)
         with pytest.raises(SingularReference):
+            runner(cfg)
+        assert streams == []
+
+    @pytest.mark.parametrize("runner, kwargs, field", [
+        (run_ber, dict(rs_overhead_pct=0.0), "rs_overhead_pct"),
+        (run_ber, dict(scheme="PI2_BPSK", ridge=0.1, rs_overhead_pct=0.0),
+         "rs_overhead_pct"),
+        (run_mse, dict(rs_overhead_pct=0.0, rs_sweep_pct=()), "rs_overhead_pct"),
+        (run_mse, dict(gamma_sweep_pct=(5.0,), rs_sweep_pct=(8.0, 0.0)),
+         r"rs_sweep_pct\[1\]"),
+    ])
+    def test_layout_without_rs_refused_before_the_first_trial(
+            self, monkeypatch, runner, kwargs, field):
+        streams = []
+        rng = harness.SeededRng
+        monkeypatch.setattr(harness, "SeededRng",
+                            lambda *a: streams.append(a) or rng(*a))
+        cfg = ExperimentConfig(trials=3, **kwargs)
+        with pytest.raises(ValueError, match=field + " = 0 .*without RS.*"
+                                             "nothing to estimate"):
             runner(cfg)
         assert streams == []
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ccdf_scan, cyclic_fold_direct, dft_direct
 from otfdm import SeededRng, ccdf, dft, evm_db
-from otfdm.numerics import cyclic_fold, power_ratio_db
+from otfdm.numerics import CcdfCounter, cyclic_fold, power_ratio_db
 
 
 def test_dft_unit_impulse():
@@ -183,3 +185,42 @@ def test_ccdf_equals_per_threshold_scan():
 def test_ccdf_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         ccdf([1.0, float("nan")], [0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ccdf_counter_equals_pooled_scan_and_quantile(data):
+    # a few repeated levels among arbitrary values, so ties are common
+    values = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                  st.floats(-1e3, 1e3, allow_nan=False)),
+        min_size=2, max_size=300), label="values"))
+    n = values.size
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8), label="cuts"))
+    chunks = np.split(values, cuts)
+    order = data.draw(st.permutations(range(len(chunks))), label="order")
+    q = data.draw(st.one_of(st.sampled_from([0.99, 0.0, 0.5, 1.0]),
+                            st.floats(0.0, 1.0)), label="q")
+    grid = sorted(data.draw(st.lists(st.one_of(st.sampled_from(values.tolist()),
+                                               st.floats(-2e3, 2e3)),
+                                     min_size=1, max_size=12), label="grid"))
+    counter = CcdfCounter(grid, n, q)
+    for i in order:
+        counter.add(chunks[i])
+    assert counter.ccdf() == ccdf_scan(values, grid)
+    assert counter.quantile().hex() == float(np.quantile(values, q)).hex()
+
+
+def test_ccdf_counter_misuse_raises():
+    with pytest.raises(ValueError, match="outside"):
+        CcdfCounter([0.0], 4, 1.5)
+    counter = CcdfCounter([0.0], 4, 0.5)
+    counter.add([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="counted 3 of 4"):
+        counter.ccdf()
+    with pytest.raises(ValueError, match="counted 3 of 4"):
+        counter.quantile()
+    no_quantile = CcdfCounter([0.0], 1)
+    no_quantile.add([1.0])
+    with pytest.raises(ValueError, match="without a quantile"):
+        no_quantile.quantile()
