@@ -214,10 +214,6 @@ class TestChunking:
               rs_sweep_pct=(5.0, 12.0), trials=37)),
         ("papr", oracles.papr_values,
          dict(scheme="QPSK", rs_overhead_pct=8.0, trials=37)),
-        # the 1% tail the quantile reads (10201 values of the shaped body)
-        # is larger than one chunk's 16 x 600 values
-        ("papr", oracles.papr_values,
-         dict(scheme="QPSK", alloc_size=120, rs_overhead_pct=8.0, trials=1700)),
         # the two-symbol baseline frame through one time-varying channel
         ("ber", oracles.ber_values,
          dict(scheme="QAM64", compare_baseline=True, channel="TDLC",
@@ -225,6 +221,10 @@ class TestChunking:
         ("ber", oracles.ber_values,
          dict(scheme="QAM256", compare_baseline=True, channel="HST",
               speed_kmh=500.0, ars_pct=2.0, snr_db=(30.0,), trials=20)),
+        # the 1% tail the quantile reads (10201 values of the shaped body)
+        # is larger than one chunk's 16 x 600 values
+        ("papr", oracles.papr_values,
+         dict(scheme="QPSK", alloc_size=120, rs_overhead_pct=8.0, trials=1700)),
     ])
     def test_records_equal_one_trial_at_a_time(self, tmp_path, runner, oracle,
                                                kwargs):
