@@ -51,13 +51,11 @@ from .receiver import (
 )
 from .sequences import (
     MOD_SCHEMES,
-    ONE_SIDED_CP,
     PI2_BPSK,
     QAM16,
     QAM64,
     QAM256,
     QPSK,
-    TWO_SIDED,
     FrameLayout,
     ModScheme,
     ShapingFilter,

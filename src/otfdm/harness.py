@@ -3,12 +3,13 @@ BER/EVM, and effective-pulse tail decay, all reproducible from (config, seed).
 
 PAPR statistics follow the instantaneous-power convention: the CCDF pools
 per-sample power, normalized by the symbol mean, over all trial symbols of
-the 4x-oversampled body. Quantile gains against the separate-RS DFT-s-OFDM
-baseline are read at the 1% exceedance point. The pooled power is never
-held: a streaming `CcdfCounter` per waveform counts each chunk against the
-thresholds and keeps only the top 1% tail the quantile reads, so memory
-grows with that tail, not with the pool (1e4 QPSK/240 trials: 367 -> 45
-MiB peak RSS), and every value equals the pooled sort's bit for bit.
+the >= 4x-oversampled body. Quantile gains against the separate-RS
+DFT-s-OFDM baseline are read at the 1% exceedance point. The pooled power
+is never held: a streaming `CcdfCounter` per waveform counts each chunk
+against the thresholds and keeps only the top 1% tail the quantile reads,
+so memory grows with that tail, not with the pool (1e4 QPSK/240 trials:
+367 -> 45 MiB peak RSS), and every value equals the pooled sort's bit for
+bit.
 
 Per-subcarrier SNR convention: the target SNR fixes the ratio of demapped
 per-subcarrier signal power to noise power; the equalizer receives the
@@ -27,6 +28,7 @@ import hashlib
 import json
 import math
 import numbers
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -263,6 +265,8 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError("ExperimentConfig: trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("ExperimentConfig: seed must be >= 0")
         if self.alloc_size < 8:
             raise ValueError("ExperimentConfig: alloc_size too small")
         if self.speed_kmh < 0:
@@ -380,16 +384,34 @@ def _record(cfg: ExperimentConfig, digest: str, layout: FrameLayout,
 CHUNK_TRIALS = 16
 
 
+# Most chunks each worker thread has in flight: submitted and not yet read.
+# Finished chunks wait for the reader only this far, so a threaded run's
+# memory does not grow with the trial count.
+CHUNKS_IN_FLIGHT_PER_WORKER = 2
+
+
 def _chunk_results(work, trials: int, n_workers: int):
     """Yield `work(range)` over contiguous ranges of trial indices, in trial
-    order. Threads take whole chunks."""
+    order. Threads take whole chunks, at most CHUNKS_IN_FLIGHT_PER_WORKER
+    per thread ahead of the reader; closing the generator early cancels the
+    chunks not yet started."""
     size = min(CHUNK_TRIALS, -(-trials // n_workers))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     if n_workers <= 1:
         yield from map(work, chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            yield from pool.map(work, chunks)
+        return
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        pending = deque()
+        try:
+            for chunk in chunks:
+                if len(pending) == CHUNKS_IN_FLIGHT_PER_WORKER * n_workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(work, chunk))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _map_chunks(work, trials: int, n_workers: int) -> tuple:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import cyclic_fold
-from .sequences import ONE_SIDED_CP, FrameLayout, ModScheme, ShapingFilter, modulate
+from .sequences import FrameLayout, ModScheme, ShapingFilter, modulate
 from .transmitter import WaveformGrid
 
 __all__ = [
@@ -81,14 +81,11 @@ class EstimatorConfig:
 
     window_len samples of the impulse response are retained (rectangular
     window), plus PRE_MARGIN cyclic pre-cursor samples. ridge is the LS
-    regularization added to the squared reference magnitude. rs_offset
-    picks the extraction point inside the prefix for one-sided layouts
-    (None -> middle of the prefix).
+    regularization added to the squared reference magnitude.
     """
 
     window_len: int
     ridge: float = 0.0
-    rs_offset: int | None = None
 
     def __post_init__(self):
         if self.window_len < 1:
@@ -184,11 +181,9 @@ def _row_floor(power: np.ndarray, scale: float) -> np.ndarray:
 
 def _reference(rs_core, layout: FrameLayout, composite: np.ndarray,
                est: EstimatorConfig) -> tuple:
-    """(start, spectrum, power) of the known RS reference: where the rs_len
-    received RS samples are read, the reference spectrum times the folded
-    filter gain, and its squared magnitude. One-sided layouts read inside the
-    prefix, so the reference is the core shifted cyclically to match.
-    Without ridge, a null in the spectrum raises SingularReference."""
+    """(spectrum, power) of the known RS reference: the reference spectrum
+    times the folded filter gain, and its squared magnitude. Without ridge,
+    a null in the spectrum raises SingularReference."""
     rs_core = np.asarray(rs_core, dtype=np.complex128)
     l_r = layout.rs_len
     if rs_core.ndim == 0 or rs_core.shape[-1] != l_r or l_r < 1:
@@ -197,13 +192,6 @@ def _reference(rs_core, layout: FrameLayout, composite: np.ndarray,
         )
     if est.window_len > l_r:
         raise ValueError("estimate_channel: window_len exceeds the RS core length")
-    if layout.variant == ONE_SIDED_CP:
-        start = layout.rs_cp // 2 if est.rs_offset is None else est.rs_offset
-        if not 0 <= start <= layout.rs_cp:
-            raise ValueError("estimate_channel: rs_offset outside the RS prefix")
-        rs_core = np.roll(rs_core, -start, axis=-1)
-    else:
-        start = layout.rs_core_start
     spectrum = np.fft.fft(rs_core) * _reference_gain(composite, l_r)
     power = np.abs(spectrum) ** 2
     if est.ridge == 0.0 and np.any(power <= _row_floor(power, 1e-12)):
@@ -211,7 +199,7 @@ def _reference(rs_core, layout: FrameLayout, composite: np.ndarray,
             "estimate_channel: reference spectrum has a null; "
             "set ridge > 0 to regularize"
         )
-    return start, spectrum, power
+    return spectrum, power
 
 
 def check_reference(rs_core, layout: FrameLayout, filt: ShapingFilter,
@@ -241,9 +229,10 @@ def estimate_channel(
     if layout.total_len != m:
         raise ValueError("estimate_channel: layout does not match the folded symbol")
     composite = folded.filt.folded_square()
-    start, ref_spectrum, denom = _reference(rs_core, layout, composite, est)
+    ref_spectrum, denom = _reference(rs_core, layout, composite, est)
 
     time_symbol = np.fft.ifft(folded.folded)
+    start = layout.rs_core_start
     rs_spectrum = np.fft.fft(time_symbol[..., start : start + l_r])
     ls = rs_spectrum * np.conj(ref_spectrum) / (denom + est.ridge)
 

@@ -3,6 +3,9 @@
 Constellations are Gray mapped with unit average power. Reference sequences
 come in two families: cyclically extended Zadoff-Chu for QAM-type data, and
 pi/2-BPSK sequences for pi/2-BPSK data so RS and data share the same envelope.
+The RS block follows one rule: the core between a cyclic prefix (its tail)
+and a cyclic suffix (its head), so the receiver may read any rs_len window
+inside the guards and see a cyclic shift of the core.
 """
 
 from __future__ import annotations
@@ -160,17 +163,14 @@ def make_rs_core(length: int, scheme: ModScheme,
     return zadoff_chu(ZC_ROOT, prime)[np.arange(length) % prime]
 
 
-TWO_SIDED = "TWO_SIDED"
-ONE_SIDED_CP = "ONE_SIDED_CP"
-
-
 @dataclass(frozen=True)
 class FrameLayout:
     """Sample budget of one multiplexed symbol: [RS block | data | ARS].
 
     The RS block is [cyclic prefix | core | cyclic suffix] where the prefix
-    copies the tail of the core and the suffix copies its head. The one-sided
-    variant drops the suffix and uses a full-length prefix instead.
+    copies the last rs_cp samples of the core and the suffix its first rs_cs.
+    A block [c | c] read at offset s is this block with rs_cp = s,
+    rs_cs = rs_len - s and core np.roll(c, -s).
     """
 
     rs_len: int
@@ -178,7 +178,6 @@ class FrameLayout:
     rs_cs: int
     data_len: int
     ars_len: int = 0
-    variant: str = TWO_SIDED
 
     def __post_init__(self):
         for name in ("rs_len", "rs_cp", "rs_cs", "data_len", "ars_len"):
@@ -186,15 +185,6 @@ class FrameLayout:
                 raise ValueError(f"FrameLayout: {name} must be >= 0")
         if self.rs_cp > self.rs_len or self.rs_cs > self.rs_len:
             raise ValueError("FrameLayout: CP/CS cannot exceed the RS core length")
-        if self.variant not in (TWO_SIDED, ONE_SIDED_CP):
-            raise ValueError(f"FrameLayout: unknown variant {self.variant!r}")
-        if self.variant == ONE_SIDED_CP and (
-            self.rs_cs != 0 or self.rs_cp != self.rs_len
-        ):
-            raise ValueError(
-                "FrameLayout: one-sided variant requires rs_cs == 0 and "
-                "rs_cp == rs_len"
-            )
 
     @property
     def rs_block_len(self) -> int:
@@ -218,17 +208,15 @@ class FrameLayout:
 
 
 def build_rs_block(rs_core, layout: FrameLayout) -> np.ndarray:
-    """Wrap the RS core with its cyclic prefix and suffix per the layout."""
+    """The RS block [core[-rs_cp:] | core | core[:rs_cs]] of the layout."""
     core = np.asarray(rs_core, dtype=np.complex128)
     if core.ndim != 1 or core.size != layout.rs_len:
         raise ValueError(
             f"build_rs_block: core length {core.size} != layout rs_len {layout.rs_len}"
         )
-    if layout.variant == ONE_SIDED_CP:
-        return np.concatenate([core, core])
-    head = core[core.size - layout.rs_cp :] if layout.rs_cp else core[:0]
-    tail = core[: layout.rs_cs]
-    return np.concatenate([head, core, tail])
+    return np.concatenate(
+        [core[core.size - layout.rs_cp :], core, core[: layout.rs_cs]]
+    )
 
 
 @dataclass(frozen=True)

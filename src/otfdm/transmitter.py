@@ -271,7 +271,6 @@ def write_waveform(path, symbol: OtfdmSymbol, seed_info: str = "") -> None:
         f"rs_cs={lo.rs_cs}",
         f"data_len={lo.data_len}",
         f"ars_len={lo.ars_len}",
-        f"variant={lo.variant}",
     ]
     for key, val in symbol.meta.items():
         lines.append(f"{key}={val}")

@@ -367,7 +367,7 @@ def papr_values(cfg, ccdf_point=0.01):
 # transmitter must give the same symbol to the bit.
 # --------------------------------------------------------------------------
 
-from otfdm.sequences import ONE_SIDED_CP, ZC_ROOT  # noqa: E402
+from otfdm.sequences import ZC_ROOT  # noqa: E402
 from otfdm.transmitter import OtfdmSymbol  # noqa: E402
 
 
@@ -419,8 +419,6 @@ def _reference_core_direct(length, scheme, rng):
 
 
 def _rs_block_direct(core, layout):
-    if layout.variant == ONE_SIDED_CP:
-        return np.concatenate([core, core])
     head = core[core.size - layout.rs_cp :] if layout.rs_cp else core[:0]
     return np.concatenate([head, core, core[: layout.rs_cs]])
 

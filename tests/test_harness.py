@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,6 +105,7 @@ class TestConfigValidation:
         (dict(ridge=float("nan")), "ridge"),
         (dict(ridge=-0.1), "ridge"),
         (dict(tail_periods=-1), "tail_periods"),
+        (dict(seed=-1), "seed"),
     ])
     def test_out_of_range_link_fields_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -237,6 +239,30 @@ class TestChunking:
             write_csv(records, paths[-1])
         assert [r.value for r in records] == oracle(cfg)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+    def test_threads_hold_a_bounded_number_of_chunks(self, monkeypatch):
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+        bound = harness.CHUNKS_IN_FLIGHT_PER_WORKER * 3
+        chunks = [range(lo, min(lo + 16, 200)) for lo in range(0, 200, 16)]
+        results = harness._chunk_results(list, 200, 3)
+        assert next(results) == list(chunks[0])
+        assert submitted == chunks[:bound]
+        assert [list(c) for c in chunks[1:]] == list(results)
+        assert submitted == chunks
+        # closing early submits nothing more
+        submitted.clear()
+        results = harness._chunk_results(list, 200, 3)
+        next(results)
+        results.close()
+        assert submitted == chunks[:bound]
 
 
 class TestOncePerRunnerCall:

@@ -11,7 +11,6 @@ from oracles import (
 )
 from otfdm import (
     MOD_SCHEMES,
-    ONE_SIDED_CP,
     DegenerateEqualizer,
     EqualizedSymbol,
     EstimatorConfig,
@@ -42,15 +41,10 @@ from otfdm.harness import (
 )
 
 
-def _qpsk_symbol(alloc=48, excess=6, seed=20, ars_len=0, variant="TWO_SIDED"):
+def _qpsk_symbol(alloc=48, excess=6, seed=20, ars_len=0):
     scheme = MOD_SCHEMES["QPSK"]
-    if variant == ONE_SIDED_CP:
-        layout = FrameLayout(rs_len=12, rs_cp=12, rs_cs=0,
-                             data_len=alloc - 24 - ars_len, ars_len=ars_len,
-                             variant=variant)
-    else:
-        layout = FrameLayout(rs_len=12, rs_cp=8, rs_cs=4,
-                             data_len=alloc - 24 - ars_len, ars_len=ars_len)
+    layout = FrameLayout(rs_len=12, rs_cp=8, rs_cs=4,
+                         data_len=alloc - 24 - ars_len, ars_len=ars_len)
     filt = make_sqrc_filter(alloc, excess)
     grid = WaveformGrid(alloc, excess, 4 * alloc, cp_len=20)
     rng = SeededRng(seed, 0)
@@ -168,21 +162,19 @@ class TestEstimateChannel:
         assert np.max(np.abs(est.response - truth)) <= 1e-8
 
     def test_one_sided_layout_extraction_inside_prefix(self):
+        # a block [c | c] read at offset 5, then mid-prefix (offset 6)
         scheme = MOD_SCHEMES["QPSK"]
-        layout = FrameLayout(rs_len=12, rs_cp=12, rs_cs=0, data_len=24,
-                             variant=ONE_SIDED_CP)
         filt = make_sqrc_filter(48, 5)
         grid = WaveformGrid(48, 5, 192, cp_len=40)
         taps = [(0, 1.0), (3, 0.5j)]
-        sym, folded, truth = _static_channel_case(layout, filt, grid, scheme,
-                                                  taps, seed=31)
-        est = estimate_channel(folded, layout, sym.rs_core,
-                               EstimatorConfig(window_len=6, rs_offset=5))
-        assert np.max(np.abs(est.response - truth)) <= 1e-8
-        # default offset (mid-prefix) also works for in-range support
-        est2 = estimate_channel(folded, layout, sym.rs_core,
-                                EstimatorConfig(window_len=6))
-        assert np.max(np.abs(est2.response - truth)) <= 1e-8
+        for rs_cp in (5, 6):
+            layout = FrameLayout(rs_len=12, rs_cp=rs_cp, rs_cs=12 - rs_cp,
+                                 data_len=24)
+            sym, folded, truth = _static_channel_case(layout, filt, grid,
+                                                      scheme, taps, seed=31)
+            est = estimate_channel(folded, layout, sym.rs_core,
+                                   EstimatorConfig(window_len=6))
+            assert np.max(np.abs(est.response - truth)) <= 1e-8
 
     def test_pi2_two_tap_requires_regularization(self):
         name = "PI2_BPSK"
@@ -258,18 +250,16 @@ class TestMmseEqualize:
                           -0.1)
 
     @pytest.mark.parametrize("name", list(MOD_SCHEMES))
-    @pytest.mark.parametrize("variant", ["TWO_SIDED", ONE_SIDED_CP])
-    def test_end_to_end_identity(self, name, variant):
+    # (6, 6) is a block [c | c] read mid-prefix; the ids keep their names
+    @pytest.mark.parametrize("rs_cp, rs_cs", [(8, 4), (6, 6)],
+                             ids=["TWO_SIDED", "ONE_SIDED_CP"])
+    def test_end_to_end_identity(self, name, rs_cp, rs_cs):
         # any scheme, fold-flat filter, flat unit channel, no noise: the
         # recovered data equals the transmitted data to within 1e-8
         scheme = MOD_SCHEMES[name]
         alloc = 96
-        if variant == ONE_SIDED_CP:
-            layout = FrameLayout(rs_len=12, rs_cp=12, rs_cs=0, data_len=68,
-                                 ars_len=4, variant=variant)
-        else:
-            layout = FrameLayout(rs_len=12, rs_cp=8, rs_cs=4, data_len=68,
-                                 ars_len=4)
+        layout = FrameLayout(rs_len=12, rs_cp=rs_cp, rs_cs=rs_cs, data_len=68,
+                             ars_len=4)
         filt = make_sqrc_filter(alloc, 8)
         grid = WaveformGrid(alloc, 8, 4 * alloc, cp_len=16)
         rng = SeededRng(40, 0)
@@ -528,21 +518,19 @@ class TestLeadingTrialAxis:
     @pytest.mark.parametrize("count", [1, 3, 17])
     def test_genie_and_one_sided_rows(self, count):
         filt = filter_for("SQRC", 96, 10.0)
-        layout = FrameLayout(rs_len=12, rs_cp=12, rs_cs=0, data_len=72,
-                             variant=ONE_SIDED_CP)
+        layout = FrameLayout(rs_len=12, rs_cp=5, rs_cs=7, data_len=72)
         rng = SeededRng(71, count)
         folded = fold_spectrum(rng.complex_normal((count, filt.weights.size)),
                                filt)
         rs = rng.complex_normal((count, 12))
         h = rng.complex_normal((count, 96))
-        est = estimate_channel(folded, layout, rs,
-                               EstimatorConfig(window_len=6, rs_offset=5))
+        est_cfg = EstimatorConfig(window_len=6)
+        est = estimate_channel(folded, layout, rs, est_cfg)
         genie = genie_estimate(h, layout)
         assert genie.rs_ls.shape == (count, 12)
         for t in range(count):
             f1 = fold_spectrum(folded.demapped[t], filt)
-            e1 = estimate_channel(f1, layout, rs[t],
-                                  EstimatorConfig(window_len=6, rs_offset=5))
+            e1 = estimate_channel(f1, layout, rs[t], est_cfg)
             assert np.array_equal(est.response[t], e1.response)
             assert np.array_equal(genie.response[t],
                                   genie_estimate(h[t], layout).response)
@@ -558,6 +546,76 @@ class TestLeadingTrialAxis:
         assert hard.shape == (count, 30 * scheme.bits_per_symbol)
         for t in range(count):
             assert np.array_equal(hard[t], hard_bits(rx[t], scheme))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(MOD_SCHEMES)),
+           alloc=st.integers(16, 600),
+           ext_pct=st.floats(0.0, 20.0),
+           rs_pct=st.one_of(st.none(), st.floats(0.0, 30.0)),
+           ars_pct=st.floats(0.0, 10.0),
+           kind=st.sampled_from(["SQRC", "NONE", "TAPS2", "TAPS3"]),
+           ridge=st.floats(1e-3, 10.0),
+           count=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_rows_equal_one_dimensional_calls(
+            self, name, alloc, ext_pct, rs_pct, ars_pct, kind, ridge, count,
+            seed):
+        # any scheme, layout and filter: every stage on a stack of noisy
+        # symbols gives, row for row, the 1-D call's result bit for bit
+        if not (kind.startswith("TAPS") or name == "PI2_BPSK"):
+            ridge = 0.0
+        cfg = ExperimentConfig(scheme=name, alloc_size=alloc,
+                               extension_pct=ext_pct, filter_kind=kind,
+                               rs_overhead_pct=rs_pct, ars_pct=ars_pct)
+        try:
+            scheme, layout, filt, grid = cfg.resolve()
+        except ValueError:
+            assume(False)
+        syms, rx, responses = [], [], []
+        for t in range(count):
+            rng = SeededRng(seed, t)
+            bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
+            syms.append(generate_otfdm(bits, scheme, layout, filt, grid, rng))
+            rx.append(syms[-1].time_samples
+                      + rng.complex_normal(syms[-1].time_samples.size, 1e-3))
+            responses.append(rng.complex_normal(alloc))
+        rs = np.stack([s.rs_core for s in syms])
+        try:  # no RS at all leaves no window to estimate with
+            est_cfg = EstimatorConfig(window_len=window_for(name, layout),
+                                      ridge=ridge)
+            for row in rs:
+                check_reference(row, layout, filt, est_cfg)
+        except ValueError:
+            assume(False)
+
+        demapped = front_end(np.stack(rx), grid)
+        folded = fold_spectrum(demapped, filt)
+        est = estimate_channel(folded, layout, rs, est_cfg)
+        genie = genie_estimate(np.stack(responses), layout)
+        eq = mmse_equalize(folded, est, 0.01)
+        if layout.ars_len:
+            eq = ars_phase_correct(eq, np.stack([s.ars_symbols for s in syms]),
+                                   layout)
+        hard = hard_bits(eq.data, scheme)
+        for t, sym in enumerate(syms):
+            d1 = front_end(rx[t], grid)
+            f1 = fold_spectrum(d1, filt)
+            e1 = estimate_channel(f1, layout, sym.rs_core, est_cfg)
+            g1 = genie_estimate(responses[t], layout)
+            q1 = mmse_equalize(f1, e1, 0.01)
+            if layout.ars_len:
+                q1 = ars_phase_correct(q1, sym.ars_symbols, layout)
+                assert eq.phase_step[t] == q1.phase_step
+            assert np.array_equal(demapped[t], d1)
+            assert np.array_equal(folded.folded[t], f1.folded)
+            for field in ("response", "rs_ls", "rs_impulse", "rs_windowed"):
+                assert np.array_equal(getattr(est, field)[t],
+                                      getattr(e1, field))
+                assert np.array_equal(getattr(genie, field)[t],
+                                      getattr(g1, field))
+            assert np.array_equal(eq.spectrum[t], q1.spectrum)
+            assert np.array_equal(eq.time[t], q1.time)
+            assert np.array_equal(hard[t], hard_bits(q1.data, scheme))
 
     def test_one_singular_row_raises_for_the_stack(self):
         # ridge 0: one RS core with a spectral null sinks the whole stack

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import _reference_core_direct, fold_composite_direct, modulate_direct
 from otfdm import (
     MOD_SCHEMES,
-    ONE_SIDED_CP,
     PI2_BPSK,
     QPSK,
     FrameLayout,
@@ -145,13 +144,15 @@ class TestRsBlock:
         np.testing.assert_array_equal(build_rs_block(core, layout), core)
 
     def test_one_sided_repeats_core(self):
-        core = np.array([1 + 1j, 2 - 1j])
-        layout = FrameLayout(
-            rs_len=2, rs_cp=2, rs_cs=0, data_len=4, variant=ONE_SIDED_CP
-        )
-        np.testing.assert_array_equal(
-            build_rs_block(core, layout), [1 + 1j, 2 - 1j, 1 + 1j, 2 - 1j]
-        )
+        # a block [c | c] read at offset s is the block with rs_cp = s and
+        # rs_cs = rs_len - s around the core rolled by -s
+        core = SeededRng(12, 0).complex_normal(7)
+        for s in range(core.size + 1):
+            layout = FrameLayout(rs_len=7, rs_cp=s, rs_cs=7 - s, data_len=4)
+            np.testing.assert_array_equal(
+                build_rs_block(np.roll(core, -s), layout),
+                np.concatenate([core, core]),
+            )
 
     def test_core_length_mismatch_raises(self):
         layout = FrameLayout(rs_len=4, rs_cp=1, rs_cs=1, data_len=2)
@@ -163,9 +164,6 @@ class TestRsBlock:
             FrameLayout(rs_len=4, rs_cp=5, rs_cs=0, data_len=2)
         with pytest.raises(ValueError):
             FrameLayout(rs_len=4, rs_cp=0, rs_cs=5, data_len=2)
-        with pytest.raises(ValueError):
-            FrameLayout(rs_len=4, rs_cp=2, rs_cs=1, data_len=2,
-                        variant=ONE_SIDED_CP)
         with pytest.raises(ValueError):
             FrameLayout(rs_len=4, rs_cp=2, rs_cs=-1, data_len=2)
 

@@ -19,7 +19,6 @@ from otfdm import (
     write_waveform,
 )
 from otfdm.harness import ExperimentConfig, filter_for, grid_for, layout_for
-from otfdm.sequences import ONE_SIDED_CP
 
 
 class TestMultiplex:
@@ -294,7 +293,7 @@ class TestMatchesDirectChain:
         m = 96
         filt = filter_for("SQRC", m, 5.0)
         grid = grid_for(m, filt.excess)
-        layouts = (FrameLayout(12, 12, 0, m - 28, 4, variant=ONE_SIDED_CP),
+        layouts = (FrameLayout(12, 12, 0, m - 28, 4),
                    FrameLayout(m, 0, 0, 0, 0), FrameLayout(0, 0, 0, m, 0))
         for layout in layouts:
             _assert_matches_direct(MOD_SCHEMES[name], layout, filt, grid, 5)
