@@ -65,14 +65,12 @@ def _cmd_tx(args) -> int:
     write_waveform(args.out, symbol, seed_info=f"{cfg.seed}/0")
     print(f"wrote {symbol.time_samples.size} samples to {args.out}")
     if args.verbose:
-        folded = fold_spectrum(front_end(symbol.time_samples, grid), filt)
-        est = estimate_channel(
-            folded, layout, symbol.rs_core,
-            EstimatorConfig(window_len=window_for(cfg.scheme, layout),
-                            ridge=cfg.ridge),
-        )
+        demapped = front_end(symbol.time_samples, grid)
+        folded = fold_spectrum(demapped, filt)
+        est_cfg = EstimatorConfig(window_for(cfg.scheme, layout), cfg.ridge)
+        est = estimate_channel(folded, layout, symbol.rs_core, est_cfg)
         eq = mmse_equalize(folded, est, 0.0)
-        print(dump_diagnostics(folded, est, eq))
+        print(dump_diagnostics(demapped, folded, est, eq))
     return 0
 
 

@@ -56,13 +56,11 @@ class DegenerateEqualizer(ValueError):
 class FoldedSymbol:
     """Symbol-rate spectrum after matched filtering and folding.
 
-    folded has the allocation length on its last axis; the demapped
-    extended block and the filter that produced the fold are kept for
-    diagnostics and estimation.
+    folded has the allocation length on its last axis; filt is the filter
+    that produced the fold, whose composite gain the estimator divides out.
     """
 
     folded: np.ndarray
-    demapped: np.ndarray
     filt: ShapingFilter
 
     @property
@@ -96,23 +94,19 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """Alloc-length frequency response estimate plus the intermediates
-    (RS-length arrays), one row per symbol."""
+    """Alloc-length composite frequency response estimate, one row per
+    symbol, and the layout it was estimated for."""
 
     response: np.ndarray
-    rs_ls: np.ndarray
-    rs_impulse: np.ndarray
-    rs_windowed: np.ndarray
     layout: FrameLayout
 
 
 @dataclass(frozen=True)
 class EqualizedSymbol:
-    """Equalized spectrum and time symbol, split into layout segments along
-    the last axis. phase_step is a float for one symbol and holds one step
-    per symbol for a stack."""
+    """Equalized time symbol, split into layout segments along the last
+    axis. phase_step is a float for one symbol and holds one step per symbol
+    for a stack."""
 
-    spectrum: np.ndarray
     time: np.ndarray
     layout: FrameLayout
     phase_step: float | np.ndarray = 0.0
@@ -162,7 +156,7 @@ def fold_spectrum(demapped, filt: ShapingFilter) -> FoldedSymbol:
             f"{m + 2 * g}"
         )
     folded = cyclic_fold(filt.weights * y, m, g)
-    return FoldedSymbol(folded=folded, demapped=y, filt=filt)
+    return FoldedSymbol(folded=folded, filt=filt)
 
 
 def _reference_gain(composite: np.ndarray, rs_len: int) -> np.ndarray:
@@ -234,30 +228,16 @@ def estimate_channel(
     time_symbol = np.fft.ifft(folded.folded)
     start = layout.rs_core_start
     rs_spectrum = np.fft.fft(time_symbol[..., start : start + l_r])
-    ls = rs_spectrum * np.conj(ref_spectrum) / (denom + est.ridge)
+    impulse = np.fft.ifft(rs_spectrum * np.conj(ref_spectrum) / (denom + est.ridge))
 
-    impulse = np.fft.ifft(ls)
+    # rectangular window, cyclically embedded: causal taps at the front,
+    # pre-cursor taps at the tail
     margin = min(PRE_MARGIN, l_r - est.window_len)
-    mask = np.zeros(l_r)
-    mask[: est.window_len] = 1.0
+    padded = np.zeros(impulse.shape[:-1] + (m,), dtype=np.complex128)
+    padded[..., : est.window_len] = impulse[..., : est.window_len]
     if margin > 0:
-        mask[l_r - margin :] = 1.0
-    windowed = impulse * mask
-
-    # cyclic embedding: causal taps at the front, pre-cursor taps at the tail
-    padded = np.zeros(windowed.shape[:-1] + (m,), dtype=np.complex128)
-    padded[..., : est.window_len] = windowed[..., : est.window_len]
-    if margin > 0:
-        padded[..., m - margin :] = windowed[..., l_r - margin :]
-    response = np.fft.fft(padded) * composite
-
-    return ChannelEstimate(
-        response=response,
-        rs_ls=ls,
-        rs_impulse=impulse,
-        rs_windowed=windowed,
-        layout=layout,
-    )
+        padded[..., m - margin :] = impulse[..., l_r - margin :]
+    return ChannelEstimate(np.fft.fft(padded) * composite, layout)
 
 
 def genie_estimate(response, layout: FrameLayout) -> ChannelEstimate:
@@ -265,14 +245,7 @@ def genie_estimate(response, layout: FrameLayout) -> ChannelEstimate:
     response = np.asarray(response, dtype=np.complex128)
     if response.ndim == 0 or response.shape[-1] != layout.total_len:
         raise ValueError("genie_estimate: response length != layout size")
-    empty = np.zeros(response.shape[:-1] + (layout.rs_len,), dtype=np.complex128)
-    return ChannelEstimate(
-        response=response,
-        rs_ls=empty,
-        rs_impulse=empty,
-        rs_windowed=empty,
-        layout=layout,
-    )
+    return ChannelEstimate(response, layout)
 
 
 def mmse_equalize(
@@ -294,10 +267,8 @@ def mmse_equalize(
         raise DegenerateEqualizer(
             "mmse_equalize: zero estimate with zero noise variance"
         )
-    weights = np.conj(h) / (power + noise_var)
-    spectrum = weights * folded.folded
-    time = np.fft.ifft(spectrum)
-    return EqualizedSymbol(spectrum=spectrum, time=time, layout=est.layout)
+    time = np.fft.ifft(np.conj(h) / (power + noise_var) * folded.folded)
+    return EqualizedSymbol(time=time, layout=est.layout)
 
 
 def ars_phase_correct(
@@ -406,9 +377,10 @@ DIAGNOSTIC_ITEMS = 8
 
 
 def dump_diagnostics(
-    folded: FoldedSymbol, est: ChannelEstimate, eq: EqualizedSymbol
+    demapped, folded: FoldedSymbol, est: ChannelEstimate, eq: EqualizedSymbol
 ) -> str:
-    """Structured text snapshot of the receive chain for one symbol."""
+    """Structured text snapshot of the receive chain for one symbol:
+    demapped is the `front_end` output that `folded` was folded from."""
 
     def fmt(name, vec):
         vec = np.asarray(vec)
@@ -417,7 +389,7 @@ def dump_diagnostics(
         more = ", ..." if vec.size > DIAGNOSTIC_ITEMS else ""
         return f"{name}[{vec.size}]: {head}{more}"
 
-    lines = [fmt("demapped", folded.demapped), fmt("folded", folded.folded),
+    lines = [fmt("demapped", demapped), fmt("folded", folded.folded),
              fmt("channel_estimate", est.response), fmt("eq_rs_core", eq.rs_core),
              fmt("eq_data", eq.data)]
     if eq.layout.ars_len:

@@ -281,4 +281,4 @@ def make_taps_filter(taps, alloc_size: int) -> ShapingFilter:
         response += tap * np.exp(-2j * np.pi * k * delay / m)
     w = np.abs(response)
     w /= np.sqrt(np.mean(w**2))
-    return ShapingFilter(weights=w, excess=0, kind="TAPS")
+    return ShapingFilter(weights=w, excess=0, kind=f"TAPS{taps.size}")

@@ -1,8 +1,8 @@
 """Waveform synthesis: multiplex, DFT precode, extend, shape, map, modulate.
 
-The chain keeps every intermediate tap on the symbol object so each stage can
-be checked against a direct recomputation. Power is normalized once, at the
-OFDM modulation stage, with a fixed deterministic scale so the whole pipeline
+Each stage is a public function, so any intermediate is recomputed from the
+fields of the symbol it produced. Power is normalized once, at the OFDM
+modulation stage, with a fixed deterministic scale so the whole pipeline
 stays linear.
 """
 
@@ -97,18 +97,17 @@ def _extension_index(alloc_size: int, excess: int) -> np.ndarray:
 
 @dataclass
 class OtfdmSymbol:
-    """One generated symbol with its debug taps.
+    """One generated symbol: what the receiver and the waveform file read.
 
-    time_samples is the cp_len + fft_size transmit vector. The taps hold the
-    unnormalized stage outputs: the multiplexed symbol and the extended,
-    shaped block.
+    time_samples is the cp_len + fft_size transmit vector; the data, ARS and
+    RS core symbols are what was multiplexed. multiplex_symbol(data_symbols,
+    build_rs_block(rs_core, layout), ars_symbols, layout) and
+    precode_extend_shape of that rebuild the stage outputs bit for bit.
     """
 
     time_samples: np.ndarray
     grid: WaveformGrid
     layout: FrameLayout
-    multiplexed: np.ndarray
-    shaped: np.ndarray
     data_symbols: np.ndarray
     ars_symbols: np.ndarray
     rs_core: np.ndarray
@@ -238,13 +237,14 @@ def generate_otfdm(
 
     rs_core, rs_block, ars = _references(layout, scheme, rng)
     data = modulate(bits, scheme)
-    multiplexed = multiplex_symbol(data, rs_block, ars, layout)
-    shaped = precode_extend_shape(multiplexed, filt)
+    shaped = precode_extend_shape(multiplex_symbol(data, rs_block, ars, layout),
+                                  filt)
+    meta = {"scheme": scheme.name, "filter": filt.kind}
+    if scheme.name != "PI2_BPSK":  # only a Zadoff-Chu RS has a root
+        meta["rs_root"] = ZC_ROOT
     return OtfdmSymbol(
         time_samples=map_and_modulate(shaped, grid), grid=grid, layout=layout,
-        multiplexed=multiplexed, shaped=shaped, data_symbols=data,
-        ars_symbols=ars, rs_core=rs_core,
-        meta={"scheme": scheme.name, "filter": filt.kind, "rs_root": ZC_ROOT})
+        data_symbols=data, ars_symbols=ars, rs_core=rs_core, meta=meta)
 
 
 def write_waveform(path, symbol: OtfdmSymbol, seed_info: str = "") -> None:

@@ -424,8 +424,9 @@ def _rs_block_direct(core, layout):
 
 
 def generate_otfdm_direct(bits, scheme, layout, filt, grid, rng):
-    """generate_otfdm's symbol, every field, drawing the RS then the ARS
-    from `rng` as the library does."""
+    """(symbol, multiplexed, shaped): generate_otfdm's symbol, every field,
+    drawing the RS then the ARS from `rng` as the library does, and the two
+    stage outputs the chain computed on the way."""
     bits = np.asarray(bits, dtype=np.int64).ravel()
     rs_core = _reference_core_direct(layout.rs_len, scheme, rng)
     rs_block = _rs_block_direct(rs_core, layout)
@@ -441,7 +442,10 @@ def generate_otfdm_direct(bits, scheme, layout, filt, grid, rng):
     mapped[(grid.first_subcarrier + j) % n] = shaped
     body = np.fft.ifft(mapped) * (n / m)
     time = np.concatenate([body[n - grid.cp_len :], body]) if grid.cp_len else body
-    return OtfdmSymbol(
-        time_samples=time, grid=grid, layout=layout, multiplexed=multiplexed,
-        shaped=shaped, data_symbols=data, ars_symbols=ars, rs_core=rs_core,
-        meta={"scheme": scheme.name, "filter": filt.kind, "rs_root": ZC_ROOT})
+    meta = {"scheme": scheme.name, "filter": filt.kind}
+    if scheme.name != "PI2_BPSK":
+        meta["rs_root"] = ZC_ROOT
+    sym = OtfdmSymbol(
+        time_samples=time, grid=grid, layout=layout, data_symbols=data,
+        ars_symbols=ars, rs_core=rs_core, meta=meta)
+    return sym, multiplexed, shaped

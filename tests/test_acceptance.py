@@ -20,6 +20,7 @@ from otfdm import (
     WaveformGrid,
     apply_channel,
     ars_phase_correct,
+    build_rs_block,
     custom_realization,
     estimate_channel,
     evm_db,
@@ -28,6 +29,7 @@ from otfdm import (
     generate_otfdm,
     make_sqrc_filter,
     mmse_equalize,
+    multiplex_symbol,
 )
 from otfdm.harness import (
     MOD_PROFILES,
@@ -188,9 +190,10 @@ def test_criterion_08_ars_recovery():
     for step in (1e-4, 1e-3, 1e-2):
         n = np.arange(layout.total_len)
         ramp = np.exp(1j * step * (n - (layout.rs_cp + layout.rs_len)))
-        time_sym = sym.multiplexed * ramp
-        eq = EqualizedSymbol(spectrum=np.fft.fft(time_sym), time=time_sym,
-                             layout=layout)
+        multiplexed = multiplex_symbol(sym.data_symbols,
+                                       build_rs_block(sym.rs_core, layout),
+                                       sym.ars_symbols, layout)
+        eq = EqualizedSymbol(time=multiplexed * ramp, layout=layout)
         out = ars_phase_correct(eq, sym.ars_symbols, layout)
         worst_step = max(worst_step, abs(out.phase_step - step))
     ramps_ok = worst_step < 1e-8

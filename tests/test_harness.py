@@ -568,11 +568,22 @@ class TestCli:
         assert out.exists() and out.with_suffix(".bin.hdr").exists()
 
     def test_tx_verbose_prints_receiver_diagnostics(self, tmp_path, capsys):
-        code = cli_main(["tx", "--out", str(tmp_path / "wave.bin"), "-v"])
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("channel_estimate[") for line in lines)
-        assert any(line.startswith("phase_step: ") for line in lines)
+        # one line per stage, in chain order; eq_ars only with tail pilots
+        cfg_path = tmp_path / "ars.json"
+        cfg_path.write_text(json.dumps({"ars_pct": 2.0}))
+        stages = ["demapped", "folded", "channel_estimate", "eq_rs_core",
+                  "eq_data"]
+        for extra, ars_names in (([], []), (["--config", str(cfg_path)],
+                                            ["eq_ars"])):
+            code = cli_main(["tx", "--out", str(tmp_path / "wave.bin"), "-v",
+                             "--seed", "4", *extra])
+            assert code == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith("wrote ")
+            names = [line.split("[", 1)[0].split(":", 1)[0]
+                     for line in lines[1:]]
+            assert names == stages + ars_names + ["phase_step"]
+            assert lines[-1].endswith(" rad/sample")
 
     def test_metric_command_writes_csv(self, tmp_path):
         cfg = {"scheme": "QPSK", "trials": 20, "rs_overhead_pct": 8.0}

@@ -20,6 +20,7 @@ from otfdm import (
     WaveformGrid,
     apply_channel,
     ars_phase_correct,
+    build_rs_block,
     check_reference,
     custom_realization,
     estimate_channel,
@@ -31,6 +32,8 @@ from otfdm import (
     make_sqrc_filter,
     mmse_equalize,
     modulate,
+    multiplex_symbol,
+    precode_extend_shape,
 )
 from otfdm.harness import (
     ExperimentConfig,
@@ -53,11 +56,23 @@ def _qpsk_symbol(alloc=48, excess=6, seed=20, ars_len=0):
     return scheme, layout, filt, grid, bits, sym
 
 
+def _multiplexed(sym):
+    """The symbol's multiplexed [RS block | data | ARS], rebuilt by the
+    public stage call (bit for bit what generate_otfdm shaped)."""
+    return multiplex_symbol(sym.data_symbols,
+                            build_rs_block(sym.rs_core, sym.layout),
+                            sym.ars_symbols, sym.layout)
+
+
+def _shaped(sym, filt):
+    return precode_extend_shape(_multiplexed(sym), filt)
+
+
 class TestFrontEnd:
     def test_loopback_recovers_shaped_block(self):
         _, _, filt, grid, _, sym = _qpsk_symbol()
         out = front_end(sym.time_samples, grid)
-        np.testing.assert_allclose(out, sym.shaped, atol=1e-10)
+        np.testing.assert_allclose(out, _shaped(sym, filt), atol=1e-10)
 
     def test_delay_within_cp_gives_linear_phase(self):
         _, _, filt, grid, _, sym = _qpsk_symbol()
@@ -67,14 +82,15 @@ class TestFrontEnd:
         )[: grid.cp_len + grid.fft_size]
         out = front_end(delayed, grid)
         bins = grid.first_subcarrier + np.arange(grid.extended_size)
-        expected = sym.shaped * np.exp(-2j * np.pi * bins * d / grid.fft_size)
+        expected = _shaped(sym, filt) * np.exp(-2j * np.pi * bins * d
+                                               / grid.fft_size)
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_flat_gain_scales_output(self):
         _, _, filt, grid, _, sym = _qpsk_symbol()
         g = 0.3 - 1.2j
         out = front_end(g * sym.time_samples, grid)
-        np.testing.assert_allclose(out, g * sym.shaped, atol=1e-10)
+        np.testing.assert_allclose(out, g * _shaped(sym, filt), atol=1e-10)
 
     def test_short_input_raises(self):
         _, _, _, grid, _, sym = _qpsk_symbol()
@@ -207,7 +223,7 @@ class TestEstimateChannel:
         for ridge in (1e-2, 1e-4, 1e-6):
             est = estimate_channel(folded, layout, sym.rs_core,
                                    EstimatorConfig(window_len=6, ridge=ridge))
-            errs.append(np.max(np.abs(est.rs_ls - base.rs_ls)))
+            errs.append(np.max(np.abs(est.response - base.response)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-6
 
@@ -225,14 +241,16 @@ class TestMmseEqualize:
         folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
         est = genie_estimate(np.ones(48, dtype=complex), layout)
         eq = mmse_equalize(folded, est, 0.0)
-        np.testing.assert_allclose(eq.spectrum, folded.folded, atol=1e-12)
+        np.testing.assert_allclose(eq.time, np.fft.ifft(folded.folded),
+                                   atol=1e-12)
 
     def test_zero_db_bias(self):
         _, layout, filt, grid, _, sym = _qpsk_symbol()
         folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
         est = genie_estimate(np.ones(48, dtype=complex), layout)
         eq = mmse_equalize(folded, est, 1.0)
-        np.testing.assert_allclose(eq.spectrum, folded.folded / 2.0, atol=1e-12)
+        np.testing.assert_allclose(eq.time, np.fft.ifft(folded.folded) / 2.0,
+                                   atol=1e-12)
 
     def test_zero_noise_with_null_estimate_raises(self):
         _, layout, filt, grid, _, sym = _qpsk_symbol()
@@ -316,8 +334,7 @@ class TestArsPhaseCorrect:
         )
         n = np.arange(layout.total_len)
         ramp = np.exp(1j * step * (n - (layout.rs_cp + layout.rs_len)))
-        time = sym.multiplexed * ramp
-        eq = EqualizedSymbol(spectrum=np.fft.fft(time), time=time, layout=layout)
+        eq = EqualizedSymbol(time=_multiplexed(sym) * ramp, layout=layout)
         return layout, sym, eq
 
     def test_zero_ramp_is_exact_noop(self):
@@ -335,8 +352,7 @@ class TestArsPhaseCorrect:
 
     def test_requires_ars_allocation(self):
         scheme, layout, filt, grid, bits, sym = _qpsk_symbol(seed=42)
-        eq = EqualizedSymbol(spectrum=np.fft.fft(sym.multiplexed),
-                             time=sym.multiplexed, layout=layout)
+        eq = EqualizedSymbol(time=_multiplexed(sym), layout=layout)
         with pytest.raises(ValueError):
             ars_phase_correct(eq, np.ones(1, dtype=complex), layout)
 
@@ -448,11 +464,12 @@ def test_dump_diagnostics_mentions_all_stages():
     from otfdm.receiver import dump_diagnostics
 
     scheme, layout, filt, grid, bits, sym = _qpsk_symbol(seed=60)
-    folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+    demapped = front_end(sym.time_samples, grid)
+    folded = fold_spectrum(demapped, filt)
     est = estimate_channel(folded, layout, sym.rs_core,
                            EstimatorConfig(window_len=6))
     eq = mmse_equalize(folded, est, 0.0)
-    text = dump_diagnostics(folded, est, eq)
+    text = dump_diagnostics(demapped, folded, est, eq)
     for token in ("demapped", "folded", "channel_estimate", "eq_data",
                   "phase_step"):
         assert token in text
@@ -505,10 +522,7 @@ class TestLeadingTrialAxis:
             h1 = hard_bits(a1.data, scheme)
             assert np.array_equal(demapped[t], d1)
             assert np.array_equal(folded.folded[t], f1.folded)
-            for field in ("response", "rs_ls", "rs_impulse", "rs_windowed"):
-                assert np.array_equal(getattr(est, field)[t],
-                                      getattr(e1, field))
-            assert np.array_equal(eq.spectrum[t], q1.spectrum)
+            assert np.array_equal(est.response[t], e1.response)
             assert np.array_equal(eq.time[t], q1.time)
             assert np.array_equal(ars.time[t], a1.time)
             assert ars.phase_step[t] == a1.phase_step
@@ -520,16 +534,16 @@ class TestLeadingTrialAxis:
         filt = filter_for("SQRC", 96, 10.0)
         layout = FrameLayout(rs_len=12, rs_cp=5, rs_cs=7, data_len=72)
         rng = SeededRng(71, count)
-        folded = fold_spectrum(rng.complex_normal((count, filt.weights.size)),
-                               filt)
+        demapped = rng.complex_normal((count, filt.weights.size))
+        folded = fold_spectrum(demapped, filt)
         rs = rng.complex_normal((count, 12))
         h = rng.complex_normal((count, 96))
         est_cfg = EstimatorConfig(window_len=6)
         est = estimate_channel(folded, layout, rs, est_cfg)
         genie = genie_estimate(h, layout)
-        assert genie.rs_ls.shape == (count, 12)
+        assert genie.response.shape == (count, 96)
         for t in range(count):
-            f1 = fold_spectrum(folded.demapped[t], filt)
+            f1 = fold_spectrum(demapped[t], filt)
             e1 = estimate_channel(f1, layout, rs[t], est_cfg)
             assert np.array_equal(est.response[t], e1.response)
             assert np.array_equal(genie.response[t],
@@ -608,12 +622,8 @@ class TestLeadingTrialAxis:
                 assert eq.phase_step[t] == q1.phase_step
             assert np.array_equal(demapped[t], d1)
             assert np.array_equal(folded.folded[t], f1.folded)
-            for field in ("response", "rs_ls", "rs_impulse", "rs_windowed"):
-                assert np.array_equal(getattr(est, field)[t],
-                                      getattr(e1, field))
-                assert np.array_equal(getattr(genie, field)[t],
-                                      getattr(g1, field))
-            assert np.array_equal(eq.spectrum[t], q1.spectrum)
+            assert np.array_equal(est.response[t], e1.response)
+            assert np.array_equal(genie.response[t], g1.response)
             assert np.array_equal(eq.time[t], q1.time)
             assert np.array_equal(hard[t], hard_bits(q1.data, scheme))
 
@@ -637,11 +647,12 @@ class TestLeadingTrialAxis:
 
     def test_one_degenerate_row_raises_for_the_stack(self):
         _, layout, filt, grid, _, rx = _received_stack(3)
-        folded = fold_spectrum(front_end(np.stack(rx), grid), filt)
+        demapped = front_end(np.stack(rx), grid)
+        folded = fold_spectrum(demapped, filt)
         h = np.ones((3, 96), dtype=complex)
         h[2, 40] = 0.0
         for t in (0, 1):
-            mmse_equalize(fold_spectrum(folded.demapped[t], filt),
+            mmse_equalize(fold_spectrum(demapped[t], filt),
                           genie_estimate(h[t], layout), 0.0)
         with pytest.raises(DegenerateEqualizer):
             mmse_equalize(folded, genie_estimate(h, layout), 0.0)

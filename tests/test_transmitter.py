@@ -9,6 +9,7 @@ from otfdm import (
     FrameLayout,
     SeededRng,
     WaveformGrid,
+    build_rs_block,
     dft,
     effective_pulse,
     generate_otfdm,
@@ -237,15 +238,46 @@ def test_write_waveform_roundtrip(tmp_path):
         assert key in header
 
 
-SYMBOL_ARRAYS = ("time_samples", "multiplexed", "shaped", "data_symbols",
-                 "ars_symbols", "rs_core")
+@pytest.mark.parametrize("name,kind,rs_root", [
+    ("QPSK", "SQRC", "1"), ("QAM64", "TAPS2", "1"), ("QAM16", "TAPS3", "1"),
+    ("PI2_BPSK", "TAPS2", None), ("PI2_BPSK", "TAPS3", None)])
+def test_write_waveform_header_names_filter_and_rs(tmp_path, name, kind,
+                                                   rs_root):
+    # a Zadoff-Chu RS is named by its root; a pi/2-BPSK RS is drawn and has
+    # none; the filter line uses the config's own filter_kind name
+    cfg = ExperimentConfig(scheme=name, alloc_size=120, filter_kind=kind)
+    scheme, layout, filt, grid = cfg.resolve()
+    rng = SeededRng(3, 0)
+    sym = generate_otfdm(rng.bits(layout.data_len * scheme.bits_per_symbol),
+                         scheme, layout, filt, grid, rng)
+    write_waveform(tmp_path / "wave.bin", sym)
+    lines = (tmp_path / "wave.bin.hdr").read_text().splitlines()
+    entries = dict(line.split("=", 1) for line in lines)
+    assert (entries["scheme"], entries["filter"]) == (name, kind)
+    assert entries.get("rs_root") == rs_root
+
+
+SYMBOL_ARRAYS = ("time_samples", "data_symbols", "ars_symbols", "rs_core")
+
+
+def _stage_outputs(sym, filt):
+    """(multiplexed, shaped) rebuilt from the symbol's fields by the public
+    stage calls."""
+    layout = sym.layout
+    multiplexed = multiplex_symbol(sym.data_symbols,
+                                   build_rs_block(sym.rs_core, layout),
+                                   sym.ars_symbols, layout)
+    return multiplexed, precode_extend_shape(multiplexed, filt)
+
+
+def _assert_same_bytes(got, want, name):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert got.tobytes() == want.tobytes(), name
 
 
 def _assert_same_symbol(sym, ref):
     for name in SYMBOL_ARRAYS:
-        got, want = getattr(sym, name), getattr(ref, name)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-        assert got.tobytes() == want.tobytes(), name
+        _assert_same_bytes(getattr(sym, name), getattr(ref, name), name)
     assert (sym.grid, sym.layout, sym.meta) == (ref.grid, ref.layout, ref.meta)
 
 
@@ -256,8 +288,12 @@ def _assert_matches_direct(scheme, layout, filt, grid, seed):
     bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
     rng_ref.bits(bits.size)
     sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-    ref = generate_otfdm_direct(bits, scheme, layout, filt, grid, rng_ref)
+    ref, multiplexed, shaped = generate_otfdm_direct(bits, scheme, layout, filt,
+                                                     grid, rng_ref)
     _assert_same_symbol(sym, ref)
+    for name, got, want in zip(("multiplexed", "shaped"),
+                               _stage_outputs(sym, filt), (multiplexed, shaped)):
+        _assert_same_bytes(got, want, name)
     assert rng._gen.bit_generator.state == rng_ref._gen.bit_generator.state
 
 
@@ -350,7 +386,7 @@ class TestLayoutConstants:
         for name in ("rs_core", "ars_symbols"):
             assert getattr(syms[0], name) is getattr(syms[1], name)
             assert not getattr(syms[0], name).flags.writeable
-        for name in ("time_samples", "multiplexed", "shaped", "data_symbols"):
+        for name in ("time_samples", "data_symbols"):
             assert getattr(syms[0], name).flags.writeable
 
     def test_pi2_bpsk_references_drawn_per_symbol(self):
