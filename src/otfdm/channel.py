@@ -57,6 +57,11 @@ _TDLC_PROFILE = np.array(
     ]
 )
 
+# The profile's tap powers, linear and normalized to sum one; read-only.
+_TDLC_POWERS = 10.0 ** (_TDLC_PROFILE[:, 1] / 10.0)
+_TDLC_POWERS /= _TDLC_POWERS.sum()
+_TDLC_POWERS.flags.writeable = False
+
 # Half-width of the windowed-sinc kernel realizing fractional tap delays.
 _INTERP_HALFWIDTH = 16
 
@@ -145,6 +150,37 @@ def _phasor(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+# Taylor terms of exp(i*x) are kept until the remainder x^(m+1)/(m+1)! of the
+# series over a block falls below this.
+_SERIES_TOL = 2.0**-60
+
+# i^m for m mod 4, exact.
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _series_order(x: float) -> int:
+    """Smallest order m with x^(m+1)/(m+1)! < _SERIES_TOL, so that the Taylor
+    polynomial of exp(i*theta) of order m errs by less than _SERIES_TOL for
+    every |theta| <= x."""
+    order, term = 0, x
+    while term >= _SERIES_TOL:
+        order += 1
+        term *= x / (order + 1)
+    return order
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _offset_powers(order: int, block: int) -> np.ndarray:
+    """Read-only (order + 1, block) table of d_b^m / m!, d_b = b - (block -
+    1) / 2 the offset of sample b from its block's centre."""
+    offsets = np.arange(block) - (block - 1) / 2.0
+    table = np.ones((order + 1, block))
+    for m in range(1, order + 1):
+        table[m] = table[m - 1] * offsets / m
+    table.flags.writeable = False
+    return table
+
+
 def _rayleigh_tap_gains(
     powers: np.ndarray,
     num_samples: int,
@@ -155,14 +191,23 @@ def _rayleigh_tap_gains(
     """(num_taps, num_samples) Rayleigh gain trajectories, classical Doppler
     spectrum, tap t with mean power powers[t].
 
-    Each tap is a sum of sinusoids with random phases and arrival angles,
-    drawn tap after tap (phases, then angles); a zero Doppler draws phases
-    only and holds one constant complex gain. The time-varying sum
-    exp(i(w_k n / fs + phi_k)) is evaluated with the sample index split as
-    n = B*a + b, B = ceil(sqrt(num_samples)): the product of a coarse table
-    over a (carrying phi_k) and a fine table over b, contracted over the
-    sinusoids k with one matmul, costs about 2*sqrt(num_samples) complex
-    exponentials per sinusoid instead of num_samples.
+    Each tap is a sum of sinusoids exp(i(w_k n / fs + phi_k)) with random
+    phases and arrival angles, drawn tap after tap (phases, then angles); a
+    zero Doppler draws phases only and holds one constant complex gain.
+
+    A time-varying sum is evaluated without trigonometry per sample. The
+    trajectory is cut into blocks of B = max(1, min(n, floor(1 / w_max)))
+    samples, w_max = 2 pi f_d / fs, so no sinusoid turns by more than 0.5
+    rad between a block's centre and its edge. Each sinusoid's phasor is
+    exact at every block centre; inside the block exp(i w_k d / fs), d the
+    offset from the centre, is its Taylor polynomial of the lowest order
+    whose remainder x^(m+1)/(m+1)! over the block stays below 2^-60. Two
+    small matmuls contract it: the centre phasors times the real (w_k / fs)^m
+    table, times i^m, then that times the cached table of d^m / m!, as real
+    products on interleaved floats. On a grid of 30-900 km/h, 7 and 100 GHz,
+    28.8-72 Ms/s and 1-2568 samples (one block up to 48) it agrees with the
+    direct per-sample formula (`tests/oracles.py:jakes_direct`, same draws)
+    within 3.8e-15 absolute.
     """
     taps = powers.size
     amp = np.sqrt(powers)[:, None]
@@ -173,21 +218,33 @@ def _rayleigh_tap_gains(
     draws = rng.uniform(0.0, 2.0 * np.pi, size=(taps, 2, NUM_SINUSOIDS))
     phases, angles = draws[:, 0, :], draws[:, 1, :]
     w = 2.0 * np.pi * doppler_hz * np.cos(angles)
-    block = int(np.ceil(np.sqrt(num_samples)))
-    rows = -(-num_samples // block)
-    t_coarse = block * np.arange(rows) / sample_rate_hz
-    t_fine = np.arange(block) / sample_rate_hz
-    coarse = _phasor(t_coarse[None, :, None] * w[:, None, :] + phases[:, None, :])
-    fine = _phasor(w[:, :, None] * t_fine[None, None, :])
-    g = np.matmul(coarse, fine).reshape(taps, rows * block)
-    # scale the real and imaginary parts as reals: the same values as the
-    # complex g / sqrt(NUM_SINUSOIDS) * amp, without complex arithmetic
-    out = np.empty((taps, num_samples), dtype=np.complex128)
-    flat = out.view(np.float64)
-    np.multiply(g.view(np.float64)[:, : 2 * num_samples],
-                1.0 / np.sqrt(NUM_SINUSOIDS), out=flat)
-    flat *= amp
-    return out
+    w_max = 2.0 * np.pi * abs(doppler_hz) / sample_rate_hz
+    block = max(1, min(num_samples, int(1.0 / w_max)))
+    blocks = -(-num_samples // block)
+    order = _series_order(w_max * (block - 1) / 2.0)
+    centres = (block * np.arange(blocks) + (block - 1) / 2.0) / sample_rate_hz
+    phasors = _phasor(w[:, :, None] * centres + phases[:, :, None])
+    # coef[m, t, k] = amp[t] / sqrt(K) * (w[t, k] / fs)^m; the 1/m! is in
+    # the offset table
+    coef = np.empty((order + 1, taps, NUM_SINUSOIDS))
+    coef[0] = amp / np.sqrt(NUM_SINUSOIDS)
+    step = w / sample_rate_hz
+    for m in range(1, order + 1):
+        np.multiply(coef[m - 1], step, out=coef[m])
+    # (taps, order + 1, blocks) series coefficients: a real product with the
+    # phasors' interleaved (real, imaginary) parts, then times i^m
+    series = np.matmul(coef.transpose(1, 0, 2), phasors.view(np.float64))
+    series = series.view(np.complex128)
+    series *= _I_POWERS[np.arange(order + 1) % 4, None]
+    # per (tap, block): offset powers (block, order + 1) times the
+    # coefficients as (order + 1, 2) interleaved floats
+    series = np.ascontiguousarray(series.transpose(0, 2, 1))
+    g = np.matmul(_offset_powers(order, block).T,
+                  series.view(np.float64).reshape(taps * blocks, order + 1, 2))
+    g = g.reshape(taps, 2 * blocks * block).view(np.complex128)
+    if blocks * block == num_samples:
+        return g
+    return np.ascontiguousarray(g[:, :num_samples])
 
 
 def tdlc_realization(
@@ -206,13 +263,11 @@ def tdlc_realization(
     """
     if delay_spread_ns <= 0:
         raise ValueError("tdlc_realization: delay_spread_ns must be > 0")
-    powers = 10.0 ** (_TDLC_PROFILE[:, 1] / 10.0)
-    powers /= powers.sum()
     kernels = _tdlc_kernels(delay_spread_ns, sample_rate_hz)
 
     span = num_samples if (speed_kmh > 0 and num_samples > 1) else 1
     doppler = _max_doppler_hz(speed_kmh, fc_ghz) if span > 1 else 0.0
-    gains = _rayleigh_tap_gains(powers, span, doppler, sample_rate_hz, rng)
+    gains = _rayleigh_tap_gains(_TDLC_POWERS, span, doppler, sample_rate_hz, rng)
     return ChannelRealization(
         kernels=kernels,
         gains=gains,

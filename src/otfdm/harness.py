@@ -30,7 +30,7 @@ import math
 import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -198,10 +198,11 @@ def _is_real(value) -> bool:
 def filter_for(kind: str, alloc_size: int, extension_pct: float) -> ShapingFilter:
     """SQRC with the requested extension, a 2/3-tap magnitude filter, or the
     rectangular (no shaping) filter."""
-    if kind in ("SQRC", "NONE"):
-        pct = 0.0 if kind == "NONE" else extension_pct
-        excess = int(round(alloc_size * pct / 200.0))
+    if kind == "SQRC":
+        excess = int(round(alloc_size * extension_pct / 200.0))
         return make_sqrc_filter(alloc_size, excess)
+    if kind == "NONE":
+        return replace(make_sqrc_filter(alloc_size, 0), kind="NONE")
     if kind == "TAPS2":
         return make_taps_filter([1.0, -1.0], alloc_size)
     if kind == "TAPS3":
@@ -545,11 +546,12 @@ def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
     raise ValueError(f"unknown channel model {cfg.channel!r}")
 
 
-def _composite_truth(ch: ChannelRealization, grid: WaveformGrid,
-                     filt: ShapingFilter, sample_index: int = 0) -> np.ndarray:
-    """Oracle folded composite: squared shaping gain times the realized
-    channel response, aliased to the allocation grid."""
-    h_bins = ch.frequency_response(grid.fft_size, sample_index)[grid.mapped_bins()]
+def _composite_truth(impulse: np.ndarray, grid: WaveformGrid,
+                     filt: ShapingFilter) -> np.ndarray:
+    """Oracle folded composite of each realized impulse response on the last
+    axis: squared shaping gain times the channel response, aliased to the
+    allocation grid. Row t of a stack equals the 1-D call on row t."""
+    h_bins = np.fft.fft(impulse, grid.fft_size)[..., grid.mapped_bins()]
     return cyclic_fold((filt.weights**2) * h_bins, grid.alloc_size, grid.excess)
 
 
@@ -579,31 +581,35 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
     """Send a chunk one trial at a time, each on its own stream: the frame's
     symbols (`transmit_frame`), one channel realization on the first
     symbol's grid applied to them all, then (with `with_truth`) the oracle
-    folded composite mid first symbol. TDL-C fading is drawn per trial; the
-    other channels draw nothing, so one realization and its composite serve
-    the whole chunk. Only what the receiver reads is kept."""
+    folded composite mid first symbol, for the whole chunk at once. TDL-C
+    fading is drawn per trial; the other channels draw nothing, so one
+    realization and its composite serve the whole chunk. Only what the
+    receiver reads is kept."""
     _, filt, grid = frame[0]
     mid = grid.cp_len + grid.fft_size // 2
-    ch = truth = None
-    rows = []
+    ch = None
+    rows, impulses = [], []
     for trial in trials:
         rng = SeededRng(cfg.seed, trial)
         sent = transmit_frame(frame, scheme, rng)
         tx = _join([sym.time_samples for _, sym in sent])
         if ch is None or cfg.channel == "TDLC":
             ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
-            truth = (_composite_truth(ch, grid, filt, sample_index=mid)
-                     if with_truth else None)
+            if with_truth:
+                impulses.append(ch.impulse_response(mid))
         rx = apply_channel(tx, ch, rng)
         kept = [(bits, sym.rs_core, sym.ars_symbols, sym.data_symbols)
                 for bits, sym in sent]
-        rows.append((kept, rx, truth))
-    kept, rx, truth = zip(*rows)
+        rows.append((kept, rx))
+    kept, rx = zip(*rows)
     # stack each field per frame position over the chunk, then join positions
     stacked = [[np.stack(col) for col in zip(*pos)] for pos in zip(*kept)]
     bits, rs_core, ars, data = (_join(parts) for parts in zip(*stacked))
-    return _Sent(bits, np.stack(rx), rs_core, ars, data,
-                 None if truth[0] is None else np.stack(truth))
+    truth = None
+    if with_truth:
+        truth = _composite_truth(np.stack(impulses), grid, filt)
+        truth = np.repeat(truth, len(rows) // len(impulses), axis=0)
+    return _Sent(bits, np.stack(rx), rs_core, ars, data, truth)
 
 
 def _join(parts) -> np.ndarray:

@@ -199,7 +199,7 @@ def ccdf_scan(values, grid):
 
 from otfdm import harness as h  # noqa: E402
 from otfdm.channel import apply_channel  # noqa: E402
-from otfdm.numerics import SeededRng  # noqa: E402
+from otfdm.numerics import SeededRng, cyclic_fold  # noqa: E402
 from otfdm.receiver import (  # noqa: E402
     EstimatorConfig,
     ars_phase_correct,
@@ -212,6 +212,15 @@ from otfdm.receiver import (  # noqa: E402
 )
 from otfdm.sequences import FrameLayout  # noqa: E402
 from otfdm.transmitter import generate_otfdm  # noqa: E402
+
+
+def _composite_truth_1d(ch, grid, filt):
+    """Oracle folded composite of one realization mid first symbol: its own
+    fft_size-point response on the mapped bins, times the squared shaping
+    gain, aliased to the allocation grid."""
+    mid = grid.cp_len + grid.fft_size // 2
+    h_bins = ch.frequency_response(grid.fft_size, mid)[grid.mapped_bins()]
+    return cyclic_fold((filt.weights**2) * h_bins, grid.alloc_size, grid.excess)
 
 
 def _mmse_bias_1d(est, inv_snr):
@@ -239,8 +248,7 @@ def otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trial):
     rx = apply_channel(sym.time_samples, ch, rng)
     folded = fold_spectrum(front_end(rx, grid), filt)
     if cfg.genie_channel:
-        mid = grid.cp_len + grid.fft_size // 2
-        est = genie_estimate(h._composite_truth(ch, grid, filt, mid), layout)
+        est = genie_estimate(_composite_truth_1d(ch, grid, filt), layout)
     else:
         est = estimate_channel(folded, layout, sym.rs_core, est_cfg)
     eq = mmse_equalize(folded, est, inv_snr)
@@ -314,8 +322,7 @@ def mse_point(cfg, ext_pct, rs_pct, snr_db):
         rx = apply_channel(sym.time_samples, ch, rng)
         folded = fold_spectrum(front_end(rx, grid), filt)
         est = estimate_channel(folded, layout, sym.rs_core, est_cfg)
-        mid = grid.cp_len + grid.fft_size // 2
-        truth = h._composite_truth(ch, grid, filt, sample_index=mid)
+        truth = _composite_truth_1d(ch, grid, filt)
         per_trial.append(float(np.mean(np.abs(est.response - truth) ** 2)))
     return float(np.mean(per_trial))
 

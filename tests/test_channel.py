@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from otfdm import (
     hst_realization,
     tdlc_realization,
 )
-from otfdm.channel import _TDLC_PROFILE, SPEED_OF_LIGHT, _rayleigh_tap_gains
-
-_TDLC_POWERS = 10.0 ** (_TDLC_PROFILE[:, 1] / 10.0) / np.sum(
-    10.0 ** (_TDLC_PROFILE[:, 1] / 10.0))
+from otfdm.channel import (
+    _TDLC_POWERS,
+    SPEED_OF_LIGHT,
+    _rayleigh_tap_gains,
+    _series_order,
+)
 
 
 class TestTdlc:
@@ -50,31 +54,33 @@ class TestTdlc:
             assert fast.shape == ref.shape == (24, n)
             np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("n", [2, 65, 1284, 2568])
-    def test_gains_equal_complex_exponential_tables(self, n):
-        # the coarse x fine tables as complex exponentials, scaled by a
-        # complex division: the same values, bit for bit
-        def exp_tables(rng, doppler, fs, k=32):
-            draws = rng.uniform(0.0, 2.0 * np.pi, size=(24, 2, k))
-            phases, angles = draws[:, 0, :], draws[:, 1, :]
-            w = 2.0 * np.pi * doppler * np.cos(angles)
-            block = int(np.ceil(np.sqrt(n)))
-            rows = -(-n // block)
-            t_coarse = block * np.arange(rows) / fs
-            t_fine = np.arange(block) / fs
-            coarse = np.exp(1j * (t_coarse[None, :, None] * w[:, None, :]
-                                  + phases[:, None, :]))
-            fine = np.exp(1j * (w[:, :, None] * t_fine[None, None, :]))
-            g = np.matmul(coarse, fine).reshape(24, rows * block)[:, :n]
-            return g / np.sqrt(k) * np.sqrt(_TDLC_POWERS)[:, None]
+    @pytest.mark.parametrize("n", [1, 2, 65, 1284, 2568])
+    def test_gains_match_direct_sum_in_one_and_many_blocks(self, n):
+        # slow terminals and low carriers run the whole trajectory as one
+        # series block; 900 km/h at 100 GHz cuts it into 54-sample blocks at
+        # 28.8 Ms/s
+        for speed in (30.0, 120.0, 500.0, 900.0):
+            for fc_ghz in (7.0, 100.0):
+                doppler = (speed / 3.6) / SPEED_OF_LIGHT * fc_ghz * 1e9
+                for fs in (28.8e6, 36e6, 72e6):
+                    fast = _rayleigh_tap_gains(_TDLC_POWERS, n, doppler, fs,
+                                               SeededRng(15, n))
+                    ref = jakes_direct(_TDLC_POWERS, n, doppler, fs,
+                                       SeededRng(15, n))
+                    assert fast.shape == ref.shape == (24, n)
+                    np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-14)
 
-        for speed in (30.0, 500.0):
-            doppler = (speed / 3.6) / SPEED_OF_LIGHT * 7.0e9
-            for seed in range(8):
-                fast = _rayleigh_tap_gains(_TDLC_POWERS, n, doppler, 36e6,
-                                           SeededRng(seed, 4))
-                ref = exp_tables(SeededRng(seed, 4), doppler, 36e6)
-                assert np.array_equal(fast, ref)
+    @pytest.mark.parametrize("x, order", [(0.0, 0), (0.109, 10), (0.5, 15)])
+    def test_series_order_is_lowest_with_remainder_below_2_pow_minus_60(
+            self, x, order):
+        # the accuracy test cannot see one order less: its remainder is still
+        # far below 1e-14, so the rule is pinned here
+        def remainder(m):
+            return x ** (m + 1) / math.factorial(m + 1)
+
+        assert _series_order(x) == order
+        assert remainder(order) < 2.0**-60
+        assert order == 0 or remainder(order - 1) >= 2.0**-60
 
     @pytest.mark.parametrize("n", [1, 64])
     def test_zero_doppler_gains_equal_direct(self, n):

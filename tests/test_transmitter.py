@@ -240,6 +240,7 @@ def test_write_waveform_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("name,kind,rs_root", [
     ("QPSK", "SQRC", "1"), ("QAM64", "TAPS2", "1"), ("QAM16", "TAPS3", "1"),
+    ("QPSK", "NONE", "1"), ("PI2_BPSK", "NONE", None),
     ("PI2_BPSK", "TAPS2", None), ("PI2_BPSK", "TAPS3", None)])
 def test_write_waveform_header_names_filter_and_rs(tmp_path, name, kind,
                                                    rs_root):
