@@ -34,18 +34,14 @@ from .harness import (
 )
 from .numerics import SeededRng, ccdf, dft, evm_db
 from .receiver import (
-    ChannelEstimate,
     DegenerateEqualizer,
-    EqualizedSymbol,
     EstimatorConfig,
-    FoldedSymbol,
     SingularReference,
     ars_phase_correct,
     check_reference,
     estimate_channel,
     fold_spectrum,
     front_end,
-    genie_estimate,
     hard_bits,
     mmse_equalize,
 )

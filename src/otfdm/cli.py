@@ -12,11 +12,11 @@ import json
 import sys
 from dataclasses import fields
 
-from .harness import (RUNNERS, SWEEP_FIELDS, ExperimentConfig, sweep,
-                      transmit_frame, window_for, write_csv)
+from .harness import (RUNNERS, SWEEP_FIELDS, ExperimentConfig, _estimator, sweep,
+                      transmit_frame, write_csv)
 from .numerics import SeededRng
-from .receiver import dump_diagnostics, estimate_channel, fold_spectrum, front_end
-from .receiver import EstimatorConfig, mmse_equalize
+from .receiver import (dump_diagnostics, estimate_channel, fold_spectrum,
+                       front_end, mmse_equalize)
 from .transmitter import write_waveform
 
 
@@ -60,6 +60,8 @@ def _overrides(args) -> dict:
 def _cmd_tx(args) -> int:
     cfg = _load_configs(args.config, _overrides(args))[0]
     scheme, layout, filt, grid = cfg.resolve()
+    # the runners' estimator rule, checked before anything is written
+    est_cfg = _estimator(cfg, scheme, layout, filt) if args.verbose else None
     ((_, symbol),) = transmit_frame(((layout, filt, grid),), scheme,
                                     SeededRng(cfg.seed, 0))
     write_waveform(args.out, symbol, seed_info=f"{cfg.seed}/0")
@@ -67,10 +69,10 @@ def _cmd_tx(args) -> int:
     if args.verbose:
         demapped = front_end(symbol.time_samples, grid)
         folded = fold_spectrum(demapped, filt)
-        est_cfg = EstimatorConfig(window_for(cfg.scheme, layout), cfg.ridge)
-        est = estimate_channel(folded, layout, symbol.rs_core, est_cfg)
-        eq = mmse_equalize(folded, est, 0.0)
-        print(dump_diagnostics(demapped, folded, est, eq))
+        response = estimate_channel(folded, filt, layout, symbol.rs_core, est_cfg)
+        # no ARS stage runs here, so the phase step is 0
+        print(dump_diagnostics(demapped, folded, response,
+                               mmse_equalize(folded, response, 0.0), 0.0, layout))
     return 0
 
 

@@ -52,7 +52,6 @@ from .receiver import (
     estimate_channel,
     fold_spectrum,
     front_end,
-    genie_estimate,
     hard_bits,
     mmse_equalize,
 )
@@ -180,7 +179,7 @@ def grid_for(alloc_size: int, excess: int, scs_khz: float = 30.0) -> WaveformGri
 
 
 FILTER_KINDS = ("SQRC", "NONE", "TAPS2", "TAPS3")
-CHANNELS = ("AWGN", "TDLC", "HST", "NONE")
+CHANNELS = ("AWGN", "TDLC", "HST")
 
 # ExperimentConfig's typed fields: sweep axes, counts, reals (rs_overhead_pct
 # may also be None) and flags.
@@ -259,7 +258,9 @@ class ExperimentConfig:
         if self.scheme not in MOD_SCHEMES:
             raise ValueError(f"ExperimentConfig: unknown scheme {self.scheme!r}")
         if self.channel not in CHANNELS:
-            raise ValueError(f"ExperimentConfig: unknown channel {self.channel!r}")
+            raise ValueError(f"ExperimentConfig: unknown channel {self.channel!r}; "
+                             f"use one of {', '.join(CHANNELS)} (AWGN with "
+                             "snr_db=inf is the noiseless link)")
         if self.filter_kind not in FILTER_KINDS:
             raise ValueError(
                 f"ExperimentConfig: unknown filter_kind {self.filter_kind!r}"
@@ -472,7 +473,7 @@ def run_papr(cfg: ExperimentConfig) -> list[MetricRecord]:
     if cfg.trials < 10_000:
         notes.append(f"trials={cfg.trials} below 1e4; "
                      f"{PAPR_CCDF_POINT:.0%} point is noisy")
-    if cfg.channel not in ("AWGN", "NONE") or cfg.speed_kmh != 0:
+    if cfg.channel != "AWGN" or cfg.speed_kmh != 0:
         notes.append(f"PAPR is a transmit-only metric; channel={cfg.channel} and "
                      f"speed_kmh={cfg.speed_kmh} were ignored")
     warning = "; ".join(notes) or None
@@ -529,7 +530,7 @@ def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
     """The config's channel on one trial's stream `rng`. Only TDL-C draws
     from it; the AWGN and HST channels (every HST trial starts at t0 = 0) are
     the same read-only realization for every trial."""
-    if cfg.channel in ("AWGN", "NONE"):
+    if cfg.channel == "AWGN":
         return flat_realization(noise_var_time)
     if cfg.channel == "TDLC":
         return tdlc_realization(
@@ -584,7 +585,8 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
     folded composite mid first symbol, for the whole chunk at once. TDL-C
     fading is drawn per trial; the other channels draw nothing, so one
     realization and its composite serve the whole chunk. Only what the
-    receiver reads is kept."""
+    receiver reads is kept: each trial joins its frame's fields, and each
+    field is stacked over the chunk once."""
     _, filt, grid = frame[0]
     mid = grid.cp_len + grid.fft_size // 2
     ch = None
@@ -597,19 +599,15 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
             ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
             if with_truth:
                 impulses.append(ch.impulse_response(mid))
-        rx = apply_channel(tx, ch, rng)
-        kept = [(bits, sym.rs_core, sym.ars_symbols, sym.data_symbols)
-                for bits, sym in sent]
-        rows.append((kept, rx))
-    kept, rx = zip(*rows)
-    # stack each field per frame position over the chunk, then join positions
-    stacked = [[np.stack(col) for col in zip(*pos)] for pos in zip(*kept)]
-    bits, rs_core, ars, data = (_join(parts) for parts in zip(*stacked))
+        fields = zip(*[(bits, sym.rs_core, sym.ars_symbols, sym.data_symbols)
+                       for bits, sym in sent])
+        rows.append((*map(_join, fields), apply_channel(tx, ch, rng)))
+    bits, rs_core, ars, data, rx = map(np.stack, zip(*rows))
     truth = None
     if with_truth:
         truth = _composite_truth(np.stack(impulses), grid, filt)
         truth = np.repeat(truth, len(rows) // len(impulses), axis=0)
-    return _Sent(bits, np.stack(rx), rs_core, ars, data, truth)
+    return _Sent(bits, rx, rs_core, ars, data, truth)
 
 
 def _join(parts) -> np.ndarray:
@@ -648,8 +646,8 @@ def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
         sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, trials,
                      with_truth=True)
         folded = fold_spectrum(front_end(sent.rx, grid), filt)
-        est = estimate_channel(folded, layout, sent.rs_core, est_cfg)
-        return (np.mean(np.abs(est.response - sent.truth) ** 2, axis=-1),)
+        response = estimate_channel(folded, filt, layout, sent.rs_core, est_cfg)
+        return (np.mean(np.abs(response - sent.truth) ** 2, axis=-1),)
 
     (per_trial,) = _map_chunks(chunk, cfg.trials, cfg.n_workers)
     return float(np.mean(per_trial))
@@ -690,18 +688,19 @@ def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
 # BER / EVM
 # --------------------------------------------------------------------------
 
-def _mmse_bias(est, inv_snr: float) -> np.ndarray:
-    """Mean constellation shrink of the MMSE equalizer per symbol, removed
-    before minimum-distance demapping (unbiased-MMSE convention)."""
-    power = np.abs(est.response) ** 2
+def _mmse_bias(response, inv_snr: float) -> np.ndarray:
+    """Mean constellation shrink per symbol of the MMSE equalizer that used
+    `response`, removed before minimum-distance demapping (unbiased-MMSE
+    convention)."""
+    power = np.abs(response) ** 2
     return np.maximum(np.mean(power / (power + inv_snr), axis=-1), 1e-6)
 
 
-def _data_errors(eq, est, inv_snr: float, scheme, bits: np.ndarray,
+def _data_errors(data, response, inv_snr: float, scheme, bits: np.ndarray,
                  sent: np.ndarray) -> tuple:
     """Per-trial (bit_errors, bits, error_power, reference_power) of the
-    unbiased, demapped data segments of a chunk."""
-    data = eq.data / _mmse_bias(est, inv_snr)[:, None]
+    equalized data segments of a chunk, unbiased and demapped."""
+    data = data / _mmse_bias(response, inv_snr)[:, None]
     hard = hard_bits(data, scheme)
     return (np.count_nonzero(hard != bits, axis=-1),
             np.full(len(bits), bits.shape[-1]),
@@ -716,29 +715,29 @@ def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trials):
                  with_truth=cfg.genie_channel)
     folded = fold_spectrum(front_end(sent.rx, grid), filt)
     if cfg.genie_channel:
-        est = genie_estimate(sent.truth, layout)
+        response = sent.truth
     else:
-        est = estimate_channel(folded, layout, sent.rs_core, est_cfg)
-    eq = mmse_equalize(folded, est, inv_snr)
+        response = estimate_channel(folded, filt, layout, sent.rs_core, est_cfg)
+    time = mmse_equalize(folded, response, inv_snr)
     if layout.ars_len and cfg.ars_correction:
-        eq = ars_phase_correct(eq, sent.ars_symbols, layout)
-    return _data_errors(eq, est, inv_snr, scheme, sent.bits,
-                        sent.data_symbols)
+        time, _ = ars_phase_correct(time, sent.ars_symbols, layout)
+    return _data_errors(time[:, layout.data_start : layout.ars_start], response,
+                        inv_snr, scheme, sent.bits, sent.data_symbols)
 
 
 def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, trials):
     """Two-symbol DFT-s-OFDM reference (`_dfts_baseline`): the LS estimate
-    from the RS symbol is reused, unchanged, on the following data symbol."""
-    (_, filt, grid), (layout, _, _) = frame
+    from the RS symbol is reused, unchanged, on the following data symbol,
+    which is all data."""
+    (_, filt, grid), _ = frame
     time_var, inv_snr = _noise_vars(grid, snr_db)
     sent = _send(cfg, scheme, frame, time_var, trials, with_truth=False)
     half = grid.fft_size + grid.cp_len
     y_rs = fold_spectrum(front_end(sent.rx[:, :half], grid), filt)
     y_data = fold_spectrum(front_end(sent.rx[:, half:], grid), filt)
-    est = genie_estimate(y_rs.folded / np.fft.fft(sent.rs_core), layout)
-    eq = mmse_equalize(y_data, est, inv_snr)
-    return _data_errors(eq, est, inv_snr, scheme, sent.bits,
-                        sent.data_symbols)
+    response = y_rs / np.fft.fft(sent.rs_core)
+    return _data_errors(mmse_equalize(y_data, response, inv_snr), response,
+                        inv_snr, scheme, sent.bits, sent.data_symbols)
 
 
 def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:

@@ -2,10 +2,10 @@
 folding, self-contained channel estimation from the embedded RS, MMSE
 equalization, tail-pilot phase correction, hard-decision demapping.
 
-Every stage works on the last axis and takes any leading axes as
-independent symbols (trials), so a stack of T received symbols runs
-through the chain in one call per stage; row t of the result is exactly
-what the 1-D call on row t returns.
+Every stage takes and returns plain arrays, works on the last axis and
+takes any leading axes as independent symbols (trials), so a stack of T
+received symbols runs through the chain in one call per stage; row t of the
+result is exactly what the 1-D call on row t returns.
 
 The estimator divides the received RS spectrum by the known part of the
 composite response (reference sequence times the folded squared shaping
@@ -17,7 +17,7 @@ regularized (`ridge`) to stay solvable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,11 @@ from .transmitter import WaveformGrid
 __all__ = [
     "SingularReference",
     "DegenerateEqualizer",
-    "FoldedSymbol",
     "EstimatorConfig",
-    "ChannelEstimate",
-    "EqualizedSymbol",
     "front_end",
     "fold_spectrum",
     "check_reference",
     "estimate_channel",
-    "genie_estimate",
     "mmse_equalize",
     "ars_phase_correct",
     "hard_bits",
@@ -50,22 +46,6 @@ class SingularReference(ValueError):
 
 class DegenerateEqualizer(ValueError):
     """Zero noise variance with a zero channel estimate on some subcarrier."""
-
-
-@dataclass(frozen=True)
-class FoldedSymbol:
-    """Symbol-rate spectrum after matched filtering and folding.
-
-    folded has the allocation length on its last axis; filt is the filter
-    that produced the fold, whose composite gain the estimator divides out.
-    """
-
-    folded: np.ndarray
-    filt: ShapingFilter
-
-    @property
-    def alloc_size(self) -> int:
-        return self.folded.shape[-1]
 
 
 # Cyclic pre-cursor samples the estimator window keeps, beyond window_len,
@@ -92,39 +72,6 @@ class EstimatorConfig:
             raise ValueError("EstimatorConfig: ridge must be >= 0")
 
 
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Alloc-length composite frequency response estimate, one row per
-    symbol, and the layout it was estimated for."""
-
-    response: np.ndarray
-    layout: FrameLayout
-
-
-@dataclass(frozen=True)
-class EqualizedSymbol:
-    """Equalized time symbol, split into layout segments along the last
-    axis. phase_step is a float for one symbol and holds one step per symbol
-    for a stack."""
-
-    time: np.ndarray
-    layout: FrameLayout
-    phase_step: float | np.ndarray = 0.0
-
-    @property
-    def rs_core(self) -> np.ndarray:
-        lo = self.layout.rs_core_start
-        return self.time[..., lo : lo + self.layout.rs_len]
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.time[..., self.layout.data_start : self.layout.ars_start]
-
-    @property
-    def ars(self) -> np.ndarray:
-        return self.time[..., self.layout.ars_start :]
-
-
 def front_end(rx, grid: WaveformGrid) -> np.ndarray:
     """Strip the symbol CP, transform, and demap the extended block.
 
@@ -142,8 +89,9 @@ def front_end(rx, grid: WaveformGrid) -> np.ndarray:
     return spectrum[..., grid.mapped_bins()] * (grid.alloc_size / grid.fft_size)
 
 
-def fold_spectrum(demapped, filt: ShapingFilter) -> FoldedSymbol:
-    """Matched-filter the extended block and alias it to the allocation size.
+def fold_spectrum(demapped, filt: ShapingFilter) -> np.ndarray:
+    """Matched-filter the extended block and alias it to the allocation size,
+    the symbol-rate spectrum with the allocation length on its last axis.
 
     Each output bin k accumulates w*y over the extended positions congruent
     to k modulo the allocation; out-of-range aliases contribute nothing.
@@ -155,8 +103,7 @@ def fold_spectrum(demapped, filt: ShapingFilter) -> FoldedSymbol:
             f"fold_spectrum: block length {y.shape[-1:]} != extended size "
             f"{m + 2 * g}"
         )
-    folded = cyclic_fold(filt.weights * y, m, g)
-    return FoldedSymbol(folded=folded, filt=filt)
+    return cyclic_fold(filt.weights * y, m, g)
 
 
 def _reference_gain(composite: np.ndarray, rs_len: int) -> np.ndarray:
@@ -205,27 +152,26 @@ def check_reference(rs_core, layout: FrameLayout, filt: ShapingFilter,
     _reference(rs_core, layout, filt.folded_square(), est)
 
 
-def estimate_channel(
-    folded: FoldedSymbol,
-    layout: FrameLayout,
-    rs_core,
-    est: EstimatorConfig,
-) -> ChannelEstimate:
-    """Estimate the composite folded channel from the embedded RS.
+def estimate_channel(folded, filt: ShapingFilter, layout: FrameLayout,
+                     rs_core, est: EstimatorConfig) -> np.ndarray:
+    """Alloc-length composite frequency response of each folded symbol
+    (`fold_spectrum` with `filt`), estimated from its embedded RS.
 
     Reconstruct the time symbol, extract the protected RS core, divide its
     spectrum by the known reference (regularized by `ridge`), window the
     resulting impulse response, and re-expand to the allocation grid.
     rs_core holds the RS core of each folded symbol.
     """
-    m = folded.alloc_size
+    folded = np.asarray(folded, dtype=np.complex128)
+    m = folded.shape[-1]
     l_r = layout.rs_len
-    if layout.total_len != m:
-        raise ValueError("estimate_channel: layout does not match the folded symbol")
-    composite = folded.filt.folded_square()
+    if layout.total_len != m or filt.alloc_size != m:
+        raise ValueError("estimate_channel: layout or filter does not match "
+                         "the folded symbol")
+    composite = filt.folded_square()
     ref_spectrum, denom = _reference(rs_core, layout, composite, est)
 
-    time_symbol = np.fft.ifft(folded.folded)
+    time_symbol = np.fft.ifft(folded)
     start = layout.rs_core_start
     rs_spectrum = np.fft.fft(time_symbol[..., start : start + l_r])
     impulse = np.fft.ifft(rs_spectrum * np.conj(ref_spectrum) / (denom + est.ridge))
@@ -237,45 +183,36 @@ def estimate_channel(
     padded[..., : est.window_len] = impulse[..., : est.window_len]
     if margin > 0:
         padded[..., m - margin :] = impulse[..., l_r - margin :]
-    return ChannelEstimate(np.fft.fft(padded) * composite, layout)
+    return np.fft.fft(padded) * composite
 
 
-def genie_estimate(response, layout: FrameLayout) -> ChannelEstimate:
-    """Wrap a known frequency response as an estimate (oracle receivers)."""
-    response = np.asarray(response, dtype=np.complex128)
-    if response.ndim == 0 or response.shape[-1] != layout.total_len:
-        raise ValueError("genie_estimate: response length != layout size")
-    return ChannelEstimate(response, layout)
-
-
-def mmse_equalize(
-    folded: FoldedSymbol, est: ChannelEstimate, noise_var: float
-) -> EqualizedSymbol:
-    """Per-subcarrier MMSE equalization and return to the time domain.
+def mmse_equalize(folded, response, noise_var: float) -> np.ndarray:
+    """Per-subcarrier MMSE equalization of each folded symbol with its
+    frequency response (estimated, or known to an oracle receiver), and
+    return to the time domain: the equalized time symbol.
 
     noise_var is the noise-to-signal power ratio per folded subcarrier
     (inverse linear SNR); zero gives the zero-forcing limit and requires a
-    null-free estimate.
+    null-free response.
     """
     if noise_var < 0:
         raise ValueError("mmse_equalize: noise_var must be >= 0")
-    h = est.response
-    if h.shape[-1] != folded.alloc_size:
-        raise ValueError("mmse_equalize: estimate length != folded symbol length")
+    h = np.asarray(response, dtype=np.complex128)
+    if h.ndim == 0 or h.shape[-1] != np.shape(folded)[-1]:
+        raise ValueError("mmse_equalize: response length != folded symbol length")
     power = np.abs(h) ** 2
     if noise_var == 0.0 and np.any(power <= _row_floor(power, 1e-24)):
         raise DegenerateEqualizer(
-            "mmse_equalize: zero estimate with zero noise variance"
+            "mmse_equalize: zero response with zero noise variance"
         )
-    time = np.fft.ifft(np.conj(h) / (power + noise_var) * folded.folded)
-    return EqualizedSymbol(time=time, layout=est.layout)
+    return np.fft.ifft(np.conj(h) / (power + noise_var) * folded)
 
 
-def ars_phase_correct(
-    eq: EqualizedSymbol, ars_ref, layout: FrameLayout
-) -> EqualizedSymbol:
+def ars_phase_correct(equalized, ars_ref, layout: FrameLayout) -> tuple:
     """Estimate the per-sample phase increment from the tail pilots and
-    derotate the data segment.
+    derotate the data segment: (time, phase_step) of each equalized time
+    symbol, phase_step a float for one symbol and one step per symbol for a
+    stack.
 
     The phase reference sits at the end of the RS core, so pilot sample n
     carries phase (n + rs_cs + data_len) * step and data sample n carries
@@ -286,22 +223,22 @@ def ars_phase_correct(
         raise ValueError("ars_phase_correct: layout has no ARS allocation")
     if ars_ref.ndim == 0 or ars_ref.shape[-1] != layout.ars_len:
         raise ValueError("ars_phase_correct: reference length != layout ars_len")
-    if eq.layout != layout:
-        raise ValueError("ars_phase_correct: layout mismatch with equalized symbol")
+    time = np.array(equalized, dtype=np.complex128)
+    if time.ndim == 0 or time.shape[-1] != layout.total_len:
+        raise ValueError("ars_phase_correct: equalized length != layout size")
 
     n = np.arange(layout.ars_len)
     positions = n + layout.rs_cs + layout.data_len
-    angles = np.angle(eq.ars * np.conj(ars_ref))
+    angles = np.angle(time[..., layout.ars_start :] * np.conj(ars_ref))
     step = np.mean(angles / positions, axis=-1)
     if step.ndim == 0:
         step = float(step)
 
-    time = eq.time.copy()
     lo, hi = layout.data_start, layout.ars_start
     rot = np.exp(-1j * (np.arange(layout.data_len) + layout.rs_cs)
                  * np.expand_dims(step, -1))
     time[..., lo:hi] = time[..., lo:hi] * rot
-    return replace(eq, time=time, phase_step=step)
+    return time, step
 
 
 def _nearest_level(r: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -376,11 +313,12 @@ def hard_bits(symbols, scheme: ModScheme) -> np.ndarray:
 DIAGNOSTIC_ITEMS = 8
 
 
-def dump_diagnostics(
-    demapped, folded: FoldedSymbol, est: ChannelEstimate, eq: EqualizedSymbol
-) -> str:
-    """Structured text snapshot of the receive chain for one symbol:
-    demapped is the `front_end` output that `folded` was folded from."""
+def dump_diagnostics(demapped, folded, response, equalized, phase_step: float,
+                     layout: FrameLayout) -> str:
+    """Structured text snapshot of the receive chain for one symbol of
+    `layout`: the `front_end` output, its `fold_spectrum`, the response the
+    equalizer used, the equalized (or derotated) time symbol and the ARS
+    phase step."""
 
     def fmt(name, vec):
         vec = np.asarray(vec)
@@ -389,10 +327,12 @@ def dump_diagnostics(
         more = ", ..." if vec.size > DIAGNOSTIC_ITEMS else ""
         return f"{name}[{vec.size}]: {head}{more}"
 
-    lines = [fmt("demapped", demapped), fmt("folded", folded.folded),
-             fmt("channel_estimate", est.response), fmt("eq_rs_core", eq.rs_core),
-             fmt("eq_data", eq.data)]
-    if eq.layout.ars_len:
-        lines.append(fmt("eq_ars", eq.ars))
-    lines.append(f"phase_step: {eq.phase_step:+.3e} rad/sample")
+    lo = layout.rs_core_start
+    lines = [fmt("demapped", demapped), fmt("folded", folded),
+             fmt("channel_estimate", response),
+             fmt("eq_rs_core", equalized[..., lo : lo + layout.rs_len]),
+             fmt("eq_data", equalized[..., layout.data_start : layout.ars_start])]
+    if layout.ars_len:
+        lines.append(fmt("eq_ars", equalized[..., layout.ars_start :]))
+    lines.append(f"phase_step: {phase_step:+.3e} rad/sample")
     return "\n".join(lines)

@@ -206,7 +206,6 @@ from otfdm.receiver import (  # noqa: E402
     estimate_channel,
     fold_spectrum,
     front_end,
-    genie_estimate,
     hard_bits,
     mmse_equalize,
 )
@@ -223,13 +222,13 @@ def _composite_truth_1d(ch, grid, filt):
     return cyclic_fold((filt.weights**2) * h_bins, grid.alloc_size, grid.excess)
 
 
-def _mmse_bias_1d(est, inv_snr):
-    power = np.abs(est.response) ** 2
+def _mmse_bias_1d(response, inv_snr):
+    power = np.abs(response) ** 2
     return max(float(np.mean(power / (power + inv_snr))), 1e-6)
 
 
-def _data_errors_1d(eq, est, inv_snr, scheme, bits, sent):
-    data = eq.data / _mmse_bias_1d(est, inv_snr)
+def _data_errors_1d(data, response, inv_snr, scheme, bits, sent):
+    data = data / _mmse_bias_1d(response, inv_snr)
     hard = hard_bits(data, scheme)
     return (int(np.count_nonzero(hard != bits)), bits.size,
             float(np.sum(np.abs(data - sent) ** 2)),
@@ -248,13 +247,14 @@ def otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trial):
     rx = apply_channel(sym.time_samples, ch, rng)
     folded = fold_spectrum(front_end(rx, grid), filt)
     if cfg.genie_channel:
-        est = genie_estimate(_composite_truth_1d(ch, grid, filt), layout)
+        response = _composite_truth_1d(ch, grid, filt)
     else:
-        est = estimate_channel(folded, layout, sym.rs_core, est_cfg)
-    eq = mmse_equalize(folded, est, inv_snr)
+        response = estimate_channel(folded, filt, layout, sym.rs_core, est_cfg)
+    eq = mmse_equalize(folded, response, inv_snr)
     if layout.ars_len and cfg.ars_correction:
-        eq = ars_phase_correct(eq, sym.ars_symbols, layout)
-    return _data_errors_1d(eq, est, inv_snr, scheme, bits, sym.data_symbols)
+        eq, _ = ars_phase_correct(eq, sym.ars_symbols, layout)
+    return _data_errors_1d(eq[layout.data_start : layout.ars_start], response,
+                           inv_snr, scheme, bits, sym.data_symbols)
 
 
 def dfts_baseline_trial(cfg, scheme, grid, snr_db, trial):
@@ -275,9 +275,9 @@ def dfts_baseline_trial(cfg, scheme, grid, snr_db, trial):
     half = grid.fft_size + grid.cp_len
     y_rs = fold_spectrum(front_end(rx[:half], grid), filt)
     y_data = fold_spectrum(front_end(rx[half:], grid), filt)
-    est = genie_estimate(y_rs.folded / np.fft.fft(rs_sym.rs_core), layout)
-    eq = mmse_equalize(y_data, est, inv_snr)
-    return _data_errors_1d(eq, est, inv_snr, scheme, bits,
+    response = y_rs / np.fft.fft(rs_sym.rs_core)
+    eq = mmse_equalize(y_data, response, inv_snr)
+    return _data_errors_1d(eq, response, inv_snr, scheme, bits,
                            data_sym.data_symbols)
 
 
@@ -321,9 +321,9 @@ def mse_point(cfg, ext_pct, rs_pct, snr_db):
                              num_samples=sym.time_samples.size)
         rx = apply_channel(sym.time_samples, ch, rng)
         folded = fold_spectrum(front_end(rx, grid), filt)
-        est = estimate_channel(folded, layout, sym.rs_core, est_cfg)
+        est = estimate_channel(folded, filt, layout, sym.rs_core, est_cfg)
         truth = _composite_truth_1d(ch, grid, filt)
-        per_trial.append(float(np.mean(np.abs(est.response - truth) ** 2)))
+        per_trial.append(float(np.mean(np.abs(est - truth) ** 2)))
     return float(np.mean(per_trial))
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -74,6 +75,12 @@ class TestConfigValidation:
     def test_unknown_channel_or_filter_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
+
+    def test_no_channel_named_none(self):
+        # AWGN adds noise at snr_db; snr_db=inf is the noiseless link
+        with pytest.raises(ValueError,
+                           match=r"channel 'NONE'.*AWGN.*snr_db=inf"):
+            ExperimentConfig(channel="NONE")
 
     @pytest.mark.parametrize("kwargs, field", [
         (dict(channel="HST", speed_kmh=0.0), "speed_kmh"),
@@ -584,6 +591,27 @@ class TestCli:
                      for line in lines[1:]]
             assert names == stages + ars_names + ["phase_step"]
             assert lines[-1].endswith(" rad/sample")
+
+    @pytest.mark.parametrize("cfg, needle", [
+        ({"rs_overhead_pct": 0}, "rs_overhead_pct = 0"),
+        ({"scheme": "PI2_BPSK"}, "PI2_BPSK.*ridge"),
+    ])
+    def test_tx_verbose_refuses_what_the_runners_refuse(self, tmp_path, capsys,
+                                                        cfg, needle):
+        # -v estimates the channel, so it takes the runners' estimator rule
+        # and refuses before anything is written; plain tx has no estimator
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "wave.bin"
+        code = cli_main(["tx", "--out", str(out), "-v", "--config",
+                         str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.search(needle, err)
+        assert not out.exists() and not out.with_suffix(".bin.hdr").exists()
+        assert cli_main(["tx", "--out", str(out), "--config",
+                         str(cfg_path)]) == 0
+        assert out.exists()
 
     def test_metric_command_writes_csv(self, tmp_path):
         cfg = {"scheme": "QPSK", "trials": 20, "rs_overhead_pct": 8.0}
