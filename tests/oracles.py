@@ -8,6 +8,7 @@ the tests check the fast paths against slow but obviously-correct math.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def dft_direct(x, inverse=False):
@@ -101,6 +102,26 @@ def apply_per_tap_direct(signal, kernels, gains):
             traj = np.concatenate([traj, np.full(out_len - traj.size, traj[-1])])
         y += traj[:out_len] * np.convolve(x, kernel)
     return y
+
+
+def tap_sum_one_product(signal, kernels, gains):
+    """Time-varying tap sum as one real matrix product over the whole sliding
+    window (the reversed kernels times every shift of the zero-padded
+    signal's interleaved floats), each tap weighted by its gains, the last
+    gain held over the tail, then summed over taps; no noise. The tiled
+    channel code must equal it byte for byte."""
+    x = np.asarray(signal, dtype=np.complex128)
+    ir_len = kernels.shape[1]
+    out_len = x.size + ir_len - 1
+    padded = np.zeros(x.size + 2 * (ir_len - 1), dtype=np.complex128)
+    padded[ir_len - 1 : ir_len - 1 + x.size] = x
+    window = sliding_window_view(padded.view(np.float64), 2 * out_len)[::2]
+    conv = (np.ascontiguousarray(kernels[:, ::-1])
+            @ np.ascontiguousarray(window)).view(np.complex128)
+    span = min(gains.shape[1], out_len)
+    np.multiply(gains[:, :span], conv[:, :span], out=conv[:, :span])
+    np.multiply(gains[:, -1:], conv[:, span:], out=conv[:, span:])
+    return conv.sum(axis=0)
 
 
 def hst_phase_direct(cfg, t):
@@ -214,11 +235,12 @@ from otfdm.transmitter import generate_otfdm  # noqa: E402
 
 
 def _composite_truth_1d(ch, grid, filt):
-    """Oracle folded composite of one realization mid first symbol: its own
-    fft_size-point response on the mapped bins, times the squared shaping
-    gain, aliased to the allocation grid."""
+    """Oracle folded composite of one realization mid first symbol: the
+    fft_size-point transform of its impulse response on the mapped bins,
+    times the squared shaping gain, aliased to the allocation grid."""
     mid = grid.cp_len + grid.fft_size // 2
-    h_bins = ch.frequency_response(grid.fft_size, mid)[grid.mapped_bins()]
+    response = np.fft.fft(ch.impulse_response(mid), grid.fft_size)
+    h_bins = response[grid.mapped_bins()]
     return cyclic_fold((filt.weights**2) * h_bins, grid.alloc_size, grid.excess)
 
 

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apply_per_tap_direct, bessel_j0, hst_phase_direct, jakes_direct
+from oracles import (
+    apply_per_tap_direct,
+    bessel_j0,
+    hst_phase_direct,
+    jakes_direct,
+    tap_sum_one_product,
+)
 from otfdm import (
     HstConfig,
     SeededRng,
@@ -15,9 +21,11 @@ from otfdm import (
 )
 from otfdm.channel import (
     _TDLC_POWERS,
+    _TILE,
     SPEED_OF_LIGHT,
     _rayleigh_tap_gains,
     _series_order,
+    _tdlc_kernels,
 )
 
 
@@ -262,8 +270,34 @@ def test_shared_realizations_are_read_only():
 
 
 class TestTapSum:
-    """The time-varying tap sum as one matrix product stays within 1e-13
-    relative of one np.convolve per tap."""
+    """The time-varying tap sum, a real matrix product taken tile by tile,
+    equals the product over the whole window byte for byte and stays within
+    1e-13 relative of one np.convolve per tap."""
+
+    # 500 and 1000 ns give 36- and 54-sample kernels at 36 Ms/s. Kernels of
+    # up to 28 samples are left out: there the whole-window product itself
+    # changes in the last bit of rare samples between one and two OpenBLAS
+    # threads on AVX-512 kernels, while the tiles do not.
+    @pytest.mark.parametrize("delay_spread_ns", [500.0, 1000.0])
+    @pytest.mark.parametrize("speed_kmh", [30.0, 120.0])
+    @pytest.mark.parametrize("out_len, gains_len", [
+        (_TILE - 1, None),  # shorter than one tile
+        (4 * _TILE, None),  # an exact multiple of the tile
+        (10 * _TILE + 57, None),  # a remainder
+        (10 * _TILE + 57, 700),  # gains shorter than the signal
+    ])
+    def test_tiles_equal_one_product(self, delay_spread_ns, speed_kmh,
+                                     out_len, gains_len):
+        x_len = out_len - _tdlc_kernels(delay_spread_ns, 36e6).shape[1] + 1
+        for seed in range(3):
+            x = SeededRng(seed, 0).complex_normal(x_len)
+            ch = tdlc_realization(delay_spread_ns, speed_kmh, 7.0, 36e6,
+                                  SeededRng(seed, 1),
+                                  num_samples=gains_len or x_len)
+            y = apply_channel(x, ch, SeededRng(seed, 2))
+            ref = tap_sum_one_product(x, ch.kernels, ch.gains)
+            assert y.size == out_len
+            assert y.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("make", [
         lambda rng: _tdlc(rng, 30.0),

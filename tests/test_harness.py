@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +181,39 @@ class TestDeterminism:
         sweep([cfg], ["pulse", "overhead"], p1)
         sweep([cfg], ["pulse", "overhead"], p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_csv_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count once, when numpy loads, so each
+        # count needs a fresh process. The 300 ns profile has 28-sample
+        # kernels, the length at which one whole-window product differed
+        # in the last bit between one and two threads on AVX-512 kernels.
+        script = textwrap.dedent("""
+            import sys
+            from otfdm.harness import ExperimentConfig, run_ber, run_mse, write_csv
+            out = sys.argv[1]
+            write_csv(run_ber(ExperimentConfig(
+                scheme="QAM64", alloc_size=240, extension_pct=5.0,
+                channel="TDLC", delay_spread_ns=300.0, speed_kmh=120.0,
+                snr_db=(30.0,), trials=4, seed=3)), out + "-ber.csv")
+            write_csv(run_mse(ExperimentConfig(
+                scheme="QPSK", alloc_size=96, channel="TDLC",
+                delay_spread_ns=1000.0, snr_db=(30.0,), rs_overhead_pct=8.0,
+                gamma_sweep_pct=(0.0, 5.0), rs_sweep_pct=(8.0,), trials=4,
+                seed=3)), out + "-mse.csv")
+        """)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                            "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = {"pinned": dict(env, OPENBLAS_NUM_THREADS="1"), "default": env}
+        for name, run_env in runs.items():
+            subprocess.run([sys.executable, "-c", script, str(tmp_path / name)],
+                           env=run_env, check=True)
+        for kind in ("ber", "mse"):
+            pinned = (tmp_path / f"pinned-{kind}.csv").read_bytes()
+            assert pinned == (tmp_path / f"default-{kind}.csv").read_bytes()
 
 
 def test_benchmark_config_digests_are_pinned():
