@@ -1,11 +1,13 @@
 """Propagation impairments: TDL-C multipath fading, high-speed-train Doppler,
-AWGN. Realizations are immutable; applying one to a signal is a pure function
-so trials can run concurrently, each with its own rng stream.
+AWGN. Realizations are immutable and hold only the propagation draw; the
+receiver noise is added when one is applied to a signal, a pure function so
+trials can run concurrently, each with its own rng stream.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +103,10 @@ class ChannelRealization:
 
     kernels has shape (num_taps, ir_len); gains has shape (num_taps,
     num_samples) for time-varying channels or (num_taps, 1) for static ones.
-    noise_variance is the complex AWGN power added per output sample.
     """
 
     kernels: np.ndarray
     gains: np.ndarray
-    noise_variance: float
 
     @property
     def ir_len(self) -> int:
@@ -250,7 +250,6 @@ def tdlc_realization(
     sample_rate_hz: float,
     rng: SeededRng,
     num_samples: int = 1,
-    noise_variance: float = 0.0,
 ) -> ChannelRealization:
     """TDL-C fading draw with the profile span scaled to delay_spread_ns.
 
@@ -264,11 +263,7 @@ def tdlc_realization(
     span = num_samples if (speed_kmh > 0 and num_samples > 1) else 1
     doppler = _max_doppler_hz(speed_kmh, fc_ghz) if span > 1 else 0.0
     gains = _rayleigh_tap_gains(_TDLC_POWERS, span, doppler, sample_rate_hz, rng)
-    return ChannelRealization(
-        kernels=kernels,
-        gains=gains,
-        noise_variance=float(noise_variance),
-    )
+    return ChannelRealization(kernels=kernels, gains=gains)
 
 
 @dataclass(frozen=True)
@@ -309,7 +304,6 @@ def hst_realization(
     t0: float,
     duration: float,
     num_samples: int,
-    noise_variance: float = 0.0,
 ) -> ChannelRealization:
     """Single unit-gain path whose phase tracks the geometry-driven Doppler
     over [t0, t0 + duration]. It draws nothing, so one read-only realization
@@ -321,16 +315,14 @@ def hst_realization(
     return _shared(ChannelRealization(
         kernels=np.ones((1, 1)),
         gains=_phasor(phases)[None, :],
-        noise_variance=float(noise_variance),
     ))
 
 
-def flat_realization(noise_variance: float = 0.0) -> ChannelRealization:
+def flat_realization() -> ChannelRealization:
     """Single unit-gain tap, read-only so that trials can share it."""
     return _shared(ChannelRealization(
         kernels=np.ones((1, 1)),
         gains=np.ones((1, 1), dtype=np.complex128),
-        noise_variance=float(noise_variance),
     ))
 
 
@@ -341,10 +333,7 @@ def _shared(ch: ChannelRealization) -> ChannelRealization:
     return ch
 
 
-def custom_realization(
-    taps: list[tuple[float, complex]],
-    noise_variance: float = 0.0,
-) -> ChannelRealization:
+def custom_realization(taps: list[tuple[float, complex]]) -> ChannelRealization:
     """Static channel from explicit (delay_samples, gain) pairs."""
     if not taps:
         raise ValueError("custom_realization: need at least one tap")
@@ -355,11 +344,7 @@ def custom_realization(
     frac = np.any(np.abs(delays - np.round(delays)) > 1e-9)
     ir_len = int(np.ceil(delays.max())) + (_INTERP_HALFWIDTH + 1 if frac else 1)
     kernels = np.stack([_delay_kernel(d, ir_len) for d in delays])
-    return ChannelRealization(
-        kernels=kernels,
-        gains=gains,
-        noise_variance=float(noise_variance),
-    )
+    return ChannelRealization(kernels=kernels, gains=gains)
 
 
 # Output samples per tile of the tap-sum product. One tile's window copy is
@@ -407,8 +392,10 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray) -> np.ndarra
     return conv.sum(axis=0)
 
 
-def apply_channel(signal, ch: ChannelRealization, rng: SeededRng) -> np.ndarray:
-    """Time-varying linear convolution with the realized taps, plus AWGN.
+def apply_channel(signal, ch: ChannelRealization, rng: SeededRng,
+                  noise_variance: float = 0.0) -> np.ndarray:
+    """Time-varying linear convolution with the realized taps, plus complex
+    AWGN of power noise_variance per output sample, drawn from rng.
 
     Output length is the signal length plus the impulse-response span so the
     full convolution tail is kept.
@@ -416,6 +403,9 @@ def apply_channel(signal, ch: ChannelRealization, rng: SeededRng) -> np.ndarray:
     x = np.asarray(signal, dtype=np.complex128)
     if x.size == 0:
         raise ValueError("apply_channel: empty signal")
+    if not (math.isfinite(noise_variance) and noise_variance >= 0.0):
+        raise ValueError("apply_channel: noise_variance must be finite and "
+                         f">= 0, got {noise_variance!r}")
     out_len = x.size + ch.ir_len - 1
     if ch.is_static:
         # impulse_response() is a new, writeable array: np.convolve is
@@ -423,6 +413,6 @@ def apply_channel(signal, ch: ChannelRealization, rng: SeededRng) -> np.ndarray:
         y = np.convolve(x, ch.impulse_response())
     else:
         y = _tap_sum(x, ch.kernels, ch.gains)
-    if ch.noise_variance > 0.0:
-        y += rng.complex_normal(out_len, ch.noise_variance)
+    if noise_variance > 0.0:
+        y += rng.complex_normal(out_len, noise_variance)
     return y

@@ -1,8 +1,9 @@
 """Command-line front end: waveform export plus the Monte-Carlo experiments.
 
 Experiment parameters come from a JSON config file (one object, or a list of
-objects for `sweep`) with ExperimentConfig field names; --seed and --trials
-override the file. Results land in the fixed-schema CSV.
+objects, each of which a metric command runs) with ExperimentConfig field
+names; --seed and --trials override the file. Results land in the
+fixed-schema CSV.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from .harness import (RUNNERS, SWEEP_FIELDS, ExperimentConfig, _estimator, sweep,
-                      transmit_frame, write_csv)
+                      transmit_frame)
 from .numerics import SeededRng
 from .receiver import (dump_diagnostics, estimate_channel, fold_spectrum,
                        front_end, mmse_equalize)
@@ -58,7 +59,10 @@ def _overrides(args) -> dict:
 
 
 def _cmd_tx(args) -> int:
-    cfg = _load_configs(args.config, _overrides(args))[0]
+    configs = _load_configs(args.config, _overrides(args))
+    if len(configs) != 1:
+        raise ValueError(f"tx needs exactly one config entry, got {len(configs)}")
+    (cfg,) = configs
     scheme, layout, filt, grid = cfg.resolve()
     # the runners' estimator rule, checked before anything is written
     est_cfg = _estimator(cfg, scheme, layout, filt) if args.verbose else None
@@ -89,17 +93,9 @@ def _report(records, out_path) -> int:
     return 0
 
 
-def _cmd_metric(runner):
-    def cmd(args) -> int:
-        records = runner(_load_configs(args.config, _overrides(args))[0])
-        if args.out:
-            write_csv(records, args.out)
-        return _report(records, args.out)
-
-    return cmd
-
-
 def _cmd_sweep(args) -> int:
+    """Run the metrics (a metric command's own, or sweep's --metrics) over
+    every config entry."""
     configs = _load_configs(args.config, _overrides(args))
     return _report(sweep(configs, args.metrics.split(","), args.out), args.out)
 
@@ -129,7 +125,7 @@ def main(argv=None) -> int:
     for name, runner in RUNNERS.items():
         p = sub.add_parser(name, help=" ".join((runner.__doc__ or "").split()))
         common(p, needs_out=False)
-        p.set_defaults(func=_cmd_metric(runner))
+        p.set_defaults(func=_cmd_sweep, metrics=name)
 
     p_sw = sub.add_parser("sweep", help="run metrics over a config grid to CSV")
     common(p_sw, needs_out=True)

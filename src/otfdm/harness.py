@@ -255,7 +255,7 @@ class ExperimentConfig:
         for name in BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"ExperimentConfig: {name} must be true or false")
-        if self.scheme not in MOD_SCHEMES:
+        if not isinstance(self.scheme, str) or self.scheme not in MOD_SCHEMES:
             raise ValueError(f"ExperimentConfig: unknown scheme {self.scheme!r}")
         if self.channel not in CHANNELS:
             raise ValueError(f"ExperimentConfig: unknown channel {self.channel!r}; "
@@ -526,24 +526,20 @@ def run_papr(cfg: ExperimentConfig) -> list[MetricRecord]:
 # --------------------------------------------------------------------------
 
 def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
-                  noise_var_time: float, num_samples: int) -> ChannelRealization:
+                  num_samples: int) -> ChannelRealization:
     """The config's channel on one trial's stream `rng`. Only TDL-C draws
     from it; the AWGN and HST channels (every HST trial starts at t0 = 0) are
     the same read-only realization for every trial."""
     if cfg.channel == "AWGN":
-        return flat_realization(noise_var_time)
+        return flat_realization()
     if cfg.channel == "TDLC":
-        return tdlc_realization(
-            cfg.delay_spread_ns, cfg.speed_kmh, cfg.fc_ghz,
-            grid.sample_rate_hz, rng,
-            num_samples=num_samples, noise_variance=noise_var_time,
-        )
+        return tdlc_realization(cfg.delay_spread_ns, cfg.speed_kmh, cfg.fc_ghz,
+                                grid.sample_rate_hz, rng, num_samples=num_samples)
     if cfg.channel == "HST":
         hst = HstConfig(speed_kmh=cfg.speed_kmh, fc_ghz=cfg.fc_ghz)
-        return hst_realization(
-            hst, t0=0.0, duration=num_samples / grid.sample_rate_hz,
-            num_samples=num_samples, noise_variance=noise_var_time,
-        )
+        return hst_realization(hst, t0=0.0,
+                               duration=num_samples / grid.sample_rate_hz,
+                               num_samples=num_samples)
     raise ValueError(f"unknown channel model {cfg.channel!r}")
 
 
@@ -581,12 +577,12 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
           trials: range, with_truth: bool) -> _Sent:
     """Send a chunk one trial at a time, each on its own stream: the frame's
     symbols (`transmit_frame`), one channel realization on the first
-    symbol's grid applied to them all, then (with `with_truth`) the oracle
-    folded composite mid first symbol, for the whole chunk at once. TDL-C
-    fading is drawn per trial; the other channels draw nothing, so one
-    realization and its composite serve the whole chunk. Only what the
-    receiver reads is kept: each trial joins its frame's fields, and each
-    field is stacked over the chunk once."""
+    symbol's grid applied to them all with AWGN of variance `time_var`,
+    then (with `with_truth`) the oracle folded composite mid first symbol,
+    for the whole chunk at once. TDL-C fading is drawn per trial; the other
+    channels draw nothing, so one realization and its composite serve the
+    whole chunk. Only what the receiver reads is kept: each trial joins its
+    frame's fields, and each field is stacked over the chunk once."""
     _, filt, grid = frame[0]
     mid = grid.cp_len + grid.fft_size // 2
     ch = None
@@ -596,12 +592,12 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
         sent = transmit_frame(frame, scheme, rng)
         tx = _join([sym.time_samples for _, sym in sent])
         if ch is None or cfg.channel == "TDLC":
-            ch = _make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
+            ch = _make_channel(cfg, grid, rng, num_samples=tx.size)
             if with_truth:
                 impulses.append(ch.impulse_response(mid))
         fields = zip(*[(bits, sym.rs_core, sym.ars_symbols, sym.data_symbols)
                        for bits, sym in sent])
-        rows.append((*map(_join, fields), apply_channel(tx, ch, rng)))
+        rows.append((*map(_join, fields), apply_channel(tx, ch, rng, time_var)))
     bits, rs_core, ars, data, rx = map(np.stack, zip(*rows))
     truth = None
     if with_truth:
@@ -837,8 +833,9 @@ RUNNERS = {
 }
 
 
-def sweep(configs, metrics, out_path) -> list[MetricRecord]:
-    """Run the named metrics for every config and write one deterministic CSV.
+def sweep(configs, metrics, out_path=None) -> list[MetricRecord]:
+    """Run the named metrics for every config; given a path, write the
+    records there as one deterministic CSV.
 
     Row order follows the config list, then the metric order given, then each
     runner's own record order; reruns with identical inputs are byte-identical.
@@ -852,7 +849,8 @@ def sweep(configs, metrics, out_path) -> list[MetricRecord]:
     for cfg in configs:
         for name in metrics:
             records.extend(RUNNERS[name](cfg))
-    write_csv(records, out_path)
+    if out_path is not None:
+        write_csv(records, out_path)
     return records
 
 

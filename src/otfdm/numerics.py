@@ -190,9 +190,6 @@ class SeededRng:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size=size)
 
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size=size)
-
     def complex_normal(self, size, variance: float = 1.0) -> np.ndarray:
         """Circularly symmetric complex Gaussian samples of given variance:
         the real parts are drawn first, then the imaginary parts."""

@@ -264,9 +264,8 @@ def otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trial):
     rng = SeededRng(cfg.seed, trial)
     bits = h._data_bits(rng, layout, scheme)
     sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-    ch = h._make_channel(cfg, grid, rng, time_var,
-                         num_samples=sym.time_samples.size)
-    rx = apply_channel(sym.time_samples, ch, rng)
+    ch = h._make_channel(cfg, grid, rng, num_samples=sym.time_samples.size)
+    rx = apply_channel(sym.time_samples, ch, rng, time_var)
     folded = fold_spectrum(front_end(rx, grid), filt)
     if cfg.genie_channel:
         response = _composite_truth_1d(ch, grid, filt)
@@ -292,8 +291,8 @@ def dfts_baseline_trial(cfg, scheme, grid, snr_db, trial):
     bits = rng.bits(m * scheme.bits_per_symbol)
     data_sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
     tx = np.concatenate([rs_sym.time_samples, data_sym.time_samples])
-    ch = h._make_channel(cfg, grid, rng, time_var, num_samples=tx.size)
-    rx = apply_channel(tx, ch, rng)
+    ch = h._make_channel(cfg, grid, rng, num_samples=tx.size)
+    rx = apply_channel(tx, ch, rng, time_var)
     half = grid.fft_size + grid.cp_len
     y_rs = fold_spectrum(front_end(rx[:half], grid), filt)
     y_data = fold_spectrum(front_end(rx[half:], grid), filt)
@@ -339,9 +338,8 @@ def mse_point(cfg, ext_pct, rs_pct, snr_db):
         rng = SeededRng(cfg.seed, trial)
         sym = generate_otfdm(h._data_bits(rng, layout, scheme), scheme,
                              layout, filt, grid, rng)
-        ch = h._make_channel(cfg, grid, rng, time_var,
-                             num_samples=sym.time_samples.size)
-        rx = apply_channel(sym.time_samples, ch, rng)
+        ch = h._make_channel(cfg, grid, rng, num_samples=sym.time_samples.size)
+        rx = apply_channel(sym.time_samples, ch, rng, time_var)
         folded = fold_spectrum(front_end(rx, grid), filt)
         est = estimate_channel(folded, filt, layout, sym.rs_core, est_cfg)
         truth = _composite_truth_1d(ch, grid, filt)

@@ -233,14 +233,20 @@ class TestApplyChannel:
     def test_noise_variance_calibration(self):
         rng = SeededRng(10, 0)
         x = np.zeros(200_000, dtype=complex)
-        ch = flat_realization(noise_variance=0.37)
-        y = apply_channel(x, ch, rng)
+        y = apply_channel(x, flat_realization(), rng, 0.37)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.37, rel=0.02)
 
     def test_empty_signal_raises(self):
         with pytest.raises(ValueError):
             apply_channel(np.zeros(0, dtype=complex), flat_realization(),
                           SeededRng(1, 0))
+
+    @pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf")])
+    def test_bad_noise_variance_raises(self, variance):
+        # a negative or NaN variance must not quietly add no noise
+        with pytest.raises(ValueError, match="noise_variance"):
+            apply_channel(np.ones(8, dtype=complex), flat_realization(),
+                          SeededRng(1, 0), variance)
 
     def test_time_varying_gains_applied_per_sample(self):
         cfg = HstConfig(ds_m=30000.0, dmin_m=2.0, speed_kmh=500.0, fc_ghz=7.0)
@@ -252,14 +258,13 @@ class TestApplyChannel:
         np.testing.assert_allclose(y[:n], ch.gains[0], atol=1e-12)
 
 
-def _tdlc(rng, speed_kmh, n=1284, noise_variance=0.0):
-    return tdlc_realization(1000.0, speed_kmh, 7.0, 36e6, rng, num_samples=n,
-                            noise_variance=noise_variance)
+def _tdlc(rng, speed_kmh, n=1284):
+    return tdlc_realization(1000.0, speed_kmh, 7.0, 36e6, rng, num_samples=n)
 
 
-def _hst(n=1284, noise_variance=0.0):
+def _hst(n=1284):
     return hst_realization(HstConfig(speed_kmh=500.0, fc_ghz=7.0), 0.0,
-                           n / 36e6, n, noise_variance=noise_variance)
+                           n / 36e6, n)
 
 
 def test_shared_realizations_are_read_only():

@@ -131,6 +131,7 @@ class TestConfigValidation:
         (dict(genie_channel="false"), "genie_channel"),
         (dict(ars_correction=1), "ars_correction"),
         (dict(compare_baseline=None), "compare_baseline"),
+        (dict(scheme=["QPSK"]), "scheme"),
     ])
     def test_bad_field_types_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -662,6 +663,35 @@ class TestCli:
         header = out.read_text().split("\n", 1)[0]
         assert header == ",".join(CSV_COLUMNS)
 
+    def test_metric_command_runs_every_entry(self, tmp_path, capsys):
+        cfgs = [{"scheme": "QPSK"}, {"scheme": "QAM64", "alloc_size": 480}]
+        cfg_path = tmp_path / "two.json"
+        cfg_path.write_text(json.dumps(cfgs))
+        out = tmp_path / "overhead.csv"
+        assert cli_main(["overhead", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 records to {out}\n"
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [r.split(",")[CSV_COLUMNS.index("scheme")] for r in rows] == [
+            "QPSK", "QAM64"]
+        assert cli_main(["overhead", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out.split("\n")[:2] == [
+            "overhead_pct alloc_size=240 -> 10.4167",
+            "overhead_pct alloc_size=480 -> 12.7083"]
+
+    @pytest.mark.parametrize("text, count", [("[]", 0),
+                                             ('[{}, {"seed": 2}]', 2)])
+    def test_tx_needs_exactly_one_entry(self, tmp_path, capsys, text, count):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "wave.bin"
+        assert cli_main(["tx", "--out", str(out), "--config",
+                         str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"tx needs exactly one config entry, got {count}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_command(self, tmp_path):
         cfgs = [{"scheme": s, "alloc_size": MOD_PROFILES[s].ref_alloc,
                  "extension_pct": MOD_PROFILES[s].extension_pct, "trials": 1}
@@ -709,6 +739,8 @@ class TestCli:
         ('[{"trials": 1}, {"trails": 1}]', "entry 1: unknown field(s) trails"),
         ("[1, 2]", "entry 0 is not a JSON object"),
         ('"QPSK"', "entry 0 is not a JSON object"),
+        ("[]", "empty config list"),
+        ('{"scheme": ["QPSK"]}', "scheme"),
     ])
     def test_malformed_config_is_an_error_not_a_traceback(self, tmp_path,
                                                           capsys, text, needle):

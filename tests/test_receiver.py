@@ -507,10 +507,9 @@ def _received_stack(count, name="QAM16", filt_kind="SQRC", seed=70):
         sym = generate_otfdm(rng.bits(layout.data_len * scheme.bits_per_symbol),
                              scheme, layout, filt, grid, rng)
         gains = rng.complex_normal(3, 1.0 / 3.0)
-        ch = custom_realization([(d * step, g) for d, g in zip((0, 1, 3), gains)],
-                                noise_variance=1e-3)
+        ch = custom_realization([(d * step, g) for d, g in zip((0, 1, 3), gains)])
         syms.append(sym)
-        rx.append(apply_channel(sym.time_samples, ch, rng))
+        rx.append(apply_channel(sym.time_samples, ch, rng, 1e-3))
     return scheme, layout, filt, grid, syms, rx
 
 
