@@ -63,7 +63,6 @@ from .sequences import (
     zadoff_chu,
 )
 from .transmitter import (
-    OtfdmSymbol,
     WaveformGrid,
     effective_pulse,
     generate_otfdm,

@@ -66,14 +66,15 @@ def _cmd_tx(args) -> int:
     scheme, layout, filt, grid = cfg.resolve()
     # the runners' estimator rule, checked before anything is written
     est_cfg = _estimator(cfg, scheme, layout, filt) if args.verbose else None
-    ((_, symbol),) = transmit_frame(((layout, filt, grid),), scheme,
-                                    SeededRng(cfg.seed, 0))
-    write_waveform(args.out, symbol, seed_info=f"{cfg.seed}/0")
-    print(f"wrote {symbol.time_samples.size} samples to {args.out}")
+    ((_, time, rs_core, _, _),) = transmit_frame(((layout, filt, grid),), scheme,
+                                                 SeededRng(cfg.seed, 0))
+    write_waveform(args.out, time, scheme, layout, filt, grid,
+                   seed_info=f"{cfg.seed}/0")
+    print(f"wrote {time.size} samples to {args.out}")
     if args.verbose:
-        demapped = front_end(symbol.time_samples, grid)
+        demapped = front_end(time, grid)
         folded = fold_spectrum(demapped, filt)
-        response = estimate_channel(folded, filt, layout, symbol.rs_core, est_cfg)
+        response = estimate_channel(folded, filt, layout, rs_core, est_cfg)
         # no ARS stage runs here, so the phase step is 0
         print(dump_diagnostics(demapped, folded, response,
                                mmse_equalize(folded, response, 0.0), 0.0, layout))

@@ -179,6 +179,8 @@ def grid_for(alloc_size: int, excess: int, scs_khz: float = 30.0) -> WaveformGri
 
 
 FILTER_KINDS = ("SQRC", "NONE", "TAPS2", "TAPS3")
+# RS share of run_mse's extension sweep when rs_overhead_pct is unset.
+MSE_RS_PCT = 8.0
 CHANNELS = ("AWGN", "TDLC", "HST")
 
 # ExperimentConfig's typed fields: sweep axes, counts, reals (rs_overhead_pct
@@ -301,6 +303,19 @@ class ExperimentConfig:
                              ("rs_sweep_pct", self.rs_sweep_pct)):
             if any(not 0.0 <= v < 100.0 for v in values):
                 raise ValueError(f"ExperimentConfig: {name} must be in [0, 100)")
+        # every layout a runner builds, so that an impossible one fails here
+        # and not after the earlier configs of a sweep have run
+        rs_shares = [("rs_overhead_pct", self.rs_overhead_pct)]
+        if self.rs_overhead_pct is None:
+            rs_shares.append(("run_mse's fixed RS share", MSE_RS_PCT))
+        rs_shares += [(f"rs_sweep_pct[{i}]", v)
+                      for i, v in enumerate(self.rs_sweep_pct)]
+        for name, rs_pct in rs_shares:
+            try:
+                layout_for(self.scheme, self.alloc_size, self.ars_len(), rs_pct)
+            except ValueError as err:
+                raise ValueError(f"ExperimentConfig: {name} = {rs_pct} with "
+                                 f"ars_pct = {self.ars_pct}: {err}") from None
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -428,12 +443,13 @@ def _data_bits(rng: SeededRng, layout: FrameLayout, scheme) -> np.ndarray:
 
 
 def transmit_frame(frame, scheme, rng: SeededRng) -> list:
-    """[(data bits, symbol), ...] of a frame of (layout, filter, grid) symbols,
-    in order on `rng`: each draws its data bits (if any), then is generated."""
+    """[(data bits, time samples, RS core, data symbols, ARS symbols), ...]
+    of a frame of (layout, filter, grid) symbols, in order on `rng`: each
+    draws its data bits (if any), then is generated (`generate_otfdm`)."""
     out = []
     for layout, filt, grid in frame:
         bits = _data_bits(rng, layout, scheme)
-        out.append((bits, generate_otfdm(bits, scheme, layout, filt, grid, rng)))
+        out.append((bits, *generate_otfdm(bits, scheme, layout, filt, grid, rng)))
     return out
 
 
@@ -481,9 +497,11 @@ def run_papr(cfg: ExperimentConfig) -> list[MetricRecord]:
     gamma_pct = 200.0 * filt.excess / cfg.alloc_size
 
     def chunk(trials: range):
-        bodies = [[sym.body for _, sym in
-                   transmit_frame(frame, scheme, SeededRng(cfg.seed, trial))]
-                  for trial in trials]
+        sent = (transmit_frame(frame, scheme, SeededRng(cfg.seed, trial))
+                for trial in trials)
+        # each symbol's body: its time samples after its own grid's prefix
+        bodies = [[time[g.cp_len :] for (*_, g), (_, time, *_) in zip(frame, s)]
+                  for s in sent]
         return tuple(_normalized_sample_power(np.stack(col))
                      for col in zip(*bodies))
 
@@ -568,8 +586,8 @@ class _Sent(NamedTuple):
     bits: np.ndarray
     rx: np.ndarray
     rs_core: np.ndarray
-    ars_symbols: np.ndarray
     data_symbols: np.ndarray
+    ars_symbols: np.ndarray
     truth: np.ndarray | None
 
 
@@ -589,21 +607,19 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
     rows, impulses = [], []
     for trial in trials:
         rng = SeededRng(cfg.seed, trial)
-        sent = transmit_frame(frame, scheme, rng)
-        tx = _join([sym.time_samples for _, sym in sent])
+        bits, tx, rs_core, data, ars = map(
+            _join, zip(*transmit_frame(frame, scheme, rng)))
         if ch is None or cfg.channel == "TDLC":
             ch = _make_channel(cfg, grid, rng, num_samples=tx.size)
             if with_truth:
                 impulses.append(ch.impulse_response(mid))
-        fields = zip(*[(bits, sym.rs_core, sym.ars_symbols, sym.data_symbols)
-                       for bits, sym in sent])
-        rows.append((*map(_join, fields), apply_channel(tx, ch, rng, time_var)))
-    bits, rs_core, ars, data, rx = map(np.stack, zip(*rows))
+        rows.append((bits, apply_channel(tx, ch, rng, time_var), rs_core, data,
+                     ars))
     truth = None
     if with_truth:
         truth = _composite_truth(np.stack(impulses), grid, filt)
         truth = np.repeat(truth, len(rows) // len(impulses), axis=0)
-    return _Sent(bits, rx, rs_core, ars, data, truth)
+    return _Sent(*map(np.stack, zip(*rows)), truth)
 
 
 def _join(parts) -> np.ndarray:
@@ -658,7 +674,7 @@ def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
     if not cfg.gamma_sweep_pct and not cfg.rs_sweep_pct:
         raise ValueError("run_mse: gamma_sweep_pct and rs_sweep_pct are both empty")
     snr_db = cfg.snr_db[0]
-    rs_fixed = cfg.rs_overhead_pct if cfg.rs_overhead_pct is not None else 8.0
+    rs_fixed = MSE_RS_PCT if cfg.rs_overhead_pct is None else cfg.rs_overhead_pct
     # (iv name, iv value, extension, RS share, config entry of the RS share)
     points = ([("gamma_pct", ext, ext, rs_fixed, "rs_overhead_pct")
                for ext in cfg.gamma_sweep_pct]

@@ -17,6 +17,7 @@ regularized (`ridge`) to stay solvable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,9 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.window_len < 1:
             raise ValueError("EstimatorConfig: window_len must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("EstimatorConfig: ridge must be >= 0")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError("EstimatorConfig: ridge must be finite and >= 0, "
+                             f"got {self.ridge!r}")
 
 
 def front_end(rx, grid: WaveformGrid) -> np.ndarray:
@@ -195,8 +197,9 @@ def mmse_equalize(folded, response, noise_var: float) -> np.ndarray:
     (inverse linear SNR); zero gives the zero-forcing limit and requires a
     null-free response.
     """
-    if noise_var < 0:
-        raise ValueError("mmse_equalize: noise_var must be >= 0")
+    if not (math.isfinite(noise_var) and noise_var >= 0):
+        raise ValueError("mmse_equalize: noise_var must be finite and >= 0, "
+                         f"got {noise_var!r}")
     h = np.asarray(response, dtype=np.complex128)
     if h.ndim == 0 or h.shape[-1] != np.shape(folded)[-1]:
         raise ValueError("mmse_equalize: response length != folded symbol length")

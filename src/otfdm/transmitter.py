@@ -1,7 +1,7 @@
 """Waveform synthesis: multiplex, DFT precode, extend, shape, map, modulate.
 
 Each stage is a public function, so any intermediate is recomputed from the
-fields of the symbol it produced. Power is normalized once, at the OFDM
+arrays `generate_otfdm` returns. Power is normalized once, at the OFDM
 modulation stage, with a fixed deterministic scale so the whole pipeline
 stays linear.
 """
@@ -26,7 +26,6 @@ from .sequences import (
 
 __all__ = [
     "WaveformGrid",
-    "OtfdmSymbol",
     "multiplex_symbol",
     "precode_extend_shape",
     "map_and_modulate",
@@ -93,30 +92,6 @@ def _extension_index(alloc_size: int, excess: int) -> np.ndarray:
     index = (np.arange(alloc_size + 2 * excess) - excess) % alloc_size
     index.flags.writeable = False
     return index
-
-
-@dataclass
-class OtfdmSymbol:
-    """One generated symbol: what the receiver and the waveform file read.
-
-    time_samples is the cp_len + fft_size transmit vector; the data, ARS and
-    RS core symbols are what was multiplexed. multiplex_symbol(data_symbols,
-    build_rs_block(rs_core, layout), ars_symbols, layout) and
-    precode_extend_shape of that rebuild the stage outputs bit for bit.
-    """
-
-    time_samples: np.ndarray
-    grid: WaveformGrid
-    layout: FrameLayout
-    data_symbols: np.ndarray
-    ars_symbols: np.ndarray
-    rs_core: np.ndarray
-    meta: dict
-
-    @property
-    def body(self) -> np.ndarray:
-        """Time samples without the symbol-level cyclic prefix."""
-        return self.time_samples[self.grid.cp_len :]
 
 
 def multiplex_symbol(data, rs_block, ars, layout: FrameLayout) -> np.ndarray:
@@ -214,8 +189,12 @@ def generate_otfdm(
     filt: ShapingFilter,
     grid: WaveformGrid,
     rng: SeededRng,
-) -> OtfdmSymbol:
-    """Full pipeline from data bits to one transmit symbol.
+) -> tuple:
+    """Full pipeline from data bits to one transmit symbol: (time samples,
+    RS core, data symbols, ARS symbols), the cp_len + fft_size transmit
+    vector and what was multiplexed, in the order [RS | data | ARS].
+    multiplex_symbol(data, build_rs_block(rs_core, layout), ars, layout)
+    rebuilds the multiplexed symbol bit for bit.
 
     The RS and ARS cores follow the scheme (`sequences.make_rs_core`):
     pi/2-BPSK ones are drawn from `rng`, so a (seed, stream) pair pins the
@@ -239,41 +218,39 @@ def generate_otfdm(
     data = modulate(bits, scheme)
     shaped = precode_extend_shape(multiplex_symbol(data, rs_block, ars, layout),
                                   filt)
-    meta = {"scheme": scheme.name, "filter": filt.kind}
-    if scheme.name != "PI2_BPSK":  # only a Zadoff-Chu RS has a root
-        meta["rs_root"] = ZC_ROOT
-    return OtfdmSymbol(
-        time_samples=map_and_modulate(shaped, grid), grid=grid, layout=layout,
-        data_symbols=data, ars_symbols=ars, rs_core=rs_core, meta=meta)
+    return map_and_modulate(shaped, grid), rs_core, data, ars
 
 
-def write_waveform(path, symbol: OtfdmSymbol, seed_info: str = "") -> None:
+def write_waveform(path, time_samples, scheme: ModScheme, layout: FrameLayout,
+                   filt: ShapingFilter, grid: WaveformGrid,
+                   seed_info: str = "") -> None:
     """Dump time samples as interleaved little-endian float64 re/im pairs,
     with a text sidecar `<path>.hdr` describing how they were produced."""
-    samples = np.asarray(symbol.time_samples, dtype=np.complex128)
+    samples = np.asarray(time_samples, dtype=np.complex128)
     raw = np.empty(2 * samples.size, dtype="<f8")
     raw[0::2] = samples.real
     raw[1::2] = samples.imag
     raw.tofile(path)
 
-    g, lo = symbol.grid, symbol.layout
     lines = [
         "format=interleaved_float64_le",
         f"num_samples={samples.size}",
-        f"alloc_size={g.alloc_size}",
-        f"excess={g.excess}",
-        f"fft_size={g.fft_size}",
-        f"cp_len={g.cp_len}",
-        f"scs_khz={g.scs_khz}",
-        f"start_sc={g.first_subcarrier}",
-        f"rs_len={lo.rs_len}",
-        f"rs_cp={lo.rs_cp}",
-        f"rs_cs={lo.rs_cs}",
-        f"data_len={lo.data_len}",
-        f"ars_len={lo.ars_len}",
+        f"alloc_size={grid.alloc_size}",
+        f"excess={grid.excess}",
+        f"fft_size={grid.fft_size}",
+        f"cp_len={grid.cp_len}",
+        f"scs_khz={grid.scs_khz}",
+        f"start_sc={grid.first_subcarrier}",
+        f"rs_len={layout.rs_len}",
+        f"rs_cp={layout.rs_cp}",
+        f"rs_cs={layout.rs_cs}",
+        f"data_len={layout.data_len}",
+        f"ars_len={layout.ars_len}",
+        f"scheme={scheme.name}",
+        f"filter={filt.kind}",
     ]
-    for key, val in symbol.meta.items():
-        lines.append(f"{key}={val}")
+    if scheme.name != "PI2_BPSK":  # only a Zadoff-Chu RS has a root
+        lines.append(f"rs_root={ZC_ROOT}")
     if seed_info:
         lines.append(f"seed={seed_info}")
     with open(f"{path}.hdr", "w", encoding="ascii") as fh:

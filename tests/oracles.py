@@ -263,19 +263,20 @@ def otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trial):
     time_var, inv_snr = h._noise_vars(grid, snr_db)
     rng = SeededRng(cfg.seed, trial)
     bits = h._data_bits(rng, layout, scheme)
-    sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-    ch = h._make_channel(cfg, grid, rng, num_samples=sym.time_samples.size)
-    rx = apply_channel(sym.time_samples, ch, rng, time_var)
+    tx, rs_core, data, ars = generate_otfdm(bits, scheme, layout, filt, grid,
+                                            rng)
+    ch = h._make_channel(cfg, grid, rng, num_samples=tx.size)
+    rx = apply_channel(tx, ch, rng, time_var)
     folded = fold_spectrum(front_end(rx, grid), filt)
     if cfg.genie_channel:
         response = _composite_truth_1d(ch, grid, filt)
     else:
-        response = estimate_channel(folded, filt, layout, sym.rs_core, est_cfg)
+        response = estimate_channel(folded, filt, layout, rs_core, est_cfg)
     eq = mmse_equalize(folded, response, inv_snr)
     if layout.ars_len and cfg.ars_correction:
-        eq, _ = ars_phase_correct(eq, sym.ars_symbols, layout)
+        eq, _ = ars_phase_correct(eq, ars, layout)
     return _data_errors_1d(eq[layout.data_start : layout.ars_start], response,
-                           inv_snr, scheme, bits, sym.data_symbols)
+                           inv_snr, scheme, bits, data)
 
 
 def dfts_baseline_trial(cfg, scheme, grid, snr_db, trial):
@@ -286,20 +287,20 @@ def dfts_baseline_trial(cfg, scheme, grid, snr_db, trial):
     filt = h.filter_for("NONE", m, 0.0)
     time_var, inv_snr = h._noise_vars(grid, snr_db)
     rng = SeededRng(cfg.seed, trial)
-    rs_sym = generate_otfdm(np.zeros(0, dtype=np.int64), scheme,
-                            FrameLayout(m, 0, 0, 0, 0), filt, grid, rng)
+    rs_time, rs_core, _, _ = generate_otfdm(np.zeros(0, dtype=np.int64), scheme,
+                                            FrameLayout(m, 0, 0, 0, 0), filt,
+                                            grid, rng)
     bits = rng.bits(m * scheme.bits_per_symbol)
-    data_sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-    tx = np.concatenate([rs_sym.time_samples, data_sym.time_samples])
+    data_time, _, data, _ = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+    tx = np.concatenate([rs_time, data_time])
     ch = h._make_channel(cfg, grid, rng, num_samples=tx.size)
     rx = apply_channel(tx, ch, rng, time_var)
     half = grid.fft_size + grid.cp_len
     y_rs = fold_spectrum(front_end(rx[:half], grid), filt)
     y_data = fold_spectrum(front_end(rx[half:], grid), filt)
-    response = y_rs / np.fft.fft(rs_sym.rs_core)
+    response = y_rs / np.fft.fft(rs_core)
     eq = mmse_equalize(y_data, response, inv_snr)
-    return _data_errors_1d(eq, response, inv_snr, scheme, bits,
-                           data_sym.data_symbols)
+    return _data_errors_1d(eq, response, inv_snr, scheme, bits, data)
 
 
 def _pooled_ber_evm(rows):
@@ -336,12 +337,12 @@ def mse_point(cfg, ext_pct, rs_pct, snr_db):
     per_trial = []
     for trial in range(cfg.trials):
         rng = SeededRng(cfg.seed, trial)
-        sym = generate_otfdm(h._data_bits(rng, layout, scheme), scheme,
-                             layout, filt, grid, rng)
-        ch = h._make_channel(cfg, grid, rng, num_samples=sym.time_samples.size)
-        rx = apply_channel(sym.time_samples, ch, rng, time_var)
+        tx, rs_core, _, _ = generate_otfdm(h._data_bits(rng, layout, scheme),
+                                           scheme, layout, filt, grid, rng)
+        ch = h._make_channel(cfg, grid, rng, num_samples=tx.size)
+        rx = apply_channel(tx, ch, rng, time_var)
         folded = fold_spectrum(front_end(rx, grid), filt)
-        est = estimate_channel(folded, filt, layout, sym.rs_core, est_cfg)
+        est = estimate_channel(folded, filt, layout, rs_core, est_cfg)
         truth = _composite_truth_1d(ch, grid, filt)
         per_trial.append(float(np.mean(np.abs(est - truth) ** 2)))
     return float(np.mean(per_trial))
@@ -364,18 +365,19 @@ def papr_values(cfg, ccdf_point=0.01):
     base_filt = h.filter_for("NONE", cfg.alloc_size, 0.0)
     base_grid = h.grid_for(cfg.alloc_size, 0, cfg.scs_khz)
 
-    def power(sym):
-        p = np.abs(sym.body) ** 2
+    def power(sym, grid):
+        p = np.abs(sym[0][grid.cp_len :]) ** 2
         return p / p.mean()
 
     shaped, plain = [], []
     for trial in range(cfg.trials):
         rng = SeededRng(cfg.seed, trial)
         shaped.append(power(generate_otfdm(
-            h._data_bits(rng, layout, scheme), scheme, layout, filt, grid, rng)))
+            h._data_bits(rng, layout, scheme), scheme, layout, filt, grid, rng),
+            grid))
         plain.append(power(generate_otfdm(
             h._data_bits(rng, base_layout, scheme), scheme, base_layout,
-            base_filt, base_grid, rng)))
+            base_filt, base_grid, rng), base_grid))
     shaped, plain = np.concatenate(shaped), np.concatenate(plain)
     grid_lin = 10.0 ** (np.asarray(h.PAPR_CCDF_GRID_DB) / 10.0)
     values = []
@@ -388,6 +390,64 @@ def papr_values(cfg, ccdf_point=0.01):
 
 
 # --------------------------------------------------------------------------
+# Analytic AWGN anchors: the absolute scale of the estimator MSE and of the
+# genie EVM, which the SNR convention, the front-end scale, the fold and the
+# estimator window set together. On a fold-flat (SQRC) filter the folded
+# time symbol carries white noise of variance inv_snr per sample. Both
+# anchors hold without ridge only, so tap filters are not covered.
+# --------------------------------------------------------------------------
+
+from otfdm.receiver import PRE_MARGIN, _reference  # noqa: E402
+from otfdm.sequences import make_rs_core  # noqa: E402
+
+
+def mse_awgn_oracle(cfg, ext_pct, rs_pct, snr_db):
+    """(mean, per-trial standard deviation) of the per-trial estimate-vs-
+    truth MSE of a Zadoff-Chu RS on AWGN with an SQRC filter.
+
+    LS on the L_r-sample core divides white noise by the reference spectrum
+    R (`receiver._reference`); its impulse noise n is circulant with lag d
+    covariance inv_snr * ifft(1 / |R|^2)[d]. The estimator keeps W + margin
+    taps (margin = min(PRE_MARGIN, L_r - W)), and by Parseval a trial's MSE
+    is the power n^H n of the kept taps, whose covariance C gives mean
+    tr(C) = inv_snr * (W + margin) * mean_k 1/|R_k|^2 and variance tr(C^2)
+    (van de Beek et al., VTC 1995; Morelli & Mengali, IEEE TSP 2001).
+    """
+    scheme, layout, filt, _ = cfg.resolve(extension_pct=ext_pct,
+                                          rs_overhead_pct=rs_pct)
+    composite = filt.folded_square()
+    assert filt.kind == "SQRC" and np.allclose(composite, 1.0, atol=1e-12)
+    est_cfg = EstimatorConfig(window_len=h.window_for(cfg.scheme, layout))
+    spectrum, _ = _reference(make_rs_core(layout.rs_len, scheme), layout,
+                             composite, est_cfg)
+    inv_snr = 10.0 ** (-snr_db / 10.0)
+    l_r, w = layout.rs_len, est_cfg.window_len
+    margin = min(PRE_MARGIN, l_r - w)
+    kept = np.r_[0:w, l_r - margin : l_r]
+    lag = inv_snr * np.fft.ifft(1.0 / np.abs(spectrum) ** 2)
+    cov = lag[(kept[:, None] - kept[None, :]) % l_r]
+    return (float(np.trace(cov).real),
+            float(np.sqrt(np.sum(np.abs(cov) ** 2))))
+
+
+def genie_evm_awgn_oracle(scheme, data_len, snr_db):
+    """(error-to-reference power ratio, its per-trial standard deviation) of
+    the genie receiver on AWGN with an SQRC filter, whose pooled ratio is
+    the record's EVM in dB.
+
+    Unbiased MMSE on a flat unit channel leaves each data symbol its white
+    noise of variance inv_snr, so the ratio is inv_snr. Over one trial's D
+    symbols, the error power has relative variance 1/D and the reference
+    power (E|s|^4 - 1)/D, so the ratio's is E|s|^4 / D (delta method).
+    """
+    bps = scheme.bits_per_symbol
+    labels = (np.arange(2**bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1
+    kurtosis = float(np.mean(np.abs(modulate_direct(labels.ravel(), scheme)) ** 4))
+    inv_snr = 10.0 ** (-snr_db / 10.0)
+    return inv_snr, inv_snr * math.sqrt(kurtosis / data_len)
+
+
+# --------------------------------------------------------------------------
 # The transmit chain written out stage by stage, with nothing cached: the
 # Gray formula per call, the ZC core, RS block and extension index rebuilt
 # per symbol, and every stage output a fresh array. The library's
@@ -395,7 +455,6 @@ def papr_values(cfg, ccdf_point=0.01):
 # --------------------------------------------------------------------------
 
 from otfdm.sequences import ZC_ROOT  # noqa: E402
-from otfdm.transmitter import OtfdmSymbol  # noqa: E402
 
 
 def _gray_pam_direct(bits):
@@ -451,9 +510,9 @@ def _rs_block_direct(core, layout):
 
 
 def generate_otfdm_direct(bits, scheme, layout, filt, grid, rng):
-    """(symbol, multiplexed, shaped): generate_otfdm's symbol, every field,
-    drawing the RS then the ARS from `rng` as the library does, and the two
-    stage outputs the chain computed on the way."""
+    """(symbol, multiplexed, shaped): generate_otfdm's (time samples, RS
+    core, data, ARS), drawing the RS then the ARS from `rng` as the library
+    does, and the two stage outputs the chain computed on the way."""
     bits = np.asarray(bits, dtype=np.int64).ravel()
     rs_core = _reference_core_direct(layout.rs_len, scheme, rng)
     rs_block = _rs_block_direct(rs_core, layout)
@@ -469,10 +528,4 @@ def generate_otfdm_direct(bits, scheme, layout, filt, grid, rng):
     mapped[(grid.first_subcarrier + j) % n] = shaped
     body = np.fft.ifft(mapped) * (n / m)
     time = np.concatenate([body[n - grid.cp_len :], body]) if grid.cp_len else body
-    meta = {"scheme": scheme.name, "filter": filt.kind}
-    if scheme.name != "PI2_BPSK":
-        meta["rs_root"] = ZC_ROOT
-    sym = OtfdmSymbol(
-        time_samples=time, grid=grid, layout=layout, data_symbols=data,
-        ars_symbols=ars, rs_core=rs_core, meta=meta)
-    return sym, multiplexed, shaped
+    return (time, rs_core, data, ars), multiplexed, shaped

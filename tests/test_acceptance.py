@@ -74,12 +74,13 @@ def test_criterion_02_noiseless_loopback():
         grid = grid_for(prof.ref_alloc, filt.excess)
         rng = SeededRng(1001, 0)
         bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
-        sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
-        est = estimate_channel(folded, filt, layout, sym.rs_core,
+        tx, rs_core, data, _ = generate_otfdm(bits, scheme, layout, filt, grid,
+                                              rng)
+        folded = fold_spectrum(front_end(tx, grid), filt)
+        est = estimate_channel(folded, filt, layout, rs_core,
                                EstimatorConfig(window_len=window_for(name, layout)))
         eq = mmse_equalize(folded, est, 0.0)
-        evm = evm_db(eq[layout.data_start : layout.ars_start], sym.data_symbols)
+        evm = evm_db(eq[layout.data_start : layout.ars_start], data)
         worst = max(worst, evm)
         details.append(f"{name}={evm:.0f}")
     _report(2, "noiseless loopback", worst <= -80.0,
@@ -106,11 +107,11 @@ def test_criterion_03_estimation_exactness():
         gains /= np.sqrt(np.sum(np.abs(gains) ** 2))
         rng = SeededRng(1003, case)
         bits = rng.bits(layout.data_len * 2)
-        sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+        tx, rs_core, _, _ = generate_otfdm(bits, scheme, layout, filt, grid, rng)
         ch = custom_realization([(int(d) * step, g) for d, g in zip(delays, gains)])
-        rx = apply_channel(sym.time_samples, ch, rng)
+        rx = apply_channel(tx, ch, rng)
         folded = fold_spectrum(front_end(rx, grid), filt)
-        est = estimate_channel(folded, filt, layout, sym.rs_core, est_cfg)
+        est = estimate_channel(folded, filt, layout, rs_core, est_cfg)
         bins = grid.first_subcarrier + np.arange(grid.extended_size)
         h_bins = np.zeros(grid.extended_size, dtype=complex)
         for d, g in zip(delays, gains):
@@ -184,16 +185,14 @@ def test_criterion_08_ars_recovery():
     grid = grid_for(240, filt.excess)
     rng = SeededRng(1008, 0)
     bits = rng.bits(layout.data_len * 8)
-    sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+    _, rs_core, data, ars = generate_otfdm(bits, scheme, layout, filt, grid, rng)
     worst_step = 0.0
     for step in (1e-4, 1e-3, 1e-2):
         n = np.arange(layout.total_len)
         ramp = np.exp(1j * step * (n - (layout.rs_cp + layout.rs_len)))
-        multiplexed = multiplex_symbol(sym.data_symbols,
-                                       build_rs_block(sym.rs_core, layout),
-                                       sym.ars_symbols, layout)
-        _, phase_step = ars_phase_correct(multiplexed * ramp, sym.ars_symbols,
-                                          layout)
+        multiplexed = multiplex_symbol(data, build_rs_block(rs_core, layout),
+                                       ars, layout)
+        _, phase_step = ars_phase_correct(multiplexed * ramp, ars, layout)
         worst_step = max(worst_step, abs(phase_step - step))
     ramps_ok = worst_step < 1e-8
 
@@ -220,20 +219,20 @@ def test_criterion_09_regularized_ls():
     filt = filter_for("TAPS2", 240, 0.0)
     grid = grid_for(240, 0)
     rng = SeededRng(1009, 0)
-    sym = generate_otfdm(rng.bits(layout.data_len), scheme, layout, filt,
-                         grid, rng)
-    folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+    tx, rs_core, _, _ = generate_otfdm(rng.bits(layout.data_len), scheme, layout,
+                                       filt, grid, rng)
+    folded = fold_spectrum(front_end(tx, grid), filt)
     wl = window_for(name, layout)
     raised = False
     try:
-        estimate_channel(folded, filt, layout, sym.rs_core,
+        estimate_channel(folded, filt, layout, rs_core,
                          EstimatorConfig(window_len=wl, ridge=0.0))
     except SingularReference:
         raised = True
     truth = filt.folded_square().astype(complex)
     mses = []
     for ridge in (0.3162, 1.0, 3.162):
-        est = estimate_channel(folded, filt, layout, sym.rs_core,
+        est = estimate_channel(folded, filt, layout, rs_core,
                                EstimatorConfig(window_len=wl, ridge=ridge))
         mses.append(float(np.mean(np.abs(est - truth) ** 2)))
     finite = all(np.isfinite(m) for m in mses)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -135,6 +136,22 @@ class TestConfigValidation:
     ])
     def test_bad_field_types_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(scheme="QAM256", alloc_size=8, rs_overhead_pct=99.0),
+         "rs_overhead_pct = 99.0"),
+        (dict(ars_pct=99.0), "rs_overhead_pct = None with ars_pct = 99.0"),
+        # the profile's share fits, the 8% of run_mse's extension sweep not
+        (dict(ars_pct=93.0, rs_sweep_pct=(5.0,)), "run_mse's fixed RS share"),
+        (dict(ars_pct=93.0, rs_overhead_pct=5.0, rs_sweep_pct=(5.0, 8.0)),
+         r"rs_sweep_pct\[1\] = 8.0"),
+    ], ids=["rs_overhead_pct", "ars_pct", "mse_fixed_share", "rs_sweep_pct"])
+    def test_impossible_layout_refused_when_built(self, kwargs, field):
+        # a runner would raise layout_for's error only once it starts,
+        # after a sweep's earlier configs have run
+        with pytest.raises(ValueError, match=f"ExperimentConfig: {field}.*"
+                                             "too small for the RS budget"):
             ExperimentConfig(**kwargs)
 
 
@@ -501,10 +518,10 @@ class TestMse:
         run_ber(cfg)
         _, layout, filt, grid = cfg.resolve()
         frame = ((layout, filt, grid),)
-        (_, sent), = harness.transmit_frame(frame, MOD_SCHEMES[scheme],
-                                            SeededRng(cfg.seed, 0))
+        ((_, _, rs_core, _, _),) = harness.transmit_frame(
+            frame, MOD_SCHEMES[scheme], SeededRng(cfg.seed, 0))
         assert len(checked) == 1
-        assert np.array_equal(checked[0], sent.rs_core)
+        assert np.array_equal(checked[0], rs_core)
 
 
 class TestBer:
@@ -571,6 +588,49 @@ class TestBer:
         else:
             assert [r.value for r in run_ber(cfg)
                     if r.metric.startswith("evm")] == [evm, evm]
+
+
+class TestAwgnAnchors:
+    """The absolute scale of the estimator MSE and of the genie EVM on AWGN
+    against their analytic values (`oracles.mse_awgn_oracle`,
+    `oracles.genie_evm_awgn_oracle`): each record lies within Z standard
+    errors of the mean over TRIALS trials at SEED, the standard error being
+    the oracle's per-trial standard deviation over sqrt(TRIALS). SQRC
+    filters only: on a tap filter the ridge enters the formula, and that
+    is not derived here."""
+
+    TRIALS, SEED, Z = 1000, 3, 4.0
+
+    @pytest.mark.parametrize("scheme, alloc, ext, rs, snr_db", [
+        ("QPSK", 240, 5.0, 8.0, 10.0),
+        ("QAM16", 240, 0.0, 5.0, 0.0),
+        ("QPSK", 240, 10.0, 12.0, 10.0),
+        ("QAM64", 480, 10.0, 12.0, 20.0),
+    ])
+    def test_estimator_mse(self, scheme, alloc, ext, rs, snr_db):
+        cfg = ExperimentConfig(scheme=scheme, alloc_size=alloc,
+                               extension_pct=ext, rs_overhead_pct=rs,
+                               snr_db=(snr_db,), trials=self.TRIALS,
+                               seed=self.SEED, gamma_sweep_pct=(ext,),
+                               rs_sweep_pct=())
+        (record,) = run_mse(cfg)
+        mean, sd = oracles.mse_awgn_oracle(cfg, ext, rs, snr_db)
+        assert abs(record.value - mean) <= self.Z * sd / math.sqrt(self.TRIALS)
+
+    @pytest.mark.parametrize("scheme, ext, snr_db", [
+        ("QPSK", 0.0, 10.0), ("QAM64", 5.0, 20.0), ("QAM256", 10.0, 20.0)])
+    def test_genie_evm_is_minus_the_snr(self, scheme, ext, snr_db):
+        # compared as a power ratio, where the standard error is linear
+        cfg = ExperimentConfig(scheme=scheme, extension_pct=ext,
+                               snr_db=(snr_db,), genie_channel=True,
+                               trials=self.TRIALS, seed=self.SEED)
+        evm_db = [r.value for r in run_ber(cfg) if r.metric == "evm_db"][0]
+        _, layout, _, _ = cfg.resolve()
+        ratio, sd = oracles.genie_evm_awgn_oracle(MOD_SCHEMES[scheme],
+                                                  layout.data_len, snr_db)
+        assert ratio == pytest.approx(10.0 ** (-snr_db / 10.0))
+        assert (abs(10.0 ** (evm_db / 10.0) - ratio)
+                <= self.Z * sd / math.sqrt(self.TRIALS))
 
 
 class TestSweepCsv:

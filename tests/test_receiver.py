@@ -54,12 +54,12 @@ def _qpsk_symbol(alloc=48, excess=6, seed=20, ars_len=0):
     return scheme, layout, filt, grid, bits, sym
 
 
-def _multiplexed(sym):
-    """The symbol's multiplexed [RS block | data | ARS], rebuilt by the
-    public stage call (bit for bit what generate_otfdm shaped)."""
-    return multiplex_symbol(sym.data_symbols,
-                            build_rs_block(sym.rs_core, sym.layout),
-                            sym.ars_symbols, sym.layout)
+def _multiplexed(sym, layout):
+    """The multiplexed [RS block | data | ARS] of generate_otfdm's arrays
+    `sym`, rebuilt by the public stage call (bit for bit what
+    generate_otfdm shaped)."""
+    _, rs_core, data, ars = sym
+    return multiplex_symbol(data, build_rs_block(rs_core, layout), ars, layout)
 
 
 def _data(time, layout):
@@ -67,38 +67,39 @@ def _data(time, layout):
     return time[..., layout.data_start : layout.ars_start]
 
 
-def _shaped(sym, filt):
-    return precode_extend_shape(_multiplexed(sym), filt)
+def _shaped(sym, layout, filt):
+    return precode_extend_shape(_multiplexed(sym, layout), filt)
 
 
 class TestFrontEnd:
     def test_loopback_recovers_shaped_block(self):
-        _, _, filt, grid, _, sym = _qpsk_symbol()
-        out = front_end(sym.time_samples, grid)
-        np.testing.assert_allclose(out, _shaped(sym, filt), atol=1e-10)
+        _, layout, filt, grid, _, sym = _qpsk_symbol()
+        out = front_end(sym[0], grid)
+        np.testing.assert_allclose(out, _shaped(sym, layout, filt), atol=1e-10)
 
     def test_delay_within_cp_gives_linear_phase(self):
-        _, _, filt, grid, _, sym = _qpsk_symbol()
+        _, layout, filt, grid, _, sym = _qpsk_symbol()
         d = 7
         delayed = np.concatenate(
-            [np.zeros(d, dtype=complex), sym.time_samples]
+            [np.zeros(d, dtype=complex), sym[0]]
         )[: grid.cp_len + grid.fft_size]
         out = front_end(delayed, grid)
         bins = grid.first_subcarrier + np.arange(grid.extended_size)
-        expected = _shaped(sym, filt) * np.exp(-2j * np.pi * bins * d
-                                               / grid.fft_size)
+        expected = _shaped(sym, layout, filt) * np.exp(-2j * np.pi * bins * d
+                                                       / grid.fft_size)
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_flat_gain_scales_output(self):
-        _, _, filt, grid, _, sym = _qpsk_symbol()
+        _, layout, filt, grid, _, sym = _qpsk_symbol()
         g = 0.3 - 1.2j
-        out = front_end(g * sym.time_samples, grid)
-        np.testing.assert_allclose(out, g * _shaped(sym, filt), atol=1e-10)
+        out = front_end(g * sym[0], grid)
+        np.testing.assert_allclose(out, g * _shaped(sym, layout, filt),
+                                   atol=1e-10)
 
     def test_short_input_raises(self):
-        _, _, _, grid, _, sym = _qpsk_symbol()
+        _, _, _, grid, _, (time, *_) = _qpsk_symbol()
         with pytest.raises(ValueError):
-            front_end(sym.time_samples[:-1], grid)
+            front_end(time[:-1], grid)
 
 
 class TestFoldSpectrum:
@@ -142,13 +143,13 @@ class TestFoldSpectrum:
 
 def _static_channel_case(layout, filt, grid, scheme, taps_m, seed):
     """Transmit one symbol through integer symbol-rate delay taps and return
-    (symbol, folded, oracle composite)."""
+    (RS core, folded, oracle composite)."""
     rng = SeededRng(seed, 0)
     bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
-    sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+    time, rs_core, _, _ = generate_otfdm(bits, scheme, layout, filt, grid, rng)
     step = grid.fft_size // grid.alloc_size
     ch = custom_realization([(d * step, g) for d, g in taps_m])
-    rx = apply_channel(sym.time_samples, ch, rng)
+    rx = apply_channel(time, ch, rng)
     folded = fold_spectrum(front_end(rx, grid), filt)
     bins = grid.first_subcarrier + np.arange(grid.extended_size)
     h_bins = np.zeros(grid.extended_size, dtype=complex)
@@ -156,15 +157,15 @@ def _static_channel_case(layout, filt, grid, scheme, taps_m, seed):
         h_bins += g * np.exp(-2j * np.pi * bins * d * step / grid.fft_size)
     truth = fold_composite_direct(filt.weights, grid.alloc_size, grid.excess,
                                   h_bins)
-    return sym, folded, truth
+    return rs_core, folded, truth
 
 
 class TestEstimateChannel:
     def test_flat_channel_recovers_gain(self):
-        _, layout, filt, grid, _, sym = _qpsk_symbol()
+        _, layout, filt, grid, _, (time, rs_core, _, _) = _qpsk_symbol()
         g = 1.7 - 0.4j
-        folded = fold_spectrum(front_end(g * sym.time_samples, grid), filt)
-        est = estimate_channel(folded, filt, layout, sym.rs_core,
+        folded = fold_spectrum(front_end(g * time, grid), filt)
+        est = estimate_channel(folded, filt, layout, rs_core,
                                EstimatorConfig(window_len=6))
         np.testing.assert_allclose(est, np.full(48, g), atol=1e-9)
 
@@ -174,9 +175,9 @@ class TestEstimateChannel:
         filt = make_sqrc_filter(48, 5)
         grid = WaveformGrid(48, 5, 192, cp_len=40)
         taps = [(0, 0.8), (2, 0.4 - 0.3j), (6, 0.3j)]
-        sym, folded, truth = _static_channel_case(layout, filt, grid, scheme,
-                                                  taps, seed=30)
-        est = estimate_channel(folded, filt, layout, sym.rs_core,
+        rs_core, folded, truth = _static_channel_case(layout, filt, grid,
+                                                      scheme, taps, seed=30)
+        est = estimate_channel(folded, filt, layout, rs_core,
                                EstimatorConfig(window_len=8))
         assert np.max(np.abs(est - truth)) <= 1e-8
 
@@ -189,9 +190,9 @@ class TestEstimateChannel:
         for rs_cp in (5, 6):
             layout = FrameLayout(rs_len=12, rs_cp=rs_cp, rs_cs=12 - rs_cp,
                                  data_len=24)
-            sym, folded, truth = _static_channel_case(layout, filt, grid,
-                                                      scheme, taps, seed=31)
-            est = estimate_channel(folded, filt, layout, sym.rs_core,
+            rs_core, folded, truth = _static_channel_case(layout, filt, grid,
+                                                          scheme, taps, seed=31)
+            est = estimate_channel(folded, filt, layout, rs_core,
                                    EstimatorConfig(window_len=6))
             assert np.max(np.abs(est - truth)) <= 1e-8
 
@@ -202,82 +203,92 @@ class TestEstimateChannel:
         filt = filter_for("TAPS2", 240, 0.0)
         grid = grid_for(240, 0)
         rng = SeededRng(32, 0)
-        sym = generate_otfdm(rng.bits(layout.data_len), scheme, layout, filt,
-                             grid, rng)
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+        time, rs_core, _, _ = generate_otfdm(rng.bits(layout.data_len), scheme,
+                                             layout, filt, grid, rng)
+        folded = fold_spectrum(front_end(time, grid), filt)
         wl = window_for(name, layout)
         with pytest.raises(SingularReference):
-            estimate_channel(folded, filt, layout, sym.rs_core,
+            estimate_channel(folded, filt, layout, rs_core,
                              EstimatorConfig(window_len=wl, ridge=0.0))
         truth = filt.folded_square().astype(complex)
         for ridge in (0.3162, 1.0, 3.162):
-            est = estimate_channel(folded, filt, layout, sym.rs_core,
+            est = estimate_channel(folded, filt, layout, rs_core,
                                    EstimatorConfig(window_len=wl, ridge=ridge))
             assert np.all(np.isfinite(est))
             assert np.isfinite(np.mean(np.abs(est - truth) ** 2))
 
     def test_ridge_converges_to_plain_ls(self):
-        _, layout, filt, grid, _, sym = _qpsk_symbol(seed=33)
+        _, layout, filt, grid, _, (time, rs_core, _, _) = _qpsk_symbol(seed=33)
         g = 0.9 + 0.2j
-        folded = fold_spectrum(front_end(g * sym.time_samples, grid), filt)
-        base = estimate_channel(folded, filt, layout, sym.rs_core,
+        folded = fold_spectrum(front_end(g * time, grid), filt)
+        base = estimate_channel(folded, filt, layout, rs_core,
                                 EstimatorConfig(window_len=6, ridge=0.0))
         errs = []
         for ridge in (1e-2, 1e-4, 1e-6):
-            est = estimate_channel(folded, filt, layout, sym.rs_core,
+            est = estimate_channel(folded, filt, layout, rs_core,
                                    EstimatorConfig(window_len=6, ridge=ridge))
             errs.append(np.max(np.abs(est - base)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-6
 
     def test_filter_or_layout_mismatch_raises(self):
-        _, layout, filt, grid, _, sym = _qpsk_symbol()
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+        _, layout, filt, grid, _, (time, rs_core, _, _) = _qpsk_symbol()
+        folded = fold_spectrum(front_end(time, grid), filt)
         est_cfg = EstimatorConfig(window_len=6)
         with pytest.raises(ValueError, match="does not match"):
             estimate_channel(folded, make_sqrc_filter(24, 6), layout,
-                             sym.rs_core, est_cfg)
+                             rs_core, est_cfg)
         with pytest.raises(ValueError, match="does not match"):
-            estimate_channel(folded[:-1], filt, layout, sym.rs_core, est_cfg)
+            estimate_channel(folded[:-1], filt, layout, rs_core, est_cfg)
 
     def test_bad_window_raises(self):
-        _, layout, filt, grid, _, sym = _qpsk_symbol()
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+        _, layout, filt, grid, _, (time, rs_core, _, _) = _qpsk_symbol()
+        folded = fold_spectrum(front_end(time, grid), filt)
         with pytest.raises(ValueError):
-            estimate_channel(folded, filt, layout, sym.rs_core,
+            estimate_channel(folded, filt, layout, rs_core,
                              EstimatorConfig(window_len=layout.rs_len + 1))
 
 
 class TestMmseEqualize:
     def test_unity_estimate_zero_noise_passthrough(self):
-        _, layout, filt, grid, _, sym = _qpsk_symbol()
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+        _, layout, filt, grid, _, (time, *_) = _qpsk_symbol()
+        folded = fold_spectrum(front_end(time, grid), filt)
         est = np.ones(48, dtype=complex)
         eq = mmse_equalize(folded, est, 0.0)
         np.testing.assert_allclose(eq, np.fft.ifft(folded),
                                    atol=1e-12)
 
     def test_zero_db_bias(self):
-        _, layout, filt, grid, _, sym = _qpsk_symbol()
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+        _, layout, filt, grid, _, (time, *_) = _qpsk_symbol()
+        folded = fold_spectrum(front_end(time, grid), filt)
         est = np.ones(48, dtype=complex)
         eq = mmse_equalize(folded, est, 1.0)
         np.testing.assert_allclose(eq, np.fft.ifft(folded) / 2.0,
                                    atol=1e-12)
 
     def test_zero_noise_with_null_estimate_raises(self):
-        _, layout, filt, grid, _, sym = _qpsk_symbol()
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+        _, layout, filt, grid, _, (time, *_) = _qpsk_symbol()
+        folded = fold_spectrum(front_end(time, grid), filt)
         h = np.ones(48, dtype=complex)
         h[5] = 0.0
         with pytest.raises(DegenerateEqualizer):
             mmse_equalize(folded, h, 0.0)
 
     def test_negative_noise_raises(self):
-        _, layout, filt, grid, _, sym = _qpsk_symbol()
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+        _, layout, filt, grid, _, (time, *_) = _qpsk_symbol()
+        folded = fold_spectrum(front_end(time, grid), filt)
         with pytest.raises(ValueError):
             mmse_equalize(folded, np.ones(48, complex), -0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_noise_or_ridge_raises(self, bad):
+        # NaN would equalize to all-NaN and inf to all-zero, quietly
+        _, layout, filt, grid, _, (time, *_) = _qpsk_symbol()
+        folded = fold_spectrum(front_end(time, grid), filt)
+        with pytest.raises(ValueError, match="noise_var"):
+            mmse_equalize(folded, np.ones(48, complex), bad)
+        with pytest.raises(ValueError, match="ridge"):
+            EstimatorConfig(window_len=4, ridge=bad)
 
     @pytest.mark.parametrize("name", list(MOD_SCHEMES))
     # (6, 6) is a block [c | c] read mid-prefix; the ids keep their names
@@ -294,12 +305,13 @@ class TestMmseEqualize:
         grid = WaveformGrid(alloc, 8, 4 * alloc, cp_len=16)
         rng = SeededRng(40, 0)
         bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
-        sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
-        est = estimate_channel(folded, filt, layout, sym.rs_core,
+        time, rs_core, data, _ = generate_otfdm(bits, scheme, layout, filt, grid,
+                                                rng)
+        folded = fold_spectrum(front_end(time, grid), filt)
+        est = estimate_channel(folded, filt, layout, rs_core,
                                EstimatorConfig(window_len=8))
         eq = mmse_equalize(folded, est, 0.0)
-        assert np.max(np.abs(_data(eq, layout) - sym.data_symbols)) <= 1e-8
+        assert np.max(np.abs(_data(eq, layout) - data)) <= 1e-8
         hard = hard_bits(_data(eq, layout), scheme)
         assert np.array_equal(hard, bits)
 
@@ -315,26 +327,27 @@ class TestMmseEqualize:
         # any scheme and layout, SQRC shaping, no channel, no noise: the
         # ZC schemes estimate from their own RS; pi/2-BPSK, whose random
         # RS may have spectral nulls, is handed the known composite
-        cfg = ExperimentConfig(scheme=name, alloc_size=alloc,
-                               extension_pct=ext_pct, rs_overhead_pct=rs_pct,
-                               ars_pct=ars_pct)
         try:
+            cfg = ExperimentConfig(scheme=name, alloc_size=alloc,
+                                   extension_pct=ext_pct,
+                                   rs_overhead_pct=rs_pct, ars_pct=ars_pct)
             scheme, layout, filt, grid = cfg.resolve()
         except ValueError:
             assume(False)
         rng = SeededRng(seed, 0)
         bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
-        sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
-        folded = fold_spectrum(front_end(sym.time_samples, grid), filt)
+        time, rs_core, _, _ = generate_otfdm(bits, scheme, layout, filt, grid,
+                                             rng)
+        folded = fold_spectrum(front_end(time, grid), filt)
         if name == "PI2_BPSK":
             est = filt.folded_square()
         else:
             try:  # no RS at all leaves no window to estimate with
                 est_cfg = EstimatorConfig(window_len=window_for(name, layout))
-                check_reference(sym.rs_core, layout, filt, est_cfg)
+                check_reference(rs_core, layout, filt, est_cfg)
             except ValueError:
                 assume(False)
-            est = estimate_channel(folded, filt, layout, sym.rs_core, est_cfg)
+            est = estimate_channel(folded, filt, layout, rs_core, est_cfg)
         eq = mmse_equalize(folded, est, 0.0)
         assert np.array_equal(hard_bits(_data(eq, layout), scheme), bits)
 
@@ -346,30 +359,30 @@ class TestArsPhaseCorrect:
         )
         n = np.arange(layout.total_len)
         ramp = np.exp(1j * step * (n - (layout.rs_cp + layout.rs_len)))
-        eq = _multiplexed(sym) * ramp
+        eq = _multiplexed(sym, layout) * ramp
         return layout, sym, eq
 
     def test_zero_ramp_is_exact_noop(self):
-        layout, sym, eq = self._equalized_with_ramp(0.0)
-        out, phase_step = ars_phase_correct(eq, sym.ars_symbols, layout)
+        layout, (*_, ars), eq = self._equalized_with_ramp(0.0)
+        out, phase_step = ars_phase_correct(eq, ars, layout)
         assert abs(phase_step) <= 1e-12
         np.testing.assert_array_equal(_data(out, layout), _data(eq, layout))
 
     @pytest.mark.parametrize("step", [1e-4, 1e-3, 1e-2])
     def test_recovers_injected_ramp(self, step):
-        layout, sym, eq = self._equalized_with_ramp(step)
-        out, phase_step = ars_phase_correct(eq, sym.ars_symbols, layout)
+        layout, (_, _, data, ars), eq = self._equalized_with_ramp(step)
+        out, phase_step = ars_phase_correct(eq, ars, layout)
         assert abs(phase_step - step) <= 1e-9
-        assert np.max(np.abs(_data(out, layout) - sym.data_symbols)) <= 1e-9
+        assert np.max(np.abs(_data(out, layout) - data)) <= 1e-9
 
     def test_equalized_length_must_match_layout(self):
-        layout, sym, eq = self._equalized_with_ramp(0.0)
+        layout, (*_, ars), eq = self._equalized_with_ramp(0.0)
         with pytest.raises(ValueError, match="layout size"):
-            ars_phase_correct(eq[:-1], sym.ars_symbols, layout)
+            ars_phase_correct(eq[:-1], ars, layout)
 
     def test_requires_ars_allocation(self):
         scheme, layout, filt, grid, bits, sym = _qpsk_symbol(seed=42)
-        eq = _multiplexed(sym)
+        eq = _multiplexed(sym, layout)
         with pytest.raises(ValueError):
             ars_phase_correct(eq, np.ones(1, dtype=complex), layout)
 
@@ -379,19 +392,19 @@ class TestArsPhaseCorrect:
         # per-sample phase step of the geometry
         from otfdm import HstConfig, hst_realization
 
-        scheme, layout, filt, grid, bits, sym = _qpsk_symbol(
+        scheme, layout, filt, grid, bits, (time, rs_core, _, ars) = _qpsk_symbol(
             alloc=240, excess=6, seed=43, ars_len=6
         )
         cfg = HstConfig(ds_m=50000.0, dmin_m=2.0, speed_kmh=500.0, fc_ghz=7.0)
-        n = sym.time_samples.size
+        n = time.size
         ch = hst_realization(cfg, t0=0.0, duration=n / grid.sample_rate_hz,
                              num_samples=n)
-        rx = apply_channel(sym.time_samples, ch, SeededRng(43, 1))
+        rx = apply_channel(time, ch, SeededRng(43, 1))
         folded = fold_spectrum(front_end(rx, grid), filt)
-        est = estimate_channel(folded, filt, layout, sym.rs_core,
+        est = estimate_channel(folded, filt, layout, rs_core,
                                EstimatorConfig(window_len=8))
         eq = mmse_equalize(folded, est, 0.0)
-        _, phase_step = ars_phase_correct(eq, sym.ars_symbols, layout)
+        _, phase_step = ars_phase_correct(eq, ars, layout)
         expected = 2 * np.pi * cfg.max_doppler_hz / (240 * grid.scs_khz * 1e3)
         assert phase_step == pytest.approx(expected, rel=0.05)
 
@@ -480,10 +493,11 @@ class TestDemodulate:
 def test_dump_diagnostics_mentions_all_stages():
     from otfdm.receiver import dump_diagnostics
 
-    scheme, layout, filt, grid, bits, sym = _qpsk_symbol(seed=60)
-    demapped = front_end(sym.time_samples, grid)
+    scheme, layout, filt, grid, bits, (time, rs_core, _, _) = _qpsk_symbol(
+        seed=60)
+    demapped = front_end(time, grid)
     folded = fold_spectrum(demapped, filt)
-    est = estimate_channel(folded, filt, layout, sym.rs_core,
+    est = estimate_channel(folded, filt, layout, rs_core,
                            EstimatorConfig(window_len=6))
     eq = mmse_equalize(folded, est, 0.0)
     text = dump_diagnostics(demapped, folded, est, eq, 0.0, layout)
@@ -494,7 +508,8 @@ def test_dump_diagnostics_mentions_all_stages():
 
 def _received_stack(count, name="QAM16", filt_kind="SQRC", seed=70):
     """`count` independent symbols through their own multipath channels and
-    noise: (scheme, layout, filt, grid, symbols, received rows)."""
+    noise: (scheme, layout, filt, grid, symbols, received rows), each
+    symbol generate_otfdm's (time samples, RS core, data, ARS)."""
     scheme = MOD_SCHEMES[name]
     alloc = 96
     layout = layout_for(name, alloc, ars_len=4)
@@ -509,7 +524,7 @@ def _received_stack(count, name="QAM16", filt_kind="SQRC", seed=70):
         gains = rng.complex_normal(3, 1.0 / 3.0)
         ch = custom_realization([(d * step, g) for d, g in zip((0, 1, 3), gains)])
         syms.append(sym)
-        rx.append(apply_channel(sym.time_samples, ch, rng, 1e-3))
+        rx.append(apply_channel(sym[0], ch, rng, 1e-3))
     return scheme, layout, filt, grid, syms, rx
 
 
@@ -522,19 +537,18 @@ class TestLeadingTrialAxis:
         est_cfg = EstimatorConfig(window_len=window_for("QAM16", layout))
         demapped = front_end(np.stack(rx), grid)
         folded = fold_spectrum(demapped, filt)
-        est = estimate_channel(folded, filt, layout,
-                               np.stack([s.rs_core for s in syms]), est_cfg)
+        _, rs_cores, _, ars_cores = map(np.stack, zip(*syms))
+        est = estimate_channel(folded, filt, layout, rs_cores, est_cfg)
         eq = mmse_equalize(folded, est, 0.01)
-        ars, steps = ars_phase_correct(
-            eq, np.stack([s.ars_symbols for s in syms]), layout)
+        ars, steps = ars_phase_correct(eq, ars_cores, layout)
         hard = hard_bits(_data(ars, layout), scheme)
         assert steps.shape == (count,)
-        for t, sym in enumerate(syms):
+        for t, (_, rs_core, _, ars_core) in enumerate(syms):
             d1 = front_end(rx[t], grid)
             f1 = fold_spectrum(d1, filt)
-            e1 = estimate_channel(f1, filt, layout, sym.rs_core, est_cfg)
+            e1 = estimate_channel(f1, filt, layout, rs_core, est_cfg)
             q1 = mmse_equalize(f1, e1, 0.01)
-            a1, s1 = ars_phase_correct(q1, sym.ars_symbols, layout)
+            a1, s1 = ars_phase_correct(q1, ars_core, layout)
             h1 = hard_bits(_data(a1, layout), scheme)
             assert np.array_equal(demapped[t], d1)
             assert np.array_equal(folded[t], f1)
@@ -594,10 +608,10 @@ class TestLeadingTrialAxis:
         # symbols gives, row for row, the 1-D call's result bit for bit
         if not (kind.startswith("TAPS") or name == "PI2_BPSK"):
             ridge = 0.0
-        cfg = ExperimentConfig(scheme=name, alloc_size=alloc,
-                               extension_pct=ext_pct, filter_kind=kind,
-                               rs_overhead_pct=rs_pct, ars_pct=ars_pct)
         try:
+            cfg = ExperimentConfig(scheme=name, alloc_size=alloc,
+                                   extension_pct=ext_pct, filter_kind=kind,
+                                   rs_overhead_pct=rs_pct, ars_pct=ars_pct)
             scheme, layout, filt, grid = cfg.resolve()
         except ValueError:
             assume(False)
@@ -606,10 +620,10 @@ class TestLeadingTrialAxis:
             rng = SeededRng(seed, t)
             bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
             syms.append(generate_otfdm(bits, scheme, layout, filt, grid, rng))
-            rx.append(syms[-1].time_samples
-                      + rng.complex_normal(syms[-1].time_samples.size, 1e-3))
+            time = syms[-1][0]
+            rx.append(time + rng.complex_normal(time.size, 1e-3))
             responses.append(rng.complex_normal(alloc))
-        rs = np.stack([s.rs_core for s in syms])
+        _, rs, _, ars_cores = map(np.stack, zip(*syms))
         try:  # no RS at all leaves no window to estimate with
             est_cfg = EstimatorConfig(window_len=window_for(name, layout),
                                       ridge=ridge)
@@ -624,17 +638,16 @@ class TestLeadingTrialAxis:
         genie = mmse_equalize(folded, np.stack(responses), 0.01)
         eq = mmse_equalize(folded, est, 0.01)
         if layout.ars_len:
-            eq, steps = ars_phase_correct(
-                eq, np.stack([s.ars_symbols for s in syms]), layout)
+            eq, steps = ars_phase_correct(eq, ars_cores, layout)
         hard = hard_bits(_data(eq, layout), scheme)
-        for t, sym in enumerate(syms):
+        for t, (_, rs_core, _, ars_core) in enumerate(syms):
             d1 = front_end(rx[t], grid)
             f1 = fold_spectrum(d1, filt)
-            e1 = estimate_channel(f1, filt, layout, sym.rs_core, est_cfg)
+            e1 = estimate_channel(f1, filt, layout, rs_core, est_cfg)
             g1 = mmse_equalize(f1, responses[t], 0.01)
             q1 = mmse_equalize(f1, e1, 0.01)
             if layout.ars_len:
-                q1, s1 = ars_phase_correct(q1, sym.ars_symbols, layout)
+                q1, s1 = ars_phase_correct(q1, ars_core, layout)
                 assert steps[t] == s1
             assert np.array_equal(demapped[t], d1)
             assert np.array_equal(folded[t], f1)
@@ -647,7 +660,7 @@ class TestLeadingTrialAxis:
         # ridge 0: one RS core with a spectral null sinks the whole stack
         _, layout, filt, grid, syms, rx = _received_stack(3, filt_kind="TAPS3")
         est_cfg = EstimatorConfig(window_len=window_for("QAM16", layout))
-        rs = np.stack([s.rs_core for s in syms])
+        rs = np.stack([rs_core for _, rs_core, _, _ in syms])
         spectrum = np.fft.fft(rs[1])
         spectrum[2] = 0.0
         rs[1] = np.fft.ifft(spectrum)
@@ -678,7 +691,7 @@ class TestLeadingTrialAxis:
         # null floors: each row is judged against its own maximum
         _, layout, filt, grid, syms, rx = _received_stack(3, filt_kind="TAPS3")
         est_cfg = EstimatorConfig(window_len=window_for("QAM16", layout))
-        rs = np.stack([s.rs_core for s in syms])
+        rs = np.stack([rs_core for _, rs_core, _, _ in syms])
         rs[0] *= 1e6
         folded = fold_spectrum(front_end(np.stack(rx), grid), filt)
         est = estimate_channel(folded, filt, layout, rs, est_cfg)

@@ -151,7 +151,7 @@ class TestGenerate:
         bits = SeededRng(10, 0).bits(layout.data_len * 2)
         a = generate_otfdm(bits, scheme, layout, filt, grid, SeededRng(10, 1))
         b = generate_otfdm(bits, scheme, layout, filt, grid, SeededRng(10, 1))
-        np.testing.assert_array_equal(a.time_samples, b.time_samples)
+        np.testing.assert_array_equal(a[0], b[0])
 
     def test_table_layout_share_qpsk(self):
         layout = layout_for("QPSK", 3120)
@@ -164,11 +164,9 @@ class TestGenerate:
             scheme, layout, filt, grid = self._setup(name, ext=0.0)
             rng = SeededRng(11, 0)
             bits = rng.bits(layout.data_len * scheme.bits_per_symbol)
-            sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+            time, *_ = generate_otfdm(bits, scheme, layout, filt, grid, rng)
             cp = grid.cp_len
-            np.testing.assert_allclose(
-                sym.time_samples[:cp], sym.time_samples[-cp:], atol=1e-12
-            )
+            np.testing.assert_allclose(time[:cp], time[-cp:], atol=1e-12)
 
     def test_pipeline_linearity(self):
         filt = make_sqrc_filter(24, 3)
@@ -190,7 +188,7 @@ class TestGenerate:
         scheme = MOD_SCHEMES["QPSK"]
         rng = SeededRng(13, 0)
         bits = rng.bits(alloc * 2)
-        sym = generate_otfdm(bits, scheme, layout, filt, grid, rng)
+        time, *_ = generate_otfdm(bits, scheme, layout, filt, grid, rng)
 
         from otfdm import modulate
 
@@ -200,7 +198,7 @@ class TestGenerate:
         mapped[(np.arange(48) - 24) % 192] = spectrum
         body = np.fft.ifft(mapped) * (192 / 48)
         classic = np.concatenate([body[-12:], body])
-        np.testing.assert_allclose(sym.time_samples, classic, atol=1e-12)
+        np.testing.assert_allclose(time, classic, atol=1e-12)
 
     def test_mismatched_configuration_raises(self):
         scheme, layout, filt, grid = self._setup()
@@ -223,14 +221,14 @@ def test_write_waveform_roundtrip(tmp_path):
     filt = filter_for("SQRC", 240, 5.0)
     grid = grid_for(240, filt.excess)
     rng = SeededRng(14, 0)
-    sym = generate_otfdm(rng.bits(layout.data_len * 2), scheme, layout, filt,
-                         grid, rng)
+    time, *_ = generate_otfdm(rng.bits(layout.data_len * 2), scheme, layout,
+                              filt, grid, rng)
     path = tmp_path / "wave.bin"
-    write_waveform(path, sym, seed_info="14/0")
+    write_waveform(path, time, scheme, layout, filt, grid, seed_info="14/0")
 
     raw = np.fromfile(path, dtype="<f8")
     back = raw[0::2] + 1j * raw[1::2]
-    np.testing.assert_array_equal(back, sym.time_samples)
+    np.testing.assert_array_equal(back, time)
 
     header = (tmp_path / "wave.bin.hdr").read_text()
     for key in ("format=interleaved_float64_le", "alloc_size=240",
@@ -249,25 +247,25 @@ def test_write_waveform_header_names_filter_and_rs(tmp_path, name, kind,
     cfg = ExperimentConfig(scheme=name, alloc_size=120, filter_kind=kind)
     scheme, layout, filt, grid = cfg.resolve()
     rng = SeededRng(3, 0)
-    sym = generate_otfdm(rng.bits(layout.data_len * scheme.bits_per_symbol),
-                         scheme, layout, filt, grid, rng)
-    write_waveform(tmp_path / "wave.bin", sym)
+    time, *_ = generate_otfdm(rng.bits(layout.data_len * scheme.bits_per_symbol),
+                              scheme, layout, filt, grid, rng)
+    write_waveform(tmp_path / "wave.bin", time, scheme, layout, filt, grid)
     lines = (tmp_path / "wave.bin.hdr").read_text().splitlines()
     entries = dict(line.split("=", 1) for line in lines)
     assert (entries["scheme"], entries["filter"]) == (name, kind)
     assert entries.get("rs_root") == rs_root
 
 
-SYMBOL_ARRAYS = ("time_samples", "data_symbols", "ars_symbols", "rs_core")
+# generate_otfdm's arrays, in the order it returns them
+SYMBOL_ARRAYS = ("time_samples", "rs_core", "data_symbols", "ars_symbols")
 
 
-def _stage_outputs(sym, filt):
-    """(multiplexed, shaped) rebuilt from the symbol's fields by the public
+def _stage_outputs(sym, layout, filt):
+    """(multiplexed, shaped) rebuilt from the symbol's arrays by the public
     stage calls."""
-    layout = sym.layout
-    multiplexed = multiplex_symbol(sym.data_symbols,
-                                   build_rs_block(sym.rs_core, layout),
-                                   sym.ars_symbols, layout)
+    _, rs_core, data, ars = sym
+    multiplexed = multiplex_symbol(data, build_rs_block(rs_core, layout), ars,
+                                   layout)
     return multiplexed, precode_extend_shape(multiplexed, filt)
 
 
@@ -277,9 +275,9 @@ def _assert_same_bytes(got, want, name):
 
 
 def _assert_same_symbol(sym, ref):
-    for name in SYMBOL_ARRAYS:
-        _assert_same_bytes(getattr(sym, name), getattr(ref, name), name)
-    assert (sym.grid, sym.layout, sym.meta) == (ref.grid, ref.layout, ref.meta)
+    assert len(sym) == len(ref) == len(SYMBOL_ARRAYS)
+    for name, got, want in zip(SYMBOL_ARRAYS, sym, ref):
+        _assert_same_bytes(got, want, name)
 
 
 def _assert_matches_direct(scheme, layout, filt, grid, seed):
@@ -293,7 +291,8 @@ def _assert_matches_direct(scheme, layout, filt, grid, seed):
                                                      grid, rng_ref)
     _assert_same_symbol(sym, ref)
     for name, got, want in zip(("multiplexed", "shaped"),
-                               _stage_outputs(sym, filt), (multiplexed, shaped)):
+                               _stage_outputs(sym, layout, filt),
+                               (multiplexed, shaped)):
         _assert_same_bytes(got, want, name)
     assert rng._gen.bit_generator.state == rng_ref._gen.bit_generator.state
 
@@ -341,11 +340,11 @@ class TestMatchesDirectChain:
         layout, grid = layout_for("QAM64", 240, 6), grid_for(240, filt.excess)
         first = generate_otfdm(SeededRng(1, 0).bits(layout.data_len * 6),
                                scheme, layout, filt, grid, SeededRng(1, 1))
-        kept = {name: getattr(first, name).copy() for name in SYMBOL_ARRAYS}
+        kept = [array.copy() for array in first]
         generate_otfdm(SeededRng(2, 0).bits(layout.data_len * 6),
                        scheme, layout, filt, grid, SeededRng(2, 1))
-        for name, before in kept.items():
-            np.testing.assert_array_equal(getattr(first, name), before)
+        for name, array, before in zip(SYMBOL_ARRAYS, first, kept):
+            np.testing.assert_array_equal(array, before, err_msg=name)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(MOD_SCHEMES)),
@@ -357,10 +356,10 @@ class TestMatchesDirectChain:
            seed=st.integers(0, 2**32 - 1))
     def test_random_layouts_match(self, name, alloc, rs_pct, ars_pct, ext_pct,
                                   kind, seed):
-        cfg = ExperimentConfig(scheme=name, alloc_size=alloc,
-                               rs_overhead_pct=rs_pct, ars_pct=ars_pct,
-                               extension_pct=ext_pct, filter_kind=kind)
         try:
+            cfg = ExperimentConfig(scheme=name, alloc_size=alloc,
+                                   rs_overhead_pct=rs_pct, ars_pct=ars_pct,
+                                   extension_pct=ext_pct, filter_kind=kind)
             scheme, layout, filt, grid = cfg.resolve()
         except ValueError:
             assume(False)
@@ -384,17 +383,17 @@ class TestLayoutConstants:
         syms = [generate_otfdm(np.zeros(layout.data_len * 4, dtype=np.int64),
                                scheme, layout, filt, grid, SeededRng(s, 0))
                 for s in (1, 2)]
-        for name in ("rs_core", "ars_symbols"):
-            assert getattr(syms[0], name) is getattr(syms[1], name)
-            assert not getattr(syms[0], name).flags.writeable
-        for name in ("time_samples", "data_symbols"):
-            assert getattr(syms[0], name).flags.writeable
+        (time, rs_core, data, ars), (_, rs_core_2, _, ars_2) = syms
+        assert rs_core is rs_core_2 and ars is ars_2
+        assert not (rs_core.flags.writeable or ars.flags.writeable)
+        assert time.flags.writeable and data.flags.writeable
 
     def test_pi2_bpsk_references_drawn_per_symbol(self):
         scheme, filt = MOD_SCHEMES["PI2_BPSK"], filter_for("SQRC", 120, 0.0)
         layout, grid = FrameLayout(32, 0, 0, 84, 4), grid_for(120, 0)
-        a, b = (generate_otfdm(np.zeros(layout.data_len, dtype=np.int64),
-                               scheme, layout, filt, grid, SeededRng(s, 0))
-                for s in (1, 2))
-        assert not np.array_equal(a.rs_core, b.rs_core)
-        assert a.rs_core.flags.writeable
+        rs_a, rs_b = (generate_otfdm(np.zeros(layout.data_len, dtype=np.int64),
+                                     scheme, layout, filt, grid,
+                                     SeededRng(s, 0))[1]
+                      for s in (1, 2))
+        assert not np.array_equal(rs_a, rs_b)
+        assert rs_a.flags.writeable
