@@ -45,7 +45,10 @@ def _load_configs(path, overrides) -> list[ExperimentConfig]:
         for key in SWEEP_FIELDS:
             if isinstance(item.get(key), list):
                 item[key] = tuple(item[key])
-        configs.append(ExperimentConfig(**item))
+        try:
+            configs.append(ExperimentConfig(**item))
+        except ValueError as err:
+            raise ValueError(f"config entry {index}: {err}") from err
     return configs
 
 

@@ -17,12 +17,13 @@ regularized (`ridge`) to stay solvable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cyclic_fold
+from .numerics import CACHE_SIZE, cyclic_fold
 from .sequences import FrameLayout, ModScheme, ShapingFilter, modulate
 from .transmitter import WaveformGrid
 
@@ -108,12 +109,27 @@ def fold_spectrum(demapped, filt: ShapingFilter) -> np.ndarray:
     return cyclic_fold(filt.weights * y, m, g)
 
 
-def _reference_gain(composite: np.ndarray, rs_len: int) -> np.ndarray:
-    """Known composite gain (the folded squared filter response) resampled
-    onto the RS-length grid through an rs_len-point cyclic lens;
-    identically one for fold-flat filters."""
-    impulse = np.fft.ifft(composite)
-    return np.fft.fft(cyclic_fold(impulse, rs_len))
+def _filter_gains(filt: ShapingFilter, rs_len: int) -> tuple:
+    """Read-only (composite, reference gain) of `filt`: its folded squared
+    gain, and that gain resampled onto the RS-length grid through an
+    rs_len-point cyclic lens (identically one for fold-flat filters).
+
+    Both depend only on the filter and the RS length, so they are built once
+    per excess, weight values and rs_len, and shared by every chunk.
+    """
+    weights = np.asarray(filt.weights, dtype=np.float64)
+    return _reference_gain(filt.excess, weights.tobytes(), rs_len)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _reference_gain(excess: int, weights: bytes, rs_len: int) -> tuple:
+    """`_filter_gains` of the filter with these values (float64 weights)."""
+    filt = ShapingFilter(np.frombuffer(weights), excess, kind="")
+    composite = filt.folded_square()
+    gain = np.fft.fft(cyclic_fold(np.fft.ifft(composite), rs_len))
+    composite.flags.writeable = False
+    gain.flags.writeable = False
+    return composite, gain
 
 
 def _row_floor(power: np.ndarray, scale: float) -> np.ndarray:
@@ -122,11 +138,11 @@ def _row_floor(power: np.ndarray, scale: float) -> np.ndarray:
     return scale * np.maximum(power.max(axis=-1, keepdims=True), 1.0)
 
 
-def _reference(rs_core, layout: FrameLayout, composite: np.ndarray,
+def _reference(rs_core, layout: FrameLayout, filt: ShapingFilter,
                est: EstimatorConfig) -> tuple:
     """(spectrum, power) of the known RS reference: the reference spectrum
-    times the folded filter gain, and its squared magnitude. Without ridge,
-    a null in the spectrum raises SingularReference."""
+    times the folded gain of `filt`, and its squared magnitude. Without
+    ridge, a null in the spectrum raises SingularReference."""
     rs_core = np.asarray(rs_core, dtype=np.complex128)
     l_r = layout.rs_len
     if rs_core.ndim == 0 or rs_core.shape[-1] != l_r or l_r < 1:
@@ -135,7 +151,7 @@ def _reference(rs_core, layout: FrameLayout, composite: np.ndarray,
         )
     if est.window_len > l_r:
         raise ValueError("estimate_channel: window_len exceeds the RS core length")
-    spectrum = np.fft.fft(rs_core) * _reference_gain(composite, l_r)
+    spectrum = np.fft.fft(rs_core) * _filter_gains(filt, l_r)[1]
     power = np.abs(spectrum) ** 2
     if est.ridge == 0.0 and np.any(power <= _row_floor(power, 1e-12)):
         raise SingularReference(
@@ -151,7 +167,7 @@ def check_reference(rs_core, layout: FrameLayout, filt: ShapingFilter,
     filter and estimator, before any symbol is received: SingularReference
     for a null in an unregularized reference spectrum, ValueError for a core
     or window that does not fit the layout."""
-    _reference(rs_core, layout, filt.folded_square(), est)
+    _reference(rs_core, layout, filt, est)
 
 
 def estimate_channel(folded, filt: ShapingFilter, layout: FrameLayout,
@@ -170,8 +186,7 @@ def estimate_channel(folded, filt: ShapingFilter, layout: FrameLayout,
     if layout.total_len != m or filt.alloc_size != m:
         raise ValueError("estimate_channel: layout or filter does not match "
                          "the folded symbol")
-    composite = filt.folded_square()
-    ref_spectrum, denom = _reference(rs_core, layout, composite, est)
+    ref_spectrum, denom = _reference(rs_core, layout, filt, est)
 
     time_symbol = np.fft.ifft(folded)
     start = layout.rs_core_start
@@ -185,7 +200,7 @@ def estimate_channel(folded, filt: ShapingFilter, layout: FrameLayout,
     padded[..., : est.window_len] = impulse[..., : est.window_len]
     if margin > 0:
         padded[..., m - margin :] = impulse[..., l_r - margin :]
-    return np.fft.fft(padded) * composite
+    return np.fft.fft(padded) * _filter_gains(filt, l_r)[0]
 
 
 def mmse_equalize(folded, response, noise_var: float) -> np.ndarray:
@@ -244,10 +259,22 @@ def ars_phase_correct(equalized, ars_ref, layout: FrameLayout) -> tuple:
     return time, step
 
 
-def _nearest_level(r: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _level_grid(levels: np.ndarray) -> tuple:
+    """Read-only (levels, their ascending order, their step) of evenly
+    spaced levels, the grid `_nearest_level` searches."""
+    levels = np.array(levels)
+    order = np.argsort(levels)
+    levels.flags.writeable = False
+    order.flags.writeable = False
+    return levels, order, np.ptp(levels) / (levels.size - 1)
+
+
+def _nearest_level(r: np.ndarray, levels: np.ndarray, order: np.ndarray,
+                   step: float) -> np.ndarray:
     """Index of the level nearest to each finite r in squared distance, the
     lowest index on ties: what a scan of every level's (r - level)**2
     returns for |r| < 2**40, and the outer level on r's side beyond.
+    `levels`, `order` and `step` are a `_level_grid`.
 
     Only the two levels that bracket r can be nearest, so only their
     distances are compared. r is first clipped to one level step beyond the
@@ -256,8 +283,7 @@ def _nearest_level(r: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """
     # the levels are evenly spaced, so r's bracket is one floor away; off by
     # one only where r is within rounding of a level, which both brackets hold
-    order = np.argsort(levels)
-    low, step = levels[order[0]], np.ptp(levels) / (levels.size - 1)
+    low = levels[order[0]]
     r = np.clip(r, low - step, levels[order[-1]] + step)
     j = np.clip(np.floor((r - low) / step), 0, levels.size - 2).astype(np.intp)
     lo, hi = order[j], order[j + 1]
@@ -281,18 +307,25 @@ def _pi2_bpsk_distances(rx: np.ndarray) -> np.ndarray:
     return np.abs((rx * np.conj(rot))[..., None] - ref) ** 2
 
 
-def _qam_axes(rx: np.ndarray, scheme: ModScheme) -> tuple:
-    """(labels, ((0, rx.real, I levels), (1, rx.imag, Q levels))) of square QAM.
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _qam_axes(scheme: ModScheme) -> tuple:
+    """(labels, grid) of square QAM, built once per scheme and read-only.
 
-    The squared distance splits into I and Q parts, so each bit needs only
-    the Gray-PAM levels of its own axis (even bit positions ride on I, odd
-    ones on Q); labels[k] holds the bits of level k. Sending every per-axis
-    label on both axes reads those levels off `modulate`.
+    The squared distance splits into I and Q parts, so each part needs only
+    the Gray-PAM levels of its own axis; `grid` is their `_level_grid`.
+    Sending every per-axis label on both axes reads those levels off
+    `modulate`, as points whose I and Q parts are equal, so one grid serves
+    both axes. labels[a * L + b] holds the bits of the point on I level a
+    and Q level b, L levels per axis: even bit positions ride on I, odd
+    ones on Q.
     """
     half = scheme.bits_per_symbol // 2
-    labels = (np.arange(2**half)[:, None] >> np.arange(half - 1, -1, -1)) & 1
-    points = modulate(np.repeat(labels, 2, axis=1).ravel(), scheme)
-    return labels, ((0, rx.real, points.real), (1, rx.imag, points.imag))
+    axis_labels = (np.arange(2**half)[:, None] >> np.arange(half - 1, -1, -1)) & 1
+    points = modulate(np.repeat(axis_labels, 2, axis=1).ravel(), scheme)
+    i, q = np.divmod(np.arange(4**half), 2**half)
+    labels = np.stack([axis_labels[i], axis_labels[q]], axis=-1).reshape(i.size, -1)
+    labels.flags.writeable = False
+    return labels, _level_grid(points.real)
 
 
 def hard_bits(symbols, scheme: ModScheme) -> np.ndarray:
@@ -302,14 +335,12 @@ def hard_bits(symbols, scheme: ModScheme) -> np.ndarray:
     if scheme.name == "PI2_BPSK":
         d = _pi2_bpsk_distances(rx)
         return (d[..., 1] < d[..., 0]).astype(np.int64)
-    labels, axes = _qam_axes(rx, scheme)
-    half = labels.shape[1]
-    bits = np.empty(rx.shape + (2 * half,), dtype=np.int64)
-    for axis, r, levels in axes:
-        nearest = _nearest_level(r, levels)
-        for c in range(half):
-            bits[..., axis + 2 * c] = labels[:, c][nearest]
-    return bits.reshape(rx.shape[:-1] + (-1,))
+    labels, grid = _qam_axes(scheme)
+    # the I and Q parts of each symbol side by side, demapped in one call
+    parts = np.ascontiguousarray(rx).view(np.float64).reshape(rx.shape + (2,))
+    nearest = _nearest_level(parts, *grid)
+    point = nearest[..., 0] * grid[0].size + nearest[..., 1]
+    return labels.take(point, axis=0).reshape(rx.shape[:-1] + (-1,))
 
 
 # Leading values of each array that the diagnostics dump prints.

@@ -419,7 +419,7 @@ def mse_awgn_oracle(cfg, ext_pct, rs_pct, snr_db):
     assert filt.kind == "SQRC" and np.allclose(composite, 1.0, atol=1e-12)
     est_cfg = EstimatorConfig(window_len=h.window_for(cfg.scheme, layout))
     spectrum, _ = _reference(make_rs_core(layout.rs_len, scheme), layout,
-                             composite, est_cfg)
+                             filt, est_cfg)
     inv_snr = 10.0 ** (-snr_db / 10.0)
     l_r, w = layout.rs_len, est_cfg.window_len
     margin = min(PRE_MARGIN, l_r - w)

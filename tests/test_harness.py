@@ -794,6 +794,15 @@ class TestCli:
         assert "otfdm: error:" in err and "gamma_sweep_pct" in err
         assert "Traceback" not in err
 
+    def test_bad_entry_of_a_list_is_named(self, tmp_path, capsys):
+        # ExperimentConfig's own refusal carries the entry index too
+        cfg_path = tmp_path / "two.json"
+        cfg_path.write_text('[{"trials": 1}, {"ars_pct": 99.0}]')
+        assert cli_main(["overhead", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "otfdm: error: config entry 1: ExperimentConfig:" in err
+        assert "ars_pct = 99.0" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("text, needle", [
         ('{"bogus": 1}', "bogus"),
         ('[{"trials": 1}, {"trails": 1}]', "entry 1: unknown field(s) trails"),

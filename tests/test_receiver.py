@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -33,13 +35,17 @@ from otfdm import (
     multiplex_symbol,
     precode_extend_shape,
 )
+from otfdm import receiver, sequences
 from otfdm.harness import (
     ExperimentConfig,
     filter_for,
     grid_for,
     layout_for,
+    run_ber,
+    run_mse,
     window_for,
 )
+from otfdm.numerics import cyclic_fold
 
 
 def _qpsk_symbol(alloc=48, excess=6, seed=20, ars_len=0):
@@ -453,7 +459,7 @@ class TestDemodulate:
     @pytest.mark.parametrize("name", ["QPSK", "QAM16", "QAM64", "QAM256"])
     def test_nearest_level_equals_a_scan_of_every_level(self, name):
         # ties included: the scan keeps the first level of equal distance
-        from otfdm.receiver import _nearest_level
+        from otfdm.receiver import _level_grid, _nearest_level
 
         def scan(r, levels):
             d = np.stack([(r - level) ** 2 for level in levels])
@@ -471,11 +477,11 @@ class TestDemodulate:
             [0.0, -0.0, 1e6, -1e6], huge])
         r = np.concatenate([special, SeededRng(55, 0).uniform(-2.0, 2.0, 5000)])
         finite = r[np.abs(r) < 2.0**40]
-        assert np.array_equal(_nearest_level(finite, levels),
+        assert np.array_equal(_nearest_level(finite, *_level_grid(levels)),
                               scan(finite, levels))
         # beyond, where the scan's distances round to ties: the outer level
         outer = np.where(huge > 0, np.argmax(levels), np.argmin(levels))
-        assert np.array_equal(_nearest_level(huge, levels), outer)
+        assert np.array_equal(_nearest_level(huge, *_level_grid(levels)), outer)
 
     @pytest.mark.parametrize("name", list(MOD_SCHEMES))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
@@ -488,6 +494,81 @@ class TestDemodulate:
             hard_bits(rx, scheme)
         with pytest.raises(ValueError, match="non-finite"):
             hard_bits(rx.reshape(2, 4), scheme)
+
+
+class TestRunConstants:
+    """The filter gains and the demapper tables are built once per filter
+    value, RS length and scheme, and shared read-only."""
+
+    @staticmethod
+    def _clear():
+        receiver._reference_gain.cache_clear()
+        receiver._qam_axes.cache_clear()
+
+    def test_records_do_not_depend_on_the_order_of_configs(self):
+        # one scheme, allocation and RS length; only the filter weights
+        # differ, and SQRC 0% and TAPS3 share their excess as well
+        base = dict(scheme="QAM16", alloc_size=96, rs_overhead_pct=10.0,
+                    snr_db=(12.0,), trials=6, seed=5)
+        cfgs = [ExperimentConfig(extension_pct=ext, **base)
+                for ext in (0.0, 5.0, 10.0)]
+        cfgs.append(ExperimentConfig(filter_kind="TAPS3", extension_pct=0.0,
+                                     ridge=0.1, **base))
+        assert len({cfg.resolve()[1].rs_len for cfg in cfgs}) == 1
+        assert len({cfg.resolve()[2].weights.tobytes() for cfg in cfgs}) == 4
+
+        def records(cfg):
+            mse_cfg = replace(cfg, gamma_sweep_pct=(cfg.extension_pct,),
+                              rs_sweep_pct=())
+            return run_ber(cfg) + run_mse(mse_cfg)
+
+        self._clear()
+        forward = [records(cfg) for cfg in cfgs]
+        self._clear()
+        backward = [records(cfg) for cfg in reversed(cfgs)][::-1]
+        assert forward == backward
+        for cfg in cfgs:
+            _, layout, filt, _ = cfg.resolve()
+            composite, _ = receiver._filter_gains(filt, layout.rs_len)
+            assert np.array_equal(composite, filt.folded_square())
+
+    def test_warm_estimate_folds_nothing(self, monkeypatch):
+        filt = filter_for("SQRC", 96, 10.0)
+        layout = FrameLayout(rs_len=12, rs_cp=5, rs_cs=7, data_len=72)
+        rng = SeededRng(74, 0)
+        folded = rng.complex_normal((3, 96))
+        rs = rng.complex_normal((3, 12))
+        est_cfg = EstimatorConfig(window_len=6, ridge=0.1)
+        calls = []
+
+        def counting_fold(*args):
+            calls.append(args)
+            return cyclic_fold(*args)
+
+        self._clear()
+        # the folded gain is folded in `sequences`, the reference gain here
+        monkeypatch.setattr(receiver, "cyclic_fold", counting_fold)
+        monkeypatch.setattr(sequences, "cyclic_fold", counting_fold)
+        cold = estimate_channel(folded, filt, layout, rs, est_cfg)
+        assert len(calls) == 2  # the folded gain and the reference gain
+        warm = estimate_channel(folded, filt, layout, rs, est_cfg)
+        assert len(calls) == 2 and np.array_equal(warm, cold)
+        # other weights of the same kind and excess build their own entry
+        other = replace(filt, weights=filt.weights * 1.5)
+        assert not np.array_equal(
+            estimate_channel(folded, other, layout, rs, est_cfg), cold)
+        assert len(calls) == 4
+
+    def test_cached_arrays_are_read_only(self):
+        filt = filter_for("SQRC", 96, 10.0)
+        composite, gain = receiver._filter_gains(filt, 12)
+        labels, (levels, order, _) = receiver._qam_axes(MOD_SCHEMES["QAM64"])
+        for array in (composite, gain, labels, levels, order):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # the filter's own method still hands out a fresh array
+        fresh = filt.folded_square()
+        assert np.array_equal(fresh, composite) and fresh.flags.writeable
 
 
 def test_dump_diagnostics_mentions_all_stages():
