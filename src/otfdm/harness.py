@@ -39,6 +39,7 @@ import numpy as np
 from .channel import (
     ChannelRealization,
     HstConfig,
+    _max_doppler_hz,
     apply_channel,
     flat_realization,
     hst_realization,
@@ -752,6 +753,20 @@ def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, trials):
                         inv_snr, scheme, sent.bits, sent.data_symbols)
 
 
+def _ars_warning(cfg: ExperimentConfig) -> str | None:
+    """Warning for a corrected ARS run whose worst per-symbol Doppler phase
+    2*pi*f_d,max/scs reaches pi/2: `ars_phase_correct`'s step is ambiguous
+    beyond pi per symbol, and a noisy estimate aliases before that."""
+    if not (cfg.ars_pct > 0 and cfg.ars_correction and cfg.channel != "AWGN"):
+        return None
+    phase = (2.0 * math.pi * _max_doppler_hz(cfg.speed_kmh, cfg.fc_ghz)
+             / (cfg.scs_khz * 1e3))
+    if phase < math.pi / 2:
+        return None
+    return ("ARS phase may alias: worst per-symbol Doppler phase "
+            f"2*pi*f_d/scs = {phase:.2f} rad reaches pi/2 (ambiguous at pi)")
+
+
 def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
     """Uncoded BER and pooled EVM versus SNR; optionally also for the
     two-symbol DFT-s-OFDM baseline with matched resources."""
@@ -763,14 +778,16 @@ def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
     est_cfg = None if cfg.genie_channel else _estimator(cfg, scheme, layout, filt)
     baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
     record = partial(_record, cfg, cfg.digest())
+    ars_warning = _ars_warning(cfg)
     records = []
     for snr_db in cfg.snr_db:
-        runs = [("", lambda t: _otfdm_chunk(cfg, scheme, layout, filt, grid,
-                                            est_cfg, snr_db, t))]
+        # the baseline carries no ARS, so only OTFDM records take its warning
+        runs = [("", ars_warning, lambda t: _otfdm_chunk(
+            cfg, scheme, layout, filt, grid, est_cfg, snr_db, t))]
         if baseline:
-            runs.append(("_baseline", lambda t: _dfts_baseline_chunk(
+            runs.append(("_baseline", None, lambda t: _dfts_baseline_chunk(
                 cfg, scheme, baseline, snr_db, t)))
-        for suffix, chunk in runs:
+        for suffix, warning, chunk in runs:
             # per-trial rows summed as Python numbers, in trial order
             errors, bits, err_pow, ref_pow = (
                 sum(col.tolist())
@@ -778,7 +795,8 @@ def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
             values = (("ber", errors / bits),
                       ("evm_db", power_ratio_db(err_pow, ref_pow)))
             records += [record(layout, metric + suffix, "snr_db", snr_db, value,
-                               snr_db=snr_db) for metric, value in values]
+                               snr_db=snr_db, warning=warning)
+                        for metric, value in values]
     return records
 
 

@@ -8,6 +8,7 @@ two, since allocation sizes like 2400 are first class.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -170,19 +171,142 @@ def power_ratio_db(error_power, reference_power) -> float:
     return 10.0 * math.log10(num / den)
 
 
+# NumPy's SeedSequence (NEP 19; O'Neill's seed_seq hashing), reproduced so
+# that a stream needs no SeedSequence of its own. All arithmetic is mod 2^32:
+# on Python ints for a seed, on uint64 arrays masked to 32 bits for a block.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy's hash constant
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's hash constant
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# Streams whose seed words are derived together. 64 divides 2^32, so the ids
+# of one block all have the same number of 32-bit words.
+_BLOCK = 64
+
+
+def _words32(x: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first."""
+    words = [x & _MASK32]
+    x >>= 32
+    while x:
+        words.append(x & _MASK32)
+        x >>= 32
+    return words
+
+
+def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before and after each of `count` hash steps."""
+    consts = [start]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint64)
+
+
+def _hash(value, before, after):
+    """SeedSequence's hashmix (generate_state's output hash) of `value` under
+    constants `before` and `after`; elementwise on arrays."""
+    value = ((value ^ before) * after) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+# generate_state's constants do not depend on the pool: 8 output words
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _seed_prefix(seed: int) -> tuple[tuple[int, ...], int]:
+    """(pool, hash constant) after mix_entropy has taken the seed's words:
+    padded with zeros to 4 (a spawn key follows), one hashmix each, the 12
+    cross-mixes, then each seed word past the fourth mixed into every pool
+    word. The stream id's words come next."""
+    words = _words32(seed)
+    words += [0] * (_POOL - len(words))
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        before, hc = hc, hc * _MULT_A & _MASK32
+        return _hash(value, before, hc)
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    return tuple(pool), hc
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """Read-only (64, 4) uint64 PCG64 seed words of stream ids [64 block,
+    64 block + 64): SeedSequence(entropy=seed, spawn_key=(id,))
+    .generate_state(4, np.uint64), row id - 64 block."""
+    pool, hc = _seed_prefix(seed)
+    low, *high = _words32(block * _BLOCK)
+    pool = np.array(pool, dtype=np.uint64)
+    for word in [np.arange(low, low + _BLOCK, dtype=np.uint64)[:, None], *high]:
+        # the id's words hash independently of the pool, so the four pool
+        # words take their four hashmixes at once
+        consts = _hash_consts(hc, _MULT_A, _POOL)
+        hc = int(consts[-1])
+        pool = _mix(pool, _hash(word, consts[:-1], consts[1:]))
+    # generate_state cycles the pool twice: 8 words, paired little-endian
+    out = _hash(np.concatenate((pool, pool), axis=1),
+                _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
+    words = out[:, 0::2] | (out[:, 1::2] << 32)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _stream_types():
+    """(Generator, PCG64, _Words). numpy.random loads here, on the first
+    stream, not on `import otfdm`."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """Hands PCG64 one precomputed row of its 4 uint64 seed words."""
+
+        def __init__(self, row: np.ndarray):
+            self._row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self._row
+
+    return Generator, PCG64, _Words
+
+
 class SeededRng:
     """Reproducible random stream keyed by (seed, stream_id).
 
     Two instances built from the same key emit identical draws regardless of
     process or thread schedule. Instances hold state and must not be shared
     across workers; give each worker its own stream_id.
+
+    The stream is exactly `default_rng(SeedSequence(entropy=seed,
+    spawn_key=(stream_id,)))`. Its PCG64 seed words come from two bounded
+    caches, one of each seed's mixed pool and one of 64 streams' words at a
+    time, so no SeedSequence is built per stream.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        self._gen = np.random.default_rng(ss)
+        if self.seed < 0 or self.stream_id < 0:
+            raise ValueError("SeededRng: seed and stream_id must be >= 0, got "
+                             f"{self.seed} and {self.stream_id}")
+        generator, pcg64, words = _stream_types()
+        block = _seed_block(self.seed, self.stream_id // _BLOCK)
+        self._gen = generator(pcg64(words(block[self.stream_id % _BLOCK])))
 
     def bits(self, count: int) -> np.ndarray:
         return self._gen.integers(0, 2, size=count, dtype=np.int64)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +570,27 @@ class TestBer:
         cfg = ExperimentConfig(scheme="PI2_BPSK", genie_channel=True,
                                snr_db=(20.0,), trials=4, seed=11)
         assert [r.metric for r in run_ber(cfg)] == ["ber", "evm_db"]
+
+    # HST at 500 km/h: the worst per-symbol Doppler phase 2*pi*f_d/scs is
+    # 2.91 rad at 30 GHz and 0.68 rad at 7 GHz, the benchmark's config
+    ARS_HST = dict(scheme="QAM256", alloc_size=240, ars_pct=2.0, channel="HST",
+                   speed_kmh=500.0, snr_db=(30.0,), trials=2, seed=3)
+
+    def test_ars_warning_names_the_doppler_phase(self):
+        cfg = ExperimentConfig(fc_ghz=30.0, compare_baseline=True,
+                               **self.ARS_HST)
+        records = run_ber(cfg)
+        for r in records:
+            if r.metric.endswith("_baseline"):
+                assert r.warning is None
+            else:
+                assert "2.91 rad" in r.warning and "pi/2" in r.warning
+        uncorrected = replace(cfg, ars_correction=False, compare_baseline=False)
+        assert all(r.warning is None for r in run_ber(uncorrected))
+
+    def test_no_ars_warning_at_the_benchmark_hst_config(self):
+        records = run_ber(ExperimentConfig(fc_ghz=7.0, **self.ARS_HST))
+        assert [r.warning for r in records] == [None, None]
 
     @pytest.mark.parametrize("power, evm", [(np.nan, None), (0.0, -np.inf)])
     def test_pooled_evm_policy(self, monkeypatch, power, evm):

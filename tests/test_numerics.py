@@ -1,3 +1,10 @@
+import os
+import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +111,76 @@ def test_complex_normal_equals_scaled_pair_of_draws(size, variance):
     want = np.sqrt(variance / 2.0) * (a + 1j * b)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+# seeds of one to five 32-bit words; ids on both sides of the 64-stream
+# block edges and of the one- to two-word edge
+ORACLE_SEEDS = (0, 1, 123456789, 2**32 - 1, 2**32, 2**128 + 3)
+ORACLE_IDS = (0, 1, 63, 64, 65, 1000, 2**32 - 1, 2**32, 2**40 + 7)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("stream_id", ORACLE_IDS)
+def test_seeded_rng_is_the_spawned_seed_sequence_stream(seed, stream_id):
+    from otfdm.numerics import _BLOCK, _seed_block
+
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    words = _seed_block(seed, stream_id // _BLOCK)[stream_id % _BLOCK]
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, ss.generate_state(4, np.uint64))
+    rng = SeededRng(seed, stream_id)
+    want = np.random.default_rng(ss)
+    assert np.array_equal(rng.bits(100), want.integers(0, 2, 100, dtype=np.int64))
+    assert np.array_equal(rng.uniform(size=7), want.uniform(0.0, 1.0, 7))
+    assert np.array_equal(rng._gen.standard_normal(9), want.standard_normal(9))
+
+
+def test_seed_blocks_are_read_only():
+    from otfdm.numerics import _seed_block
+
+    with pytest.raises(ValueError):
+        _seed_block(5, 0)[3, 0] = 0
+
+
+def test_seeded_rng_streams_built_across_threads_equal_serial_ones():
+    from otfdm.numerics import _seed_block, _seed_prefix
+
+    keys = [(seed, s) for seed in (8, 2**40) for s in range(0, 640, 3)]
+    serial = {key: SeededRng(*key).bits(32) for key in keys}
+    shuffled = keys[:]
+    random.Random(0).shuffle(shuffled)
+    # empty caches, so that the threads derive the seeds and blocks at once
+    _seed_prefix.cache_clear()
+    _seed_block.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            threaded = dict(zip(shuffled, pool.map(
+                lambda key: SeededRng(*key).bits(32), shuffled, timeout=60)))
+    finally:
+        sys.setswitchinterval(interval)
+    for key in keys:
+        assert np.array_equal(threaded[key], serial[key])
+
+
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1), (-(2**70), 5)])
+def test_seeded_rng_refuses_negative_keys(seed, stream_id):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        SeededRng(seed, stream_id)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first SeededRng, which keeps it out of the
+    # time to the first trial of a run that never draws
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys, otfdm, otfdm.harness; "
+              "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_evm_db():
