@@ -6,14 +6,13 @@ trials can run concurrently, each with its own rng stream.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import CACHE_SIZE, SeededRng
+from .numerics import SeededRng, shared
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -122,7 +121,7 @@ class ChannelRealization:
         return self.gains[:, col] @ self.kernels
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _tdlc_kernels(delay_spread_ns: float, sample_rate_hz: float) -> np.ndarray:
     """Read-only (num_taps, ir_len) delay kernels of the TDL-C taps.
 
@@ -132,9 +131,7 @@ def _tdlc_kernels(delay_spread_ns: float, sample_rate_hz: float) -> np.ndarray:
     delays_s = _TDLC_PROFILE[:, 0] / _TDLC_PROFILE[:, 0].max() * delay_spread_ns * 1e-9
     delays = delays_s * sample_rate_hz
     ir_len = int(np.ceil(delays.max())) + _INTERP_HALFWIDTH + 1
-    kernels = np.stack([_delay_kernel(d, ir_len) for d in delays])
-    kernels.flags.writeable = False
-    return kernels
+    return np.stack([_delay_kernel(d, ir_len) for d in delays])
 
 
 def _phasor(theta: np.ndarray) -> np.ndarray:
@@ -165,7 +162,7 @@ def _series_order(x: float) -> int:
     return order
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _offset_powers(order: int, block: int) -> np.ndarray:
     """Read-only (order + 1, block) table of d_b^m / m!, d_b = b - (block -
     1) / 2 the offset of sample b from its block's centre."""
@@ -173,7 +170,6 @@ def _offset_powers(order: int, block: int) -> np.ndarray:
     table = np.ones((order + 1, block))
     for m in range(1, order + 1):
         table[m] = table[m - 1] * offsets / m
-    table.flags.writeable = False
     return table
 
 
@@ -299,6 +295,7 @@ class HstConfig:
         return float(phase) if phase.ndim == 0 else phase
 
 
+@shared
 def hst_realization(
     cfg: HstConfig,
     t0: float,
@@ -306,31 +303,25 @@ def hst_realization(
     num_samples: int,
 ) -> ChannelRealization:
     """Single unit-gain path whose phase tracks the geometry-driven Doppler
-    over [t0, t0 + duration]. It draws nothing, so one read-only realization
-    serves every trial that starts at t0."""
+    over [t0, t0 + duration]. It draws nothing, so it is a run constant: one
+    read-only realization serves every trial that starts at t0."""
     if num_samples < 1:
         raise ValueError("hst_realization: num_samples must be >= 1")
     t = t0 + np.arange(num_samples) * (duration / num_samples)
     phases = cfg.phase_rad(t) - cfg.phase_rad(t0)
-    return _shared(ChannelRealization(
+    return ChannelRealization(
         kernels=np.ones((1, 1)),
         gains=_phasor(phases)[None, :],
-    ))
+    )
 
 
+@shared
 def flat_realization() -> ChannelRealization:
-    """Single unit-gain tap, read-only so that trials can share it."""
-    return _shared(ChannelRealization(
+    """Single unit-gain tap: one read-only realization that every trial shares."""
+    return ChannelRealization(
         kernels=np.ones((1, 1)),
         gains=np.ones((1, 1), dtype=np.complex128),
-    ))
-
-
-def _shared(ch: ChannelRealization) -> ChannelRealization:
-    """Freeze the arrays of a realization that several trials share."""
-    ch.kernels.flags.writeable = False
-    ch.gains.flags.writeable = False
-    return ch
+    )
 
 
 def custom_realization(taps: list[tuple[float, complex]]) -> ChannelRealization:

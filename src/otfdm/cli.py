@@ -13,8 +13,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .harness import (RUNNERS, SWEEP_FIELDS, ExperimentConfig, _estimator, sweep,
-                      transmit_frame)
+from .harness import RUNNERS, ExperimentConfig, _estimator, sweep, transmit_frame
 from .numerics import SeededRng
 from .receiver import (dump_diagnostics, estimate_channel, fold_spectrum,
                        front_end, mmse_equalize)
@@ -41,10 +40,6 @@ def _load_configs(path, overrides) -> list[ExperimentConfig]:
         item.update(overrides)
         if "snr_db" in item and not isinstance(item["snr_db"], (list, tuple)):
             item["snr_db"] = [item["snr_db"]]
-        # JSON arrays become tuples; ExperimentConfig rejects anything else
-        for key in SWEEP_FIELDS:
-            if isinstance(item.get(key), list):
-                item[key] = tuple(item[key])
         try:
             configs.append(ExperimentConfig(**item))
         except ValueError as err:

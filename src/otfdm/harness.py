@@ -28,10 +28,11 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import partial, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -194,6 +195,10 @@ BOOL_FIELDS = ("ars_correction", "genie_channel", "compare_baseline")
 
 
 def _is_real(value) -> bool:
+    """A real number other than a bool; an int only within the float range,
+    so that it converts to a float."""
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        return False
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -240,21 +245,29 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        # each typed field is stored as one immutable value: sweep axes as
+        # tuples of floats, counts as ints and reals as floats, so that a
+        # config given lists or ints equals, hashes and digests like the
+        # tuple and float one, and no caller's list can change it later
         for name in SWEEP_FIELDS:
             values = getattr(self, name)
             if not (isinstance(values, (tuple, list)) and all(map(_is_real, values))):
                 raise ValueError(f"ExperimentConfig: {name} must be a tuple or "
                                  "list of real numbers")
+            object.__setattr__(self, name, tuple(map(float, values)))
         for name in COUNT_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"ExperimentConfig: {name} must be an integer")
+            object.__setattr__(self, name, int(value))
         for name in REAL_FIELDS:
             value = getattr(self, name)
-            if not ((_is_real(value) and math.isfinite(value))
-                    or (name == "rs_overhead_pct" and value is None)):
+            if name == "rs_overhead_pct" and value is None:
+                continue
+            if not (_is_real(value) and math.isfinite(value)):
                 raise ValueError(f"ExperimentConfig: {name} must be a finite "
                                  "real number")
+            object.__setattr__(self, name, float(value))
         for name in BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"ExperimentConfig: {name} must be true or false")
@@ -464,6 +477,19 @@ def _dfts_baseline(cfg: ExperimentConfig) -> tuple:
             (FrameLayout(0, 0, 0, m, 0), filt, grid))
 
 
+def _runner(plan):
+    """The runner of `plan`, which checks a config and resolves what it
+    needs without running a trial, then returns the trial loop that makes
+    the records. The runner calls both; `sweep` calls `runner.plan` on
+    every (config, metric) pair before it runs any loop."""
+    @wraps(plan)
+    def runner(cfg: ExperimentConfig) -> list[MetricRecord]:
+        return plan(cfg)()
+
+    runner.plan = plan
+    return runner
+
+
 # --------------------------------------------------------------------------
 # PAPR
 # --------------------------------------------------------------------------
@@ -479,7 +505,8 @@ def _normalized_sample_power(bodies) -> np.ndarray:
     return p / p.mean(axis=-1, keepdims=True)
 
 
-def run_papr(cfg: ExperimentConfig) -> list[MetricRecord]:
+@_runner
+def run_papr(cfg: ExperimentConfig):
     """Instantaneous-power CCDF for the configured waveform and the
     separate-RS DFT-s-OFDM baseline, plus the quantile gain at the 1%
     exceedance point (PAPR_CCDF_POINT)."""
@@ -506,38 +533,42 @@ def run_papr(cfg: ExperimentConfig) -> list[MetricRecord]:
         return tuple(_normalized_sample_power(np.stack(col))
                      for col in zip(*bodies))
 
-    # one counter per waveform, each over its own body size; chunks are
-    # counted as they arrive, so the pooled power is never held
-    grid_lin = 10.0 ** (np.asarray(PAPR_CCDF_GRID_DB) / 10.0)
-    shaped, plain = (CcdfCounter(grid_lin, cfg.trials * g.fft_size,
-                                 1.0 - PAPR_CCDF_POINT) for _, _, g in frame)
-    for p_shaped, p_plain in _chunk_results(chunk, cfg.trials, cfg.n_workers):
-        shaped.add(p_shaped)
-        plain.add(p_plain)
+    def run_trials() -> list[MetricRecord]:
+        # one counter per waveform, each over its own body size; chunks are
+        # counted as they arrive, so the pooled power is never held
+        grid_lin = 10.0 ** (np.asarray(PAPR_CCDF_GRID_DB) / 10.0)
+        shaped, plain = (CcdfCounter(grid_lin, cfg.trials * g.fft_size,
+                                     1.0 - PAPR_CCDF_POINT) for _, _, g in frame)
+        for p_shaped, p_plain in _chunk_results(chunk, cfg.trials, cfg.n_workers):
+            shaped.add(p_shaped)
+            plain.add(p_plain)
 
-    records = []
-    for thr_db, (_, p_shaped), (_, p_plain) in zip(PAPR_CCDF_GRID_DB,
-                                                   shaped.ccdf(), plain.ccdf()):
-        records.append(record(layout, "papr_ccdf", "papr_db", thr_db,
-                              p_shaped, gamma_pct=gamma_pct, warning=warning))
-        records.append(record(layout, "papr_ccdf_baseline", "papr_db", thr_db,
-                              p_plain, gamma_pct=gamma_pct, warning=warning))
+        records = []
+        for thr_db, (_, p_shaped), (_, p_plain) in zip(
+                PAPR_CCDF_GRID_DB, shaped.ccdf(), plain.ccdf()):
+            records.append(record(layout, "papr_ccdf", "papr_db", thr_db,
+                                  p_shaped, gamma_pct=gamma_pct, warning=warning))
+            records.append(record(layout, "papr_ccdf_baseline", "papr_db",
+                                  thr_db, p_plain, gamma_pct=gamma_pct,
+                                  warning=warning))
 
-    note = (f"per-sample power CCDF on a {grid.fft_size}-point body "
-            f"(>=4x oversampling of alloc {cfg.alloc_size}); "
-            f"layout rounding: {ROUNDING_RULE}")
-    q_shaped, q_plain = (float(10.0 * np.log10(c.quantile()))
-                         for c in (shaped, plain))
-    records.append(record(layout, "papr_db_at_ccdf", "ccdf_point",
-                          PAPR_CCDF_POINT, q_shaped, gamma_pct=gamma_pct,
-                          warning=warning, note=note))
-    records.append(record(layout, "papr_db_at_ccdf_baseline", "ccdf_point",
-                          PAPR_CCDF_POINT, q_plain, gamma_pct=gamma_pct,
-                          warning=warning, note=note))
-    records.append(record(layout, "papr_gain_db", "ccdf_point",
-                          PAPR_CCDF_POINT, q_plain - q_shaped, gamma_pct=gamma_pct,
-                          warning=warning, note=note))
-    return records
+        note = (f"per-sample power CCDF on a {grid.fft_size}-point body "
+                f"(>=4x oversampling of alloc {cfg.alloc_size}); "
+                f"layout rounding: {ROUNDING_RULE}")
+        q_shaped, q_plain = (float(10.0 * np.log10(c.quantile()))
+                             for c in (shaped, plain))
+        records.append(record(layout, "papr_db_at_ccdf", "ccdf_point",
+                              PAPR_CCDF_POINT, q_shaped, gamma_pct=gamma_pct,
+                              warning=warning, note=note))
+        records.append(record(layout, "papr_db_at_ccdf_baseline", "ccdf_point",
+                              PAPR_CCDF_POINT, q_plain, gamma_pct=gamma_pct,
+                              warning=warning, note=note))
+        records.append(record(layout, "papr_gain_db", "ccdf_point",
+                              PAPR_CCDF_POINT, q_plain - q_shaped,
+                              gamma_pct=gamma_pct, warning=warning, note=note))
+        return records
+
+    return run_trials
 
 
 # --------------------------------------------------------------------------
@@ -666,7 +697,8 @@ def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
     return float(np.mean(per_trial))
 
 
-def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
+@_runner
+def run_mse(cfg: ExperimentConfig):
     """Estimate-vs-truth MSE swept over the extension factor at fixed RS
     overhead, then over the RS overhead at fixed extension, at the config's
     single SNR."""
@@ -688,13 +720,15 @@ def run_mse(cfg: ExperimentConfig) -> list[MetricRecord]:
                   for (scheme, layout, filt, _), (*_, rs_field) in zip(resolved,
                                                                        points)]
     record = partial(_record, cfg, cfg.digest())
-    records = []
-    for (iv_name, iv_value, ext, _, _), point, est_cfg in zip(points, resolved,
-                                                               estimators):
-        mse = _mse_point(cfg, *point, est_cfg, snr_db)
-        records.append(record(point[1], "chan_mse", iv_name, iv_value, mse,
-                              gamma_pct=ext, snr_db=snr_db))
-    return records
+
+    def run_trials() -> list[MetricRecord]:
+        return [record(point[1], "chan_mse", iv_name, iv_value,
+                       _mse_point(cfg, *point, est_cfg, snr_db),
+                       gamma_pct=ext, snr_db=snr_db)
+                for (iv_name, iv_value, ext, _, _), point, est_cfg
+                in zip(points, resolved, estimators)]
+
+    return run_trials
 
 
 # --------------------------------------------------------------------------
@@ -767,7 +801,8 @@ def _ars_warning(cfg: ExperimentConfig) -> str | None:
             f"2*pi*f_d/scs = {phase:.2f} rad reaches pi/2 (ambiguous at pi)")
 
 
-def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
+@_runner
+def run_ber(cfg: ExperimentConfig):
     """Uncoded BER and pooled EVM versus SNR; optionally also for the
     two-symbol DFT-s-OFDM baseline with matched resources."""
     if cfg.scheme == "PI2_BPSK" and cfg.compare_baseline:
@@ -779,25 +814,30 @@ def run_ber(cfg: ExperimentConfig) -> list[MetricRecord]:
     baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
     record = partial(_record, cfg, cfg.digest())
     ars_warning = _ars_warning(cfg)
-    records = []
-    for snr_db in cfg.snr_db:
-        # the baseline carries no ARS, so only OTFDM records take its warning
-        runs = [("", ars_warning, lambda t: _otfdm_chunk(
-            cfg, scheme, layout, filt, grid, est_cfg, snr_db, t))]
-        if baseline:
-            runs.append(("_baseline", None, lambda t: _dfts_baseline_chunk(
-                cfg, scheme, baseline, snr_db, t)))
-        for suffix, warning, chunk in runs:
-            # per-trial rows summed as Python numbers, in trial order
-            errors, bits, err_pow, ref_pow = (
-                sum(col.tolist())
-                for col in _map_chunks(chunk, cfg.trials, cfg.n_workers))
-            values = (("ber", errors / bits),
-                      ("evm_db", power_ratio_db(err_pow, ref_pow)))
-            records += [record(layout, metric + suffix, "snr_db", snr_db, value,
-                               snr_db=snr_db, warning=warning)
-                        for metric, value in values]
-    return records
+
+    def run_trials() -> list[MetricRecord]:
+        records = []
+        for snr_db in cfg.snr_db:
+            # the baseline carries no ARS, so only OTFDM records take its
+            # warning
+            runs = [("", ars_warning, lambda t: _otfdm_chunk(
+                cfg, scheme, layout, filt, grid, est_cfg, snr_db, t))]
+            if baseline:
+                runs.append(("_baseline", None, lambda t: _dfts_baseline_chunk(
+                    cfg, scheme, baseline, snr_db, t)))
+            for suffix, warning, chunk in runs:
+                # per-trial rows summed as Python numbers, in trial order
+                errors, bits, err_pow, ref_pow = (
+                    sum(col.tolist())
+                    for col in _map_chunks(chunk, cfg.trials, cfg.n_workers))
+                values = (("ber", errors / bits),
+                          ("evm_db", power_ratio_db(err_pow, ref_pow)))
+                records += [record(layout, metric + suffix, "snr_db", snr_db,
+                                   value, snr_db=snr_db, warning=warning)
+                            for metric, value in values]
+        return records
+
+    return run_trials
 
 
 # --------------------------------------------------------------------------
@@ -826,7 +866,8 @@ def pulse_tail_fraction(alloc_size: int, extension_pct: float,
     return float(1.0 - inside / energy.sum())
 
 
-def run_pulse_decay(cfg: ExperimentConfig) -> list[MetricRecord]:
+@_runner
+def run_pulse_decay(cfg: ExperimentConfig):
     """Tail-energy fraction of the transmit pulse per extension factor."""
     if not cfg.gamma_sweep_pct:
         raise ValueError("run_pulse_decay: empty extension sweep")
@@ -837,25 +878,29 @@ def run_pulse_decay(cfg: ExperimentConfig) -> list[MetricRecord]:
         warning = (f"pulse decay uses the SQRC filter; "
                    f"filter_kind={cfg.filter_kind} was ignored")
     record = partial(_record, cfg, cfg.digest())
-    records = []
-    for ext in cfg.gamma_sweep_pct:
-        frac = pulse_tail_fraction(cfg.alloc_size, ext, cfg.tail_periods)
-        records.append(record(layout, "pulse_tail_energy", "gamma_pct",
-                              ext, frac, gamma_pct=ext, warning=warning))
-    return records
+
+    def run_trials() -> list[MetricRecord]:
+        return [record(layout, "pulse_tail_energy", "gamma_pct", ext,
+                       pulse_tail_fraction(cfg.alloc_size, ext, cfg.tail_periods),
+                       gamma_pct=ext, warning=warning)
+                for ext in cfg.gamma_sweep_pct]
+
+    return run_trials
 
 
 # --------------------------------------------------------------------------
 # overheads and the sweep driver
 # --------------------------------------------------------------------------
 
-def run_overhead(cfg: ExperimentConfig) -> list[MetricRecord]:
+@_runner
+def run_overhead(cfg: ExperimentConfig):
     """Total overhead (RS block share plus extension) for the resolved layout."""
     _, layout, filt, _ = cfg.resolve()
     gamma_pct = 200.0 * filt.excess / cfg.alloc_size
     pct = 100.0 * layout.rs_block_len / cfg.alloc_size + gamma_pct
-    return [_record(cfg, cfg.digest(), layout, "overhead_pct", "alloc_size",
-                    cfg.alloc_size, pct, gamma_pct=gamma_pct)]
+    records = [_record(cfg, cfg.digest(), layout, "overhead_pct", "alloc_size",
+                       cfg.alloc_size, pct, gamma_pct=gamma_pct)]
+    return lambda: records
 
 
 RUNNERS = {
@@ -873,16 +918,24 @@ def sweep(configs, metrics, out_path=None) -> list[MetricRecord]:
 
     Row order follows the config list, then the metric order given, then each
     runner's own record order; reruns with identical inputs are byte-identical.
+    Every (config, metric) pair is checked before the first trial runs; a
+    refused pair raises the runner's error, prefixed with the config's index
+    and the metric.
     """
     if not configs:
         raise ValueError("sweep: empty config list")
     for name in metrics:
         if name not in RUNNERS:
             raise ValueError(f"sweep: unknown metric {name!r}")
-    records: list[MetricRecord] = []
-    for cfg in configs:
+    loops = []
+    for index, cfg in enumerate(configs):
         for name in metrics:
-            records.extend(RUNNERS[name](cfg))
+            try:
+                loops.append(RUNNERS[name].plan(cfg))
+            except ValueError as err:
+                raise type(err)(f"config entry {index}, metric {name}: "
+                                f"{err}") from err
+    records = [record for run_trials in loops for record in run_trials()]
     if out_path is not None:
         write_csv(records, out_path)
     return records

@@ -8,6 +8,7 @@ two, since allocation sizes like 2400 are first class.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -18,8 +19,40 @@ import numpy as np
 # of KiB per entry.
 CACHE_SIZE = 32
 
-__all__ = ["dft", "cyclic_fold", "ccdf", "CcdfCounter", "evm_db",
+__all__ = ["shared", "dft", "cyclic_fold", "ccdf", "CcdfCounter", "evm_db",
            "power_ratio_db", "SeededRng"]
+
+
+def shared(builder):
+    """Decorator for a run constant, a builder whose result depends only on
+    its hashable arguments: each argument tuple is built once, the last
+    CACHE_SIZE kept, and every ndarray in the result (returned directly, in
+    nested tuples or as a dataclass's fields) is made read-only, so every
+    caller can share it. The result stays a plain function, which binds as a
+    method and which tracers wrap, with `cache_info` and `cache_clear`."""
+    @functools.lru_cache(maxsize=CACHE_SIZE)
+    def cached(*args, **kwargs):
+        return _freeze(builder(*args, **kwargs))
+
+    @functools.wraps(builder)
+    def constant(*args, **kwargs):
+        return cached(*args, **kwargs)
+
+    constant.cache_info = cached.cache_info
+    constant.cache_clear = cached.cache_clear
+    return constant
+
+
+def _freeze(value):
+    """`value`, with every ndarray it holds made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        _freeze(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    return value
 
 
 def _as_complex_vec(x) -> np.ndarray:
@@ -218,7 +251,7 @@ def _mix(x, y):
 _OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _seed_prefix(seed: int) -> tuple[tuple[int, ...], int]:
     """(pool, hash constant) after mix_entropy has taken the seed's words:
     padded with zeros to 4 (a spawn key follows), one hashmix each, the 12
@@ -244,7 +277,7 @@ def _seed_prefix(seed: int) -> tuple[tuple[int, ...], int]:
     return tuple(pool), hc
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _seed_block(seed: int, block: int) -> np.ndarray:
     """Read-only (64, 4) uint64 PCG64 seed words of stream ids [64 block,
     64 block + 64): SeedSequence(entropy=seed, spawn_key=(id,))
@@ -261,12 +294,10 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
     # generate_state cycles the pool twice: 8 words, paired little-endian
     out = _hash(np.concatenate((pool, pool), axis=1),
                 _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
-    words = out[:, 0::2] | (out[:, 1::2] << 32)
-    words.flags.writeable = False
-    return words
+    return out[:, 0::2] | (out[:, 1::2] << 32)
 
 
-@functools.cache
+@shared
 def _stream_types():
     """(Generator, PCG64, _Words). numpy.random loads here, on the first
     stream, not on `import otfdm`."""

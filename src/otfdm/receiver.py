@@ -17,13 +17,12 @@ regularized (`ridge`) to stay solvable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CACHE_SIZE, cyclic_fold
+from .numerics import cyclic_fold, shared
 from .sequences import FrameLayout, ModScheme, ShapingFilter, modulate
 from .transmitter import WaveformGrid
 
@@ -121,15 +120,12 @@ def _filter_gains(filt: ShapingFilter, rs_len: int) -> tuple:
     return _reference_gain(filt.excess, weights.tobytes(), rs_len)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _reference_gain(excess: int, weights: bytes, rs_len: int) -> tuple:
     """`_filter_gains` of the filter with these values (float64 weights)."""
     filt = ShapingFilter(np.frombuffer(weights), excess, kind="")
     composite = filt.folded_square()
-    gain = np.fft.fft(cyclic_fold(np.fft.ifft(composite), rs_len))
-    composite.flags.writeable = False
-    gain.flags.writeable = False
-    return composite, gain
+    return composite, np.fft.fft(cyclic_fold(np.fft.ifft(composite), rs_len))
 
 
 def _row_floor(power: np.ndarray, scale: float) -> np.ndarray:
@@ -260,13 +256,10 @@ def ars_phase_correct(equalized, ars_ref, layout: FrameLayout) -> tuple:
 
 
 def _level_grid(levels: np.ndarray) -> tuple:
-    """Read-only (levels, their ascending order, their step) of evenly
-    spaced levels, the grid `_nearest_level` searches."""
+    """(levels, their ascending order, their step) of evenly spaced levels,
+    the grid `_nearest_level` searches."""
     levels = np.array(levels)
-    order = np.argsort(levels)
-    levels.flags.writeable = False
-    order.flags.writeable = False
-    return levels, order, np.ptp(levels) / (levels.size - 1)
+    return levels, np.argsort(levels), np.ptp(levels) / (levels.size - 1)
 
 
 def _nearest_level(r: np.ndarray, levels: np.ndarray, order: np.ndarray,
@@ -307,7 +300,7 @@ def _pi2_bpsk_distances(rx: np.ndarray) -> np.ndarray:
     return np.abs((rx * np.conj(rot))[..., None] - ref) ** 2
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _qam_axes(scheme: ModScheme) -> tuple:
     """(labels, grid) of square QAM, built once per scheme and read-only.
 
@@ -324,7 +317,6 @@ def _qam_axes(scheme: ModScheme) -> tuple:
     points = modulate(np.repeat(axis_labels, 2, axis=1).ravel(), scheme)
     i, q = np.divmod(np.arange(4**half), 2**half)
     labels = np.stack([axis_labels[i], axis_labels[q]], axis=-1).reshape(i.size, -1)
-    labels.flags.writeable = False
     return labels, _level_grid(points.real)
 
 

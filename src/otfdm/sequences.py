@@ -10,13 +10,12 @@ inside the guards and see a cyclic shift of the core.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CACHE_SIZE, SeededRng, cyclic_fold
+from .numerics import SeededRng, cyclic_fold, shared
 
 __all__ = [
     "ModScheme",
@@ -71,7 +70,7 @@ def _gray_pam(bits: np.ndarray) -> np.ndarray:
     return 2 * level - (2**m - 1)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _constellation(scheme: ModScheme) -> tuple:
     """Read-only (points, place values) of a QPSK or square-QAM scheme.
 
@@ -88,10 +87,7 @@ def _constellation(scheme: ModScheme) -> tuple:
         q = _gray_pam(labels[:, 1::2])
         levels = 2 ** (bps // 2)
         points = (i + 1j * q) / math.sqrt(2.0 * (levels * levels - 1) / 3.0)
-    place = 1 << np.arange(bps - 1, -1, -1)
-    points.flags.writeable = False
-    place.flags.writeable = False
-    return points, place
+    return points, 1 << np.arange(bps - 1, -1, -1)
 
 
 def modulate(bits, scheme: ModScheme) -> np.ndarray:

@@ -8,12 +8,11 @@ stays linear.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CACHE_SIZE, SeededRng, dft
+from .numerics import SeededRng, dft, shared
 from .sequences import (
     ZC_ROOT,
     FrameLayout,
@@ -73,25 +72,17 @@ class WaveformGrid:
     def sample_rate_hz(self) -> float:
         return self.fft_size * self.scs_khz * 1e3
 
+    @shared
     def mapped_bins(self) -> np.ndarray:
         """FFT bin index for each extended-grid position (read-only)."""
-        return _mapped_bins(self)
+        return (self.first_subcarrier + np.arange(self.extended_size)) % self.fft_size
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _mapped_bins(grid: WaveformGrid) -> np.ndarray:
-    bins = (grid.first_subcarrier + np.arange(grid.extended_size)) % grid.fft_size
-    bins.flags.writeable = False
-    return bins
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _extension_index(alloc_size: int, excess: int) -> np.ndarray:
     """Read-only spectrum index (j - excess) % alloc_size of each extended
     position j."""
-    index = (np.arange(alloc_size + 2 * excess) - excess) % alloc_size
-    index.flags.writeable = False
-    return index
+    return (np.arange(alloc_size + 2 * excess) - excess) % alloc_size
 
 
 def multiplex_symbol(data, rs_block, ars, layout: FrameLayout) -> np.ndarray:
@@ -172,14 +163,11 @@ def _references(layout: FrameLayout, scheme: ModScheme, rng: SeededRng) -> tuple
             make_rs_core(layout.ars_len, scheme, rng))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@shared
 def _fixed_references(layout: FrameLayout, scheme: ModScheme) -> tuple:
     rs_core = make_rs_core(layout.rs_len, scheme)
-    refs = (rs_core, build_rs_block(rs_core, layout),
+    return (rs_core, build_rs_block(rs_core, layout),
             make_rs_core(layout.ars_len, scheme))
-    for ref in refs:
-        ref.flags.writeable = False
-    return refs
 
 
 def generate_otfdm(

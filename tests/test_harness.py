@@ -134,10 +134,26 @@ class TestConfigValidation:
         (dict(ars_correction=1), "ars_correction"),
         (dict(compare_baseline=None), "compare_baseline"),
         (dict(scheme=["QPSK"]), "scheme"),
+        # ints beyond the float range, which cannot be stored as floats
+        (dict(speed_kmh=10**400), "speed_kmh"),
+        (dict(snr_db=(10**400,)), "snr_db"),
     ])
     def test_bad_field_types_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**kwargs)
+
+    def test_lists_and_ints_stored_as_tuples_and_floats(self):
+        snrs = [30, 20.0]
+        given = ExperimentConfig(snr_db=snrs, extension_pct=5, speed_kmh=3,
+                                 gamma_sweep_pct=[0, 5], trials=4)
+        want = ExperimentConfig(snr_db=(30.0, 20.0), extension_pct=5.0,
+                                speed_kmh=3.0, gamma_sweep_pct=(0.0, 5.0),
+                                trials=4)
+        assert given == want and hash(given) == hash(want)
+        assert given.digest() == want.digest()
+        assert type(given.extension_pct) is float
+        snrs.clear()
+        assert given.snr_db == (30.0, 20.0) and len(run_ber(given)) == 4
 
     @pytest.mark.parametrize("kwargs, field", [
         (dict(scheme="QAM256", alloc_size=8, rs_overhead_pct=99.0),
@@ -686,6 +702,18 @@ class TestSweepCsv:
             sweep([], ["overhead"], tmp_path / "x.csv")
         with pytest.raises(ValueError):
             sweep([ExperimentConfig()], ["nope"], tmp_path / "x.csv")
+
+    def test_bad_pair_refused_before_any_trial(self, tmp_path, monkeypatch):
+        streams = []
+        monkeypatch.setattr(harness, "SeededRng",
+                            lambda *key: streams.append(key) or SeededRng(*key))
+        good = ExperimentConfig(snr_db=(20.0,), trials=4)
+        two_snrs = ExperimentConfig(snr_db=(10.0, 20.0), trials=4)
+        out = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match=r"config entry 1, metric mse: "
+                                             r"run_mse: needs exactly one SNR"):
+            sweep([good, two_snrs], ["ber", "mse"], out)
+        assert streams == [] and not out.exists()
 
 
 class TestCli:

@@ -301,3 +301,82 @@ def test_ccdf_counter_misuse_raises():
     no_quantile.add([1.0])
     with pytest.raises(ValueError, match="without a quantile"):
         no_quantile.quantile()
+
+
+def _shared_builders():
+    """(id, builder, args) of every `numerics.shared` builder."""
+    from otfdm import channel, numerics, receiver, sequences, transmitter
+    from otfdm.harness import filter_for, grid_for, layout_for
+
+    qam16 = sequences.MOD_SCHEMES["QAM16"]
+    filt = filter_for("SQRC", 96, 10.0)
+    return [
+        ("numerics._seed_prefix", numerics._seed_prefix, (5,)),
+        ("numerics._seed_block", numerics._seed_block, (5, 1)),
+        ("numerics._stream_types", numerics._stream_types, ()),
+        ("sequences._constellation", sequences._constellation, (qam16,)),
+        ("transmitter._extension_index", transmitter._extension_index, (16, 2)),
+        ("transmitter._fixed_references", transmitter._fixed_references,
+         (layout_for("QAM16", 120, 4), qam16)),
+        ("transmitter.WaveformGrid.mapped_bins",
+         transmitter.WaveformGrid.mapped_bins, (grid_for(120, 3),)),
+        ("receiver._reference_gain", receiver._reference_gain,
+         (filt.excess, filt.weights.tobytes(), 12)),
+        ("receiver._qam_axes", receiver._qam_axes,
+         (sequences.MOD_SCHEMES["QAM64"],)),
+        ("channel._tdlc_kernels", channel._tdlc_kernels, (1000.0, 36e6)),
+        ("channel._offset_powers", channel._offset_powers, (6, 40)),
+        ("channel.flat_realization", channel.flat_realization, ()),
+        ("channel.hst_realization", channel.hst_realization,
+         (channel.HstConfig(speed_kmh=500.0), 0.0, 1e-4, 64)),
+    ]
+
+
+def _arrays(value):
+    """Every ndarray in value: itself, inside (nested) tuples, or a
+    dataclass's fields."""
+    import dataclasses
+
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [a for f in dataclasses.fields(value)
+                for a in _arrays(getattr(value, f.name))]
+    return []
+
+
+def test_every_shared_builder_is_listed():
+    from otfdm import channel, numerics, receiver, sequences, transmitter
+
+    found = {f"{module.__name__.split('.')[-1]}.{name}"
+             for module in (channel, numerics, receiver, sequences, transmitter)
+             for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
+    found |= {f"transmitter.WaveformGrid.{name}"
+              for name, obj in vars(transmitter.WaveformGrid).items()
+              if hasattr(obj, "cache_info")}
+    assert found == {name for name, _, _ in _shared_builders()}
+
+
+@pytest.mark.parametrize("name, builder, args", _shared_builders(),
+                         ids=[name for name, _, _ in _shared_builders()])
+def test_shared_builder_is_one_bounded_read_only_constant(name, builder, args):
+    from otfdm.numerics import CACHE_SIZE
+
+    value = builder(*args)
+    assert builder(*args) is value
+    assert all(not a.flags.writeable for a in _arrays(value))
+    assert builder.cache_info().maxsize == CACHE_SIZE
+
+
+def test_equal_hst_arguments_give_one_realization():
+    from otfdm import HstConfig, hst_realization
+
+    def realize():
+        return hst_realization(HstConfig(speed_kmh=500.0, fc_ghz=7.0), 0.0,
+                               1284 / 36e6, 1284)
+
+    assert realize() is realize()
+    assert realize() is not hst_realization(HstConfig(speed_kmh=300.0), 0.0,
+                                            1284 / 36e6, 1284)
