@@ -115,14 +115,17 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=needs_out,
                        help="output path" if needs_out else "CSV output path",
                        default=None if not needs_out else argparse.SUPPRESS)
-        p.add_argument("-v", "--verbose", action="store_true")
 
     p_tx = sub.add_parser("tx", help="emit one waveform file plus text header")
     common(p_tx, needs_out=True, trials=False)
+    p_tx.add_argument("-v", "--verbose", action="store_true",
+                      help="also print the receiver's diagnostics of the symbol")
     p_tx.set_defaults(func=_cmd_tx)
 
     for name, runner in RUNNERS.items():
-        p = sub.add_parser(name, help=" ".join((runner.__doc__ or "").split()))
+        # argparse %-formats help text, and a docstring may say "1%"
+        doc = " ".join((runner.__doc__ or "").split()).replace("%", "%%")
+        p = sub.add_parser(name, help=doc)
         common(p, needs_out=False)
         p.set_defaults(func=_cmd_sweep, metrics=name)
 

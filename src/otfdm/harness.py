@@ -31,7 +31,7 @@ import numbers
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from functools import partial, wraps
 from typing import NamedTuple
 
@@ -185,14 +185,6 @@ FILTER_KINDS = ("SQRC", "NONE", "TAPS2", "TAPS3")
 MSE_RS_PCT = 8.0
 CHANNELS = ("AWGN", "TDLC", "HST")
 
-# ExperimentConfig's typed fields: sweep axes, counts, reals (rs_overhead_pct
-# may also be None) and flags.
-SWEEP_FIELDS = ("snr_db", "gamma_sweep_pct", "rs_sweep_pct")
-COUNT_FIELDS = ("alloc_size", "trials", "seed", "tail_periods", "n_workers")
-REAL_FIELDS = ("extension_pct", "rs_overhead_pct", "ars_pct", "scs_khz",
-               "delay_spread_ns", "speed_kmh", "fc_ghz", "ridge")
-BOOL_FIELDS = ("ars_correction", "genie_channel", "compare_baseline")
-
 
 def _is_real(value) -> bool:
     """A real number other than a bool; an int only within the float range,
@@ -200,6 +192,38 @@ def _is_real(value) -> bool:
     if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
         return False
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _stored(f: Field, value):
+    """`value` as config field `f` stores it, by its annotation; a value of
+    another kind, or a str not in the field's `names` table, raises."""
+    if f.type == "tuple":
+        if isinstance(value, (tuple, list)) and all(map(_is_real, value)):
+            return tuple(map(float, value))
+        need = "a tuple or list of real numbers"
+    elif f.type == "int":
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            return int(value)
+        need = "an integer"
+    elif f.type == "bool":
+        if isinstance(value, bool):
+            return value
+        need = "true or false"
+    elif f.type == "str":
+        names = f.metadata["names"]
+        if isinstance(value, str) and value in names:
+            return str(value)
+        hint = (" (AWGN with snr_db=inf is the noiseless link)"
+                if f.name == "channel" else "")
+        raise ValueError(f"ExperimentConfig: unknown {f.name} {value!r}; use one "
+                         f"of {', '.join(names)}{hint}")
+    elif value is None and f.type == "float | None":
+        return None
+    elif _is_real(value) and math.isfinite(value):
+        return float(value)
+    else:
+        need = "a finite real number"
+    raise ValueError(f"ExperimentConfig: {f.name} must be {need}")
 
 
 def filter_for(kind: str, alloc_size: int, extension_pct: float) -> ShapingFilter:
@@ -221,15 +245,15 @@ def filter_for(kind: str, alloc_size: int, extension_pct: float) -> ShapingFilte
 class ExperimentConfig:
     """One experiment: waveform, channel, sweep axes, trial budget."""
 
-    scheme: str = "QPSK"
+    scheme: str = field(default="QPSK", metadata={"names": MOD_SCHEMES})
     alloc_size: int = 240
     extension_pct: float = 5.0
-    filter_kind: str = "SQRC"
+    filter_kind: str = field(default="SQRC", metadata={"names": FILTER_KINDS})
     rs_overhead_pct: float | None = None
     ars_pct: float = 0.0
     ars_correction: bool = True
     scs_khz: float = 30.0
-    channel: str = "AWGN"  # one of CHANNELS
+    channel: str = field(default="AWGN", metadata={"names": CHANNELS})
     delay_spread_ns: float = 1000.0
     speed_kmh: float = 0.0
     fc_ghz: float = 7.0
@@ -245,42 +269,10 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        # each typed field is stored as one immutable value: sweep axes as
-        # tuples of floats, counts as ints and reals as floats, so that a
-        # config given lists or ints equals, hashes and digests like the
-        # tuple and float one, and no caller's list can change it later
-        for name in SWEEP_FIELDS:
-            values = getattr(self, name)
-            if not (isinstance(values, (tuple, list)) and all(map(_is_real, values))):
-                raise ValueError(f"ExperimentConfig: {name} must be a tuple or "
-                                 "list of real numbers")
-            object.__setattr__(self, name, tuple(map(float, values)))
-        for name in COUNT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"ExperimentConfig: {name} must be an integer")
-            object.__setattr__(self, name, int(value))
-        for name in REAL_FIELDS:
-            value = getattr(self, name)
-            if name == "rs_overhead_pct" and value is None:
-                continue
-            if not (_is_real(value) and math.isfinite(value)):
-                raise ValueError(f"ExperimentConfig: {name} must be a finite "
-                                 "real number")
-            object.__setattr__(self, name, float(value))
-        for name in BOOL_FIELDS:
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"ExperimentConfig: {name} must be true or false")
-        if not isinstance(self.scheme, str) or self.scheme not in MOD_SCHEMES:
-            raise ValueError(f"ExperimentConfig: unknown scheme {self.scheme!r}")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"ExperimentConfig: unknown channel {self.channel!r}; "
-                             f"use one of {', '.join(CHANNELS)} (AWGN with "
-                             "snr_db=inf is the noiseless link)")
-        if self.filter_kind not in FILTER_KINDS:
-            raise ValueError(
-                f"ExperimentConfig: unknown filter_kind {self.filter_kind!r}"
-            )
+        # each field as its annotated kind, so that a config given lists or
+        # ints equals, hashes and digests like the tuple and float one
+        for f in fields(self):
+            object.__setattr__(self, f.name, _stored(f, getattr(self, f.name)))
         if self.trials < 1:
             raise ValueError("ExperimentConfig: trials must be >= 1")
         if self.seed < 0:
@@ -311,20 +303,13 @@ class ExperimentConfig:
                              ("gamma_sweep_pct", self.gamma_sweep_pct)):
             if any(not 0.0 <= v <= 100.0 for v in values):
                 raise ValueError(f"ExperimentConfig: {name} must be in [0, 100]")
-        rs_fixed = () if self.rs_overhead_pct is None else (self.rs_overhead_pct,)
-        for name, values in (("ars_pct", (self.ars_pct,)),
-                             ("rs_overhead_pct", rs_fixed),
-                             ("rs_sweep_pct", self.rs_sweep_pct)):
-            if any(not 0.0 <= v < 100.0 for v in values):
+        for name, value in (("ars_pct", self.ars_pct), *self._mse_rs_shares()):
+            if not 0.0 <= value < 100.0:
                 raise ValueError(f"ExperimentConfig: {name} must be in [0, 100)")
         # every layout a runner builds, so that an impossible one fails here
         # and not after the earlier configs of a sweep have run
-        rs_shares = [("rs_overhead_pct", self.rs_overhead_pct)]
-        if self.rs_overhead_pct is None:
-            rs_shares.append(("run_mse's fixed RS share", MSE_RS_PCT))
-        rs_shares += [(f"rs_sweep_pct[{i}]", v)
-                      for i, v in enumerate(self.rs_sweep_pct)]
-        for name, rs_pct in rs_shares:
+        for name, rs_pct in (("rs_overhead_pct", self.rs_overhead_pct),
+                             *self._mse_rs_shares()):
             try:
                 layout_for(self.scheme, self.alloc_size, self.ars_len(), rs_pct)
             except ValueError as err:
@@ -332,12 +317,20 @@ class ExperimentConfig:
                                  f"ars_pct = {self.ars_pct}: {err}") from None
 
     def digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=list)
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def ars_len(self) -> int:
         even = self.scheme == "PI2_BPSK"
         return _round_count(self.alloc_size * self.ars_pct / 100.0, even)
+
+    def _mse_rs_shares(self) -> list:
+        """(config entry, RS share) of each layout that run_mse builds."""
+        fixed = ("run_mse's fixed RS share", MSE_RS_PCT)
+        if self.rs_overhead_pct is not None:
+            fixed = ("rs_overhead_pct", self.rs_overhead_pct)
+        return [fixed, *((f"rs_sweep_pct[{i}]", v)
+                         for i, v in enumerate(self.rs_sweep_pct))]
 
     def resolve(self, extension_pct: float | None = None,
                 rs_overhead_pct: float | None = None):
@@ -707,12 +700,12 @@ def run_mse(cfg: ExperimentConfig):
     if not cfg.gamma_sweep_pct and not cfg.rs_sweep_pct:
         raise ValueError("run_mse: gamma_sweep_pct and rs_sweep_pct are both empty")
     snr_db = cfg.snr_db[0]
-    rs_fixed = MSE_RS_PCT if cfg.rs_overhead_pct is None else cfg.rs_overhead_pct
+    (fixed_field, rs_fixed), *rs_sweep = cfg._mse_rs_shares()
     # (iv name, iv value, extension, RS share, config entry of the RS share)
-    points = ([("gamma_pct", ext, ext, rs_fixed, "rs_overhead_pct")
+    points = ([("gamma_pct", ext, ext, rs_fixed, fixed_field)
                for ext in cfg.gamma_sweep_pct]
-              + [("rs_overhead_pct", rs, cfg.extension_pct, rs, f"rs_sweep_pct[{i}]")
-                 for i, rs in enumerate(cfg.rs_sweep_pct)])
+              + [("rs_overhead_pct", rs, cfg.extension_pct, rs, rs_field)
+                 for rs_field, rs in rs_sweep])
     # resolve and check every point before the first trial
     resolved = [cfg.resolve(extension_pct=ext, rs_overhead_pct=rs_pct)
                 for _, _, ext, rs_pct, _ in points]

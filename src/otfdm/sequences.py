@@ -92,7 +92,11 @@ def _constellation(scheme: ModScheme) -> tuple:
 
 def modulate(bits, scheme: ModScheme) -> np.ndarray:
     """Map a bit sequence to unit-average-power constellation symbols."""
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    bits = np.asarray(bits).ravel()
+    # the int64 cast below would truncate a real bit such as 0.7 to 0
+    if bits.dtype.kind not in "biu" and not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("modulate: bits must be 0 or 1")
+    bits = bits.astype(np.int64, copy=False)
     bps = scheme.bits_per_symbol
     if bits.size % bps != 0:
         raise ValueError(

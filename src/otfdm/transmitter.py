@@ -195,11 +195,10 @@ def generate_otfdm(
     if filt.excess != grid.excess:
         raise ValueError("generate_otfdm: filter and grid disagree on excess")
 
-    bits = np.asarray(bits, dtype=np.int64).ravel()
     expected = layout.data_len * scheme.bits_per_symbol
-    if bits.size != expected:
+    if np.size(bits) != expected:
         raise ValueError(
-            f"generate_otfdm: {bits.size} data bits, layout needs {expected}"
+            f"generate_otfdm: {np.size(bits)} data bits, layout needs {expected}"
         )
 
     rs_core, rs_block, ars = _references(layout, scheme, rng)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +154,45 @@ class TestConfigValidation:
         assert type(given.extension_pct) is float
         snrs.clear()
         assert given.snr_db == (30.0, 20.0) and len(run_ber(given)) == 4
+
+    @pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_every_field_refuses_a_value_of_another_kind(self, field):
+        # keyed by annotation, so a new field needs no entry of its own
+        wrong = {
+            "tuple": ["30", 30.0, [True], ["30"], None],
+            "int": [True, 5.0, "5", None],
+            "float": [True, "5", None, float("nan"), float("inf")],
+            "float | None": [True, "5", float("nan"), float("-inf")],
+            "bool": [1, 0, "false", None],
+            "str": [1, None, ["QPSK"], "bogus"],
+        }[field.type]
+        for value in wrong:
+            with pytest.raises(ValueError, match=rf"ExperimentConfig: (unknown )?"
+                                                 rf"{field.name}\b"):
+                ExperimentConfig(**{field.name: value})
+
+    @pytest.mark.parametrize("field", [f for f in fields(ExperimentConfig)
+                                       if f.type not in ("bool", "str")],
+                             ids=lambda f: f.name)
+    def test_every_number_field_stores_its_annotated_kind(self, field):
+        # the default, or a valid share where the default is None
+        canonical = 8.0 if field.default is None else field.default
+        if field.type == "tuple":
+            givens = [list(canonical), [int(v) for v in canonical],
+                      [np.int64(v) for v in canonical]]
+            kind = tuple
+        else:
+            givens = [int(canonical), np.int64(canonical), np.int32(canonical)]
+            kind = int if field.type == "int" else float
+        want = ExperimentConfig(**{field.name: canonical})
+        for given in givens:
+            cfg = ExperimentConfig(**{field.name: given})
+            stored = getattr(cfg, field.name)
+            assert type(stored) is kind
+            if kind is tuple:
+                assert all(type(v) is float for v in stored)
+            assert cfg == want and hash(cfg) == hash(want)
+            assert cfg.digest() == want.digest()
 
     @pytest.mark.parametrize("kwargs, field", [
         (dict(scheme="QAM256", alloc_size=8, rs_overhead_pct=99.0),
@@ -717,6 +756,25 @@ class TestSweepCsv:
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [command, "--help"] for command in ("tx", *harness.RUNNERS, "sweep")],
+        ids=" ".join)
+    def test_help_prints_usage(self, argv, capsys):
+        # a runner docstring's "1%" once broke argparse's help formatting
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [*harness.RUNNERS, "sweep"])
+    def test_verbose_is_refused_where_nothing_reads_it(self, tmp_path, capsys,
+                                                       command):
+        # only tx prints diagnostics
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--out", str(tmp_path / "out.csv"), "-v"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -v" in capsys.readouterr().err
+
     def test_tx_writes_waveform_and_header(self, tmp_path):
         out = tmp_path / "wave.bin"
         code = cli_main(["tx", "--out", str(out), "--seed", "3"])

@@ -89,6 +89,25 @@ class TestModulate:
             modulate(bits, MOD_SCHEMES[name])
 
     @pytest.mark.parametrize("name", list(MOD_SCHEMES))
+    @pytest.mark.parametrize("bad", [0.7, 0.5, -0.2, float("nan"), float("inf")])
+    def test_non_integer_bits_raise(self, name, bad):
+        # an int cast would truncate 0.7 to bit 0 and warn on NaN; the
+        # pytest config turns that RuntimeWarning into an error
+        bits = np.zeros(2 * MOD_SCHEMES[name].bits_per_symbol)
+        bits[0] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            modulate(bits, MOD_SCHEMES[name])
+
+    @pytest.mark.parametrize("name", list(MOD_SCHEMES))
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.uint8])
+    def test_exact_bits_of_any_dtype_give_the_int_symbols(self, name, dtype):
+        scheme = MOD_SCHEMES[name]
+        bits = SeededRng(22, 0).bits(40 * scheme.bits_per_symbol)
+        want = modulate(bits, scheme)
+        assert modulate(bits.astype(dtype), scheme).tobytes() == want.tobytes()
+        assert modulate(bits.tolist(), scheme).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(MOD_SCHEMES))
     def test_matches_gray_formula_on_random_bits(self, name):
         scheme = MOD_SCHEMES[name]
         bits = SeededRng(21, 0).bits(600 * scheme.bits_per_symbol)

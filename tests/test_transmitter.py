@@ -214,6 +214,14 @@ class TestGenerate:
                 SeededRng(1, 0),
             )
 
+    @pytest.mark.parametrize("bad", [0.7, float("nan")])
+    def test_non_integer_bits_raise(self, bad):
+        # not truncated to bit 0 by a cast before the check
+        scheme, layout, filt, grid = self._setup()
+        bits = np.full(layout.data_len * scheme.bits_per_symbol, bad)
+        with pytest.raises(ValueError, match="0 or 1"):
+            generate_otfdm(bits, scheme, layout, filt, grid, SeededRng(1, 0))
+
 
 def test_write_waveform_roundtrip(tmp_path):
     scheme = MOD_SCHEMES["QPSK"]
