@@ -340,12 +340,24 @@ def custom_realization(taps: list[tuple[float, complex]]) -> ChannelRealization:
 
 # Output samples per tile of the tap-sum product. One tile's window copy is
 # ir_len * 2 * 128 floats, 108 KiB for the 54-sample kernels of a 1000 ns
-# TDL-C profile at 36 Ms/s. Per tap sum of a 1284-sample realization of that
-# profile (2 vCPUs, numpy 2.4.6, best of 7 x 200): one product over the
+# TDL-C profile at 36 Ms/s, and its product taps * 2 * 128 floats, 48 KiB
+# for that profile's 24 taps. Per tap sum of a 1284-sample realization of
+# that profile (2 vCPUs, numpy 2.4.6, best of 7 x 200): one product over the
 # whole window took 1210-1290 us at OpenBLAS's default two threads and
-# 320-450 us at one; tiles of 128 take 260-370 us at either count. Tiles of
-# 64 took 420-510 us, and tiles of 256 were no faster than 128.
+# 320-450 us at one; tiles of 128 written into one taps x samples array took
+# 260-370 us at either count, and weighted and summed in their own buffer
+# 276-283 us at two threads and 322-349 us at one. Tiles of 64 took 420-510
+# us, and tiles of 256 were no faster than 128.
 _TILE = 128
+
+
+def _weight(gains: np.ndarray, block: np.ndarray, lo: int) -> None:
+    """Multiply block, every tap's output samples from lo on, in place by its
+    gains, the last gain held past the end of the trajectory."""
+    span = min(max(gains.shape[1] - lo, 0), block.shape[1])
+    np.multiply(gains[:, lo : lo + span], block[:, :span], out=block[:, :span])
+    if span < block.shape[1]:
+        np.multiply(gains[:, -1:], block[:, span:], out=block[:, span:])
 
 
 def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -356,31 +368,38 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray) -> np.ndarra
     sliding window holds the zero-padded signal shifted by j, as interleaved
     (real, imaginary) floats, so the reversed real kernels times the window
     are the complex convolutions of every tap. The product runs tile by tile
-    over _TILE output samples, each tile's window copied once (ir_len * 2 *
-    _TILE floats) and its product written into its columns of the result;
-    every output is the same length-ir_len dot product as in one product over
-    the whole window. Within 1e-13 relative of one np.convolve per tap.
+    over _TILE output samples: each tile's window is copied once (ir_len * 2
+    * _TILE floats), its product goes into one (taps, 2 * _TILE) buffer reused
+    by every tile, is weighted by its gain columns there and summed over taps
+    straight into its samples of the result, so no taps x samples array is
+    built. Every output is the same length-ir_len dot product as in one
+    product over the whole window, times the same gain, with taps summed in
+    the same order. Within 1e-13 relative of one np.convolve per tap.
     One-sample kernels (HST) only scale the signal, with no window built.
     """
     ir_len = kernels.shape[1]
-    out_len = x.size + ir_len - 1
     if ir_len == 1:
         conv = kernels * x
-    else:
-        padded = np.zeros(x.size + 2 * (ir_len - 1), dtype=np.complex128)
-        padded[ir_len - 1 : ir_len - 1 + x.size] = x
-        window = sliding_window_view(padded.view(np.float64), 2 * out_len)[::2]
-        reversed_kernels = np.ascontiguousarray(kernels[:, ::-1])
-        conv = np.empty((kernels.shape[0], out_len), dtype=np.complex128)
-        flat = conv.view(np.float64)
-        for start in range(0, 2 * out_len, 2 * _TILE):
-            cols = slice(start, start + 2 * _TILE)
-            np.matmul(reversed_kernels, np.ascontiguousarray(window[:, cols]),
-                      out=flat[:, cols])
-    span = min(gains.shape[1], out_len)
-    np.multiply(gains[:, :span], conv[:, :span], out=conv[:, :span])
-    np.multiply(gains[:, -1:], conv[:, span:], out=conv[:, span:])
-    return conv.sum(axis=0)
+        _weight(gains, conv, 0)
+        return conv.sum(axis=0)
+    out_len = x.size + ir_len - 1
+    padded = np.zeros(x.size + 2 * (ir_len - 1), dtype=np.complex128)
+    padded[ir_len - 1 : ir_len - 1 + x.size] = x
+    window = sliding_window_view(padded.view(np.float64), 2 * out_len)[::2]
+    reversed_kernels = np.ascontiguousarray(kernels[:, ::-1])
+    buf = np.empty((kernels.shape[0], 2 * _TILE))
+    out = np.empty(out_len, dtype=np.complex128)
+    flat = out.view(np.float64)
+    for lo in range(0, out_len, _TILE):
+        cols = slice(2 * lo, 2 * min(lo + _TILE, out_len))
+        tile = buf[:, : cols.stop - cols.start]
+        np.matmul(reversed_kernels, np.ascontiguousarray(window[:, cols]),
+                  out=tile)
+        _weight(gains, tile.view(np.complex128), lo)
+        # summed as floats: a one-sample tile summed as complex would reduce
+        # its taps pairwise, not in order
+        np.add.reduce(tile, axis=0, out=flat[cols])
+    return out
 
 
 def apply_channel(signal, ch: ChannelRealization, rng: SeededRng,

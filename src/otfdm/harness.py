@@ -712,7 +712,8 @@ def run_mse(cfg: ExperimentConfig):
     estimators = [_estimator(cfg, scheme, layout, filt, rs_field)
                   for (scheme, layout, filt, _), (*_, rs_field) in zip(resolved,
                                                                        points)]
-    record = partial(_record, cfg, cfg.digest())
+    record = partial(_record, cfg, cfg.digest(),
+                     warning=_awgn_speed_warning(cfg))
 
     def run_trials() -> list[MetricRecord]:
         return [record(point[1], "chan_mse", iv_name, iv_value,
@@ -780,6 +781,14 @@ def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, trials):
                         inv_snr, scheme, sent.bits, sent.data_symbols)
 
 
+def _awgn_speed_warning(cfg: ExperimentConfig) -> str | None:
+    """Warning for a speed given with the AWGN channel, which applies no
+    Doppler, so the speed the records carry had no effect."""
+    if cfg.channel != "AWGN" or cfg.speed_kmh == 0:
+        return None
+    return f"channel=AWGN has no Doppler; speed_kmh={cfg.speed_kmh} was ignored"
+
+
 def _ars_warning(cfg: ExperimentConfig) -> str | None:
     """Warning for a corrected ARS run whose worst per-symbol Doppler phase
     2*pi*f_d,max/scs reaches pi/2: `ars_phase_correct`'s step is ambiguous
@@ -806,18 +815,21 @@ def run_ber(cfg: ExperimentConfig):
     est_cfg = None if cfg.genie_channel else _estimator(cfg, scheme, layout, filt)
     baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
     record = partial(_record, cfg, cfg.digest())
-    ars_warning = _ars_warning(cfg)
+    speed_warning = _awgn_speed_warning(cfg)
+    otfdm_warning = "; ".join(
+        w for w in (speed_warning, _ars_warning(cfg)) if w) or None
 
     def run_trials() -> list[MetricRecord]:
         records = []
         for snr_db in cfg.snr_db:
-            # the baseline carries no ARS, so only OTFDM records take its
-            # warning
-            runs = [("", ars_warning, lambda t: _otfdm_chunk(
+            # the baseline carries no ARS, so only OTFDM records take the
+            # ARS warning
+            runs = [("", otfdm_warning, lambda t: _otfdm_chunk(
                 cfg, scheme, layout, filt, grid, est_cfg, snr_db, t))]
             if baseline:
-                runs.append(("_baseline", None, lambda t: _dfts_baseline_chunk(
-                    cfg, scheme, baseline, snr_db, t)))
+                runs.append(("_baseline", speed_warning,
+                             lambda t: _dfts_baseline_chunk(
+                                 cfg, scheme, baseline, snr_db, t)))
             for suffix, warning, chunk in runs:
                 # per-trial rows summed as Python numbers, in trial order
                 errors, bits, err_pow, ref_pow = (

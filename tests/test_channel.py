@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from otfdm.channel import (
     SPEED_OF_LIGHT,
     _rayleigh_tap_gains,
     _series_order,
+    _tap_sum,
     _tdlc_kernels,
 )
 
@@ -290,6 +292,7 @@ class TestTapSum:
         (4 * _TILE, None),  # an exact multiple of the tile
         (10 * _TILE + 57, None),  # a remainder
         (10 * _TILE + 57, 700),  # gains shorter than the signal
+        (10 * _TILE + 57, 100),  # gains shorter than one tile
     ])
     def test_tiles_equal_one_product(self, delay_spread_ns, speed_kmh,
                                      out_len, gains_len):
@@ -303,6 +306,34 @@ class TestTapSum:
             ref = tap_sum_one_product(x, ch.kernels, ch.gains)
             assert y.size == out_len
             assert y.tobytes() == ref.tobytes()
+
+    def test_one_sample_tile_sums_taps_in_order(self):
+        # a last tile of one sample: its taps still sum in order, as in the
+        # whole product. Dense random kernels, since a TDL-C kernel is zero
+        # at the last sample of nearly every tap
+        rng = np.random.default_rng(5)
+        kernels = rng.standard_normal((24, 54))
+        x = SeededRng(5, 0).complex_normal(3 * _TILE + 1 - 53)
+        gains = SeededRng(5, 1).complex_normal(24 * 300).reshape(24, 300)
+        y = _tap_sum(x, kernels, gains)
+        assert y.size % _TILE == 1
+        assert y.tobytes() == tap_sum_one_product(x, kernels, gains).tobytes()
+
+    def test_peak_memory_below_one_taps_by_samples_array(self):
+        # tiles are weighted and summed in one reused buffer: no (taps,
+        # out_len) complex array, 501 KiB here, is built
+        ch = _tdlc(SeededRng(0, 1), 120.0)
+        x = SeededRng(0, 0).complex_normal(1284)
+        taps_by_samples = ch.kernels.shape[0] * (x.size + ch.ir_len - 1) * 16
+        _tap_sum(x, ch.kernels, ch.gains)
+        tracemalloc.start()
+        try:
+            _tap_sum(x, ch.kernels, ch.gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ch.kernels.shape[0] == 24
+        assert peak < taps_by_samples
 
     @pytest.mark.parametrize("make", [
         lambda rng: _tdlc(rng, 30.0),

@@ -510,6 +510,16 @@ class TestMse:
         values = [r.value for r in run_mse(cfg)]
         assert all(v < 1e-12 for v in values)
 
+    def test_awgn_speed_is_ignored_with_warning(self):
+        base = dict(scheme="QPSK", alloc_size=96, snr_db=(20.0,), trials=3,
+                    seed=13, gamma_sweep_pct=(5.0,), rs_sweep_pct=(12.0,))
+        plain = run_mse(ExperimentConfig(**base))
+        moving = run_mse(ExperimentConfig(**base, speed_kmh=120.0))
+        assert [r.value for r in moving] == [r.value for r in plain]
+        assert [r.warning for r in plain] == [None, None]
+        assert [r.warning for r in moving] == [
+            "channel=AWGN has no Doppler; speed_kmh=120.0 was ignored"] * 2
+
     def test_mse_decreases_with_rs_overhead(self):
         cfg = ExperimentConfig(scheme="QPSK", alloc_size=480, channel="TDLC",
                                delay_spread_ns=1000.0, snr_db=(30.0,),
@@ -642,6 +652,17 @@ class TestBer:
                 assert "2.91 rad" in r.warning and "pi/2" in r.warning
         uncorrected = replace(cfg, ars_correction=False, compare_baseline=False)
         assert all(r.warning is None for r in run_ber(uncorrected))
+
+    def test_awgn_speed_is_ignored_with_warning(self):
+        # the baseline ignores the speed too, so its records warn as well
+        base = dict(scheme="QPSK", alloc_size=96, snr_db=(15.0,), trials=3,
+                    seed=7, compare_baseline=True)
+        plain = run_ber(ExperimentConfig(**base))
+        moving = run_ber(ExperimentConfig(**base, speed_kmh=120.0))
+        assert [r.value for r in moving] == [r.value for r in plain]
+        assert all(r.warning is None for r in plain)
+        assert [r.warning for r in moving] == [
+            "channel=AWGN has no Doppler; speed_kmh=120.0 was ignored"] * 4
 
     def test_no_ars_warning_at_the_benchmark_hst_config(self):
         records = run_ber(ExperimentConfig(fc_ghz=7.0, **self.ARS_HST))
