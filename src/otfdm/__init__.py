@@ -38,6 +38,7 @@ from .receiver import (
     EstimatorConfig,
     SingularReference,
     ars_phase_correct,
+    check_equalizer,
     check_reference,
     estimate_channel,
     fold_spectrum,

@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -48,8 +49,10 @@ from .channel import (
 )
 from .numerics import CcdfCounter, SeededRng, cyclic_fold, power_ratio_db
 from .receiver import (
+    DegenerateEqualizer,
     EstimatorConfig,
     ars_phase_correct,
+    check_equalizer,
     check_reference,
     estimate_channel,
     fold_spectrum,
@@ -194,36 +197,50 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+# What a config field of each annotated kind (other than str) must hold.
+KINDS = {"tuple": "a tuple or list of real numbers", "int": "an integer",
+         "bool": "true or false", "float": "a finite real number",
+         "float | None": "a finite real number or None"}
+# The bounds a config field may declare in its metadata, each as
+# {comparison: bound}; its value, or each entry of a tuple, must compare true.
+BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _entries(name: str, values: tuple) -> list:
+    """(config entry, value) of each entry of the tuple field `name`."""
+    return [(f"{name}[{i}]", v) for i, v in enumerate(values)]
+
+
 def _stored(f: Field, value):
-    """`value` as config field `f` stores it, by its annotation; a value of
-    another kind, or a str not in the field's `names` table, raises."""
-    if f.type == "tuple":
-        if isinstance(value, (tuple, list)) and all(map(_is_real, value)):
-            return tuple(map(float, value))
-        need = "a tuple or list of real numbers"
-    elif f.type == "int":
-        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-            return int(value)
-        need = "an integer"
-    elif f.type == "bool":
-        if isinstance(value, bool):
-            return value
-        need = "true or false"
-    elif f.type == "str":
-        names = f.metadata["names"]
-        if isinstance(value, str) and value in names:
-            return str(value)
-        hint = (" (AWGN with snr_db=inf is the noiseless link)"
-                if f.name == "channel" else "")
-        raise ValueError(f"ExperimentConfig: unknown {f.name} {value!r}; use one "
-                         f"of {', '.join(names)}{hint}")
-    elif value is None and f.type == "float | None":
-        return None
-    elif _is_real(value) and math.isfinite(value):
-        return float(value)
+    """`value` as config field `f` stores it, by its annotation, within the
+    bounds its metadata declares; a value of another kind, a str not in the
+    field's `names` table, or a number past a bound raises, naming it."""
+    kind = f.type
+    if kind == "str":
+        if not (isinstance(value, str) and value in f.metadata["names"]):
+            hint = f" ({f.metadata['hint']})" if "hint" in f.metadata else ""
+            raise ValueError(f"ExperimentConfig: unknown {f.name} {value!r}; use "
+                             f"one of {', '.join(f.metadata['names'])}{hint}")
+        value = str(value)
+    elif (kind == "tuple" and isinstance(value, (tuple, list))
+          and all(map(_is_real, value))):
+        value = tuple(map(float, value))
+    elif (kind == "int" and isinstance(value, numbers.Integral)
+          and not isinstance(value, bool)):
+        value = int(value)
+    elif (kind == "bool" and isinstance(value, bool)
+          or kind == "float | None" and value is None):
+        pass
+    elif kind.startswith("float") and _is_real(value) and math.isfinite(value):
+        value = float(value)
     else:
-        need = "a finite real number"
-    raise ValueError(f"ExperimentConfig: {f.name} must be {need}")
+        raise ValueError(f"ExperimentConfig: {f.name} must be {KINDS[kind]}")
+    for name, v in _entries(f.name, value) if kind == "tuple" else [(f.name, value)]:
+        for op, bound in f.metadata.items():
+            if op in BOUNDS and v is not None and not BOUNDS[op](v, bound):
+                raise ValueError(f"ExperimentConfig: {name} = {v} must be {op} "
+                                 f"{bound}")
+    return value
 
 
 def filter_for(kind: str, alloc_size: int, extension_pct: float) -> ShapingFilter:
@@ -246,68 +263,44 @@ class ExperimentConfig:
     """One experiment: waveform, channel, sweep axes, trial budget."""
 
     scheme: str = field(default="QPSK", metadata={"names": MOD_SCHEMES})
-    alloc_size: int = 240
-    extension_pct: float = 5.0
+    alloc_size: int = field(default=240, metadata={">=": 8})
+    extension_pct: float = field(default=5.0, metadata={">=": 0.0, "<=": 100.0})
     filter_kind: str = field(default="SQRC", metadata={"names": FILTER_KINDS})
-    rs_overhead_pct: float | None = None
-    ars_pct: float = 0.0
+    rs_overhead_pct: float | None = field(default=None,
+                                          metadata={">=": 0.0, "<": 100.0})
+    ars_pct: float = field(default=0.0, metadata={">=": 0.0, "<": 100.0})
     ars_correction: bool = True
-    scs_khz: float = 30.0
-    channel: str = field(default="AWGN", metadata={"names": CHANNELS})
-    delay_spread_ns: float = 1000.0
-    speed_kmh: float = 0.0
-    fc_ghz: float = 7.0
-    snr_db: tuple = (30.0,)
-    trials: int = 1000
-    seed: int = 1
+    scs_khz: float = field(default=30.0, metadata={">": 0.0})
+    channel: str = field(default="AWGN", metadata={
+        "names": CHANNELS, "hint": "AWGN with snr_db=inf is the noiseless link"})
+    delay_spread_ns: float = field(default=1000.0, metadata={">": 0.0})
+    speed_kmh: float = field(default=0.0, metadata={">=": 0.0})
+    fc_ghz: float = field(default=7.0, metadata={">": 0.0})
+    # > -inf refuses NaN and -inf; inf is the noiseless link
+    snr_db: tuple = field(default=(30.0,), metadata={">": -math.inf})
+    trials: int = field(default=1000, metadata={">=": 1})
+    seed: int = field(default=1, metadata={">=": 0})
     genie_channel: bool = False
-    ridge: float = 0.0
-    gamma_sweep_pct: tuple = (0.0, 5.0, 10.0)
-    rs_sweep_pct: tuple = (5.0, 8.0, 12.0)
-    tail_periods: int = 4
+    ridge: float = field(default=0.0, metadata={">=": 0.0})
+    gamma_sweep_pct: tuple = field(default=(0.0, 5.0, 10.0),
+                                   metadata={">=": 0.0, "<=": 100.0})
+    rs_sweep_pct: tuple = field(default=(5.0, 8.0, 12.0),
+                                metadata={">=": 0.0, "<": 100.0})
+    tail_periods: int = field(default=4, metadata={">=": 0})
     compare_baseline: bool = False
-    n_workers: int = 1
+    n_workers: int = field(default=1, metadata={">=": 1})
 
     def __post_init__(self):
         # each field as its annotated kind, so that a config given lists or
         # ints equals, hashes and digests like the tuple and float one
         for f in fields(self):
             object.__setattr__(self, f.name, _stored(f, getattr(self, f.name)))
-        if self.trials < 1:
-            raise ValueError("ExperimentConfig: trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("ExperimentConfig: seed must be >= 0")
-        if self.alloc_size < 8:
-            raise ValueError("ExperimentConfig: alloc_size too small")
-        if self.speed_kmh < 0:
-            raise ValueError("ExperimentConfig: speed_kmh must be >= 0")
-        if self.channel == "HST" and self.speed_kmh <= 0:
-            raise ValueError("ExperimentConfig: HST needs speed_kmh > 0")
-        if self.delay_spread_ns <= 0:
-            raise ValueError("ExperimentConfig: delay_spread_ns must be > 0")
-        if self.fc_ghz <= 0:
-            raise ValueError("ExperimentConfig: fc_ghz must be > 0")
-        if self.scs_khz <= 0:
-            raise ValueError("ExperimentConfig: scs_khz must be > 0")
-        if self.ridge < 0:
-            raise ValueError("ExperimentConfig: ridge must be >= 0")
-        if self.tail_periods < 0:
-            raise ValueError("ExperimentConfig: tail_periods must be >= 0")
-        if self.n_workers < 1:
-            raise ValueError("ExperimentConfig: n_workers must be >= 1")
         if not self.snr_db:
             raise ValueError("ExperimentConfig: snr_db needs at least one SNR")
-        if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
-            raise ValueError("ExperimentConfig: snr_db contains NaN or -inf")
-        for name, values in (("extension_pct", (self.extension_pct,)),
-                             ("gamma_sweep_pct", self.gamma_sweep_pct)):
-            if any(not 0.0 <= v <= 100.0 for v in values):
-                raise ValueError(f"ExperimentConfig: {name} must be in [0, 100]")
-        for name, value in (("ars_pct", self.ars_pct), *self._mse_rs_shares()):
-            if not 0.0 <= value < 100.0:
-                raise ValueError(f"ExperimentConfig: {name} must be in [0, 100)")
-        # every layout a runner builds, so that an impossible one fails here
-        # and not after the earlier configs of a sweep have run
+        if self.channel == "HST" and self.speed_kmh <= 0:
+            raise ValueError("ExperimentConfig: HST needs speed_kmh > 0")
+        # every layout and SQRC filter a runner builds, so that an impossible
+        # one fails here and not after the earlier configs of a sweep have run
         for name, rs_pct in (("rs_overhead_pct", self.rs_overhead_pct),
                              *self._mse_rs_shares()):
             try:
@@ -315,6 +308,13 @@ class ExperimentConfig:
             except ValueError as err:
                 raise ValueError(f"ExperimentConfig: {name} = {rs_pct} with "
                                  f"ars_pct = {self.ars_pct}: {err}") from None
+        for name, ext in (("extension_pct", self.extension_pct),
+                          *_entries("gamma_sweep_pct", self.gamma_sweep_pct)):
+            try:
+                filter_for("SQRC", self.alloc_size, ext)
+            except ValueError as err:
+                raise ValueError(f"ExperimentConfig: {name} = {ext} with "
+                                 f"alloc_size = {self.alloc_size}: {err}") from None
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
@@ -329,8 +329,7 @@ class ExperimentConfig:
         fixed = ("run_mse's fixed RS share", MSE_RS_PCT)
         if self.rs_overhead_pct is not None:
             fixed = ("rs_overhead_pct", self.rs_overhead_pct)
-        return [fixed, *((f"rs_sweep_pct[{i}]", v)
-                         for i, v in enumerate(self.rs_sweep_pct))]
+        return [fixed, *_entries("rs_sweep_pct", self.rs_sweep_pct)]
 
     def resolve(self, extension_pct: float | None = None,
                 rs_overhead_pct: float | None = None):
@@ -578,12 +577,10 @@ def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
     if cfg.channel == "TDLC":
         return tdlc_realization(cfg.delay_spread_ns, cfg.speed_kmh, cfg.fc_ghz,
                                 grid.sample_rate_hz, rng, num_samples=num_samples)
-    if cfg.channel == "HST":
-        hst = HstConfig(speed_kmh=cfg.speed_kmh, fc_ghz=cfg.fc_ghz)
-        return hst_realization(hst, t0=0.0,
-                               duration=num_samples / grid.sample_rate_hz,
-                               num_samples=num_samples)
-    raise ValueError(f"unknown channel model {cfg.channel!r}")
+    # HST, the one channel of CHANNELS left
+    hst = HstConfig(speed_kmh=cfg.speed_kmh, fc_ghz=cfg.fc_ghz)
+    return hst_realization(hst, t0=0.0, duration=num_samples / grid.sample_rate_hz,
+                           num_samples=num_samples)
 
 
 def _composite_truth(impulse: np.ndarray, grid: WaveformGrid,
@@ -813,6 +810,15 @@ def run_ber(cfg: ExperimentConfig):
                          "compare_baseline")
     scheme, layout, filt, grid = cfg.resolve()
     est_cfg = None if cfg.genie_channel else _estimator(cfg, scheme, layout, filt)
+    if math.inf in cfg.snr_db:
+        # every response, estimated or genie, carries the filter's folded
+        # gain, so a null in it fails the noiseless point for certain
+        try:
+            check_equalizer(filt.folded_square(), 0.0)
+        except DegenerateEqualizer as err:
+            raise DegenerateEqualizer(f"run_ber: filter_kind {cfg.filter_kind} "
+                                      "nulls a subcarrier, which snr_db=inf "
+                                      f"cannot equalize: {err}") from None
     baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
     record = partial(_record, cfg, cfg.digest())
     speed_warning = _awgn_speed_warning(cfg)
@@ -861,13 +867,10 @@ def pulse_tail_fraction(alloc_size: int, extension_pct: float,
     if 2 * half + 1 >= grid.fft_size:
         return 0.0
     energy = np.abs(effective_pulse(filt, grid)) ** 2
-    peak = int(np.argmax(energy))
-    lo, hi = peak - half, peak + half + 1
-    inside = energy[max(lo, 0) : hi].sum()
-    if lo < 0:
-        inside += energy[lo:].sum()
-    if hi > energy.size:
-        inside += energy[: hi - energy.size].sum()
+    # `effective_pulse` centres its peak, where the real non-negative weights
+    # add in phase, and 2 * half + 1 < fft_size keeps the window inside
+    peak = grid.fft_size // 2
+    inside = energy[peak - half : peak + half + 1].sum()
     return float(1.0 - inside / energy.sum())
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "fold_spectrum",
     "check_reference",
     "estimate_channel",
+    "check_equalizer",
     "mmse_equalize",
     "ars_phase_correct",
     "hard_bits",
@@ -199,6 +200,17 @@ def estimate_channel(folded, filt: ShapingFilter, layout: FrameLayout,
     return np.fft.fft(padded) * _filter_gains(filt, l_r)[0]
 
 
+def check_equalizer(response, noise_var: float) -> None:
+    """Raise DegenerateEqualizer, as `mmse_equalize` would, for zero noise
+    variance with a null in `response`; callable before any symbol."""
+    if noise_var == 0.0:
+        power = np.abs(response) ** 2
+        if np.any(power <= _row_floor(power, 1e-24)):
+            raise DegenerateEqualizer(
+                "mmse_equalize: zero response with zero noise variance"
+            )
+
+
 def mmse_equalize(folded, response, noise_var: float) -> np.ndarray:
     """Per-subcarrier MMSE equalization of each folded symbol with its
     frequency response (estimated, or known to an oracle receiver), and
@@ -214,12 +226,8 @@ def mmse_equalize(folded, response, noise_var: float) -> np.ndarray:
     h = np.asarray(response, dtype=np.complex128)
     if h.ndim == 0 or h.shape[-1] != np.shape(folded)[-1]:
         raise ValueError("mmse_equalize: response length != folded symbol length")
-    power = np.abs(h) ** 2
-    if noise_var == 0.0 and np.any(power <= _row_floor(power, 1e-24)):
-        raise DegenerateEqualizer(
-            "mmse_equalize: zero response with zero noise variance"
-        )
-    return np.fft.ifft(np.conj(h) / (power + noise_var) * folded)
+    check_equalizer(h, noise_var)
+    return np.fft.ifft(np.conj(h) / (np.abs(h) ** 2 + noise_var) * folded)
 
 
 def ars_phase_correct(equalized, ars_ref, layout: FrameLayout) -> tuple:

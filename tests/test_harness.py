@@ -14,12 +14,13 @@ import pytest
 
 import oracles
 import otfdm.harness as harness
-from otfdm import MOD_SCHEMES, SeededRng, SingularReference
+from otfdm import MOD_SCHEMES, DegenerateEqualizer, SeededRng, SingularReference
 from otfdm.cli import main as cli_main
 from otfdm.harness import (
     CSV_COLUMNS,
     MOD_PROFILES,
     ExperimentConfig,
+    filter_for,
     grid_for,
     layout_for,
     pulse_tail_fraction,
@@ -32,6 +33,7 @@ from otfdm.harness import (
     window_for,
     write_csv,
 )
+from otfdm.transmitter import effective_pulse
 
 
 class TestLayoutScaling:
@@ -194,6 +196,35 @@ class TestConfigValidation:
             assert cfg == want and hash(cfg) == hash(want)
             assert cfg.digest() == want.digest()
 
+    @pytest.mark.parametrize("field", [
+        f for f in fields(ExperimentConfig) if set(f.metadata) & set(harness.BOUNDS)],
+        ids=lambda f: f.name)
+    def test_every_declared_bound_refuses_a_value_past_it(self, field):
+        # keyed by metadata, so a new bounded field needs no entry of its own;
+        # a tuple's value goes in its second entry, which the error names
+        def given(v):
+            return (field.default[0], v) if field.type == "tuple" else v
+
+        entry = f"{field.name}[1]" if field.type == "tuple" else field.name
+        for op, bound in field.metadata.items():
+            if op not in harness.BOUNDS:
+                continue
+            down = op.startswith(">")
+            if op in (">", "<"):
+                past = bound
+            elif field.type == "int":
+                past = bound - 1 if down else bound + 1
+            else:
+                past = math.nextafter(bound, -math.inf if down else math.inf)
+            with pytest.raises(ValueError, match=rf"ExperimentConfig: "
+                               rf"{re.escape(entry)} = \S+ must be "
+                               rf"{re.escape(op)} {re.escape(str(bound))}$"):
+                ExperimentConfig(**{field.name: given(past)})
+            if op in (">=", "<="):
+                # a closed bound admits its own value
+                cfg = ExperimentConfig(**{field.name: given(bound)})
+                assert getattr(cfg, field.name) == given(bound)
+
     @pytest.mark.parametrize("kwargs, field", [
         (dict(scheme="QAM256", alloc_size=8, rs_overhead_pct=99.0),
          "rs_overhead_pct = 99.0"),
@@ -209,6 +240,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"ExperimentConfig: {field}.*"
                                              "too small for the RS budget"):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, entry", [
+        (dict(extension_pct=100.0), "extension_pct = 100.0"),
+        (dict(gamma_sweep_pct=(0.0, 100.0)), r"gamma_sweep_pct\[1\] = 100.0"),
+    ], ids=["extension_pct", "gamma_sweep_pct"])
+    def test_extension_that_does_not_fit_refused_when_built(self, kwargs, entry):
+        # 100% of alloc 11 rounds to an excess of 6 > 11 // 2; run_pulse_decay
+        # would raise only once its earlier points had run
+        with pytest.raises(ValueError, match=f"ExperimentConfig: {entry} with "
+                                             "alloc_size = 11: make_sqrc_filter: "
+                                             "excess 6"):
+            ExperimentConfig(alloc_size=11, **kwargs)
 
 
 class TestDeterminism:
@@ -401,12 +444,14 @@ class TestOncePerRunnerCall:
             assert {r.config_digest for r in records} == {digest(cfg)}
 
     def test_pulse_decay_builds_one_filter_per_point(self, monkeypatch):
+        # built before counting: a config builds its SQRC filters once, to
+        # check that they fit
+        cfg = ExperimentConfig(scheme="QPSK", gamma_sweep_pct=(0.0, 5.0, 10.0))
         calls = []
         make = harness.make_sqrc_filter
         monkeypatch.setattr(harness, "make_sqrc_filter",
                             lambda *args: calls.append(args) or make(*args))
-        run_pulse_decay(ExperimentConfig(scheme="QPSK",
-                                         gamma_sweep_pct=(0.0, 5.0, 10.0)))
+        run_pulse_decay(cfg)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("kwargs, trials, calls", [
@@ -437,12 +482,13 @@ class TestOncePerRunnerCall:
         (run_ber, dict(compare_baseline=True, snr_db=(6.0, 12.0, 18.0)), 2),
     ])
     def test_filters_built_once(self, monkeypatch, runner, kwargs, filters):
+        cfg = ExperimentConfig(scheme="QPSK", trials=20, seed=3,
+                               rs_overhead_pct=8.0, n_workers=3, **kwargs)
         calls = []
         make = harness.make_sqrc_filter
         monkeypatch.setattr(harness, "make_sqrc_filter",
                             lambda *args: calls.append(args) or make(*args))
-        runner(ExperimentConfig(scheme="QPSK", trials=20, seed=3,
-                                rs_overhead_pct=8.0, n_workers=3, **kwargs))
+        runner(cfg)
         assert len(calls) == filters
 
 
@@ -495,6 +541,15 @@ class TestPulseDecay:
         assert fracs[-3:] == [0.0, 0.0, 0.0]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
         assert 0.0 < fracs[3] < fracs[0] <= 1.0
+
+    def test_pulse_peak_is_the_middle_sample(self):
+        # pulse_tail_fraction centres its window there, so it never wraps
+        for alloc_size in (8, 11, 64, 240):
+            for ext in range(0, 100, 10):
+                filt = filter_for("SQRC", alloc_size, ext)
+                grid = grid_for(alloc_size, filt.excess)
+                energy = np.abs(effective_pulse(filt, grid)) ** 2
+                assert int(np.argmax(energy)) == grid.fft_size // 2
 
     def test_negative_tail_periods_raises(self):
         with pytest.raises(ValueError, match="tail_periods"):
@@ -630,6 +685,22 @@ class TestBer:
                                trials=37, seed=11, **kwargs)
         with pytest.raises(ValueError, match="PI2_BPSK.*ridge"):
             runner(cfg)
+
+    @pytest.mark.parametrize("genie", [False, True], ids=["estimate", "genie"])
+    def test_noiseless_point_with_a_nulled_filter_refused_before_any_trial(
+            self, monkeypatch, genie):
+        # TAPS2's folded squared gain is exactly 0 at bin 0, so the inf-dB
+        # point would fail for certain, once the 20 dB point had run
+        streams = []
+        monkeypatch.setattr(harness, "SeededRng",
+                            lambda *key: streams.append(key) or SeededRng(*key))
+        cfg = ExperimentConfig(filter_kind="TAPS2", ridge=0.1, trials=2,
+                               snr_db=(20.0, math.inf), genie_channel=genie)
+        with pytest.raises(DegenerateEqualizer,
+                           match="run_ber: filter_kind TAPS2 nulls a subcarrier"):
+            run_ber(cfg)
+        assert streams == []
+        assert len(run_ber(replace(cfg, snr_db=(20.0,)))) == 2
 
     def test_pi2_bpsk_genie_needs_no_ridge(self):
         cfg = ExperimentConfig(scheme="PI2_BPSK", genie_channel=True,

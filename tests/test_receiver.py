@@ -22,6 +22,7 @@ from otfdm import (
     apply_channel,
     ars_phase_correct,
     build_rs_block,
+    check_equalizer,
     check_reference,
     custom_realization,
     estimate_channel,
@@ -279,6 +280,10 @@ class TestMmseEqualize:
         h[5] = 0.0
         with pytest.raises(DegenerateEqualizer):
             mmse_equalize(folded, h, 0.0)
+        # the up-front check refuses the same, before any symbol
+        with pytest.raises(DegenerateEqualizer):
+            check_equalizer(h, 0.0)
+        check_equalizer(h, 1e-3)
 
     def test_negative_noise_raises(self):
         _, layout, filt, grid, _, (time, *_) = _qpsk_symbol()
