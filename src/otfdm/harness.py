@@ -15,11 +15,12 @@ Per-subcarrier SNR convention: the target SNR fixes the ratio of demapped
 per-subcarrier signal power to noise power; the equalizer receives the
 inverse linear SNR as its noise variance.
 
-Trials run in chunks of contiguous trial indices. Each trial sends its
-frame (one or more symbols back to back) through one channel realization on
-its own `SeededRng(seed, trial)` stream; the receiver then runs once per
-chunk on the stacked received frames, and per-trial results are pooled in
-trial order, so the records do not depend on the chunking or `n_workers`.
+Trials run in chunks of contiguous trial indices, in one thread. Each
+trial sends its frame (one or more symbols back to back) through one channel
+realization on its own `SeededRng(seed, trial)` stream into its rows of a
+`_workspace` that the runner call owns; the receiver then runs once per
+chunk on those rows, and per-trial results are pooled in trial order, so
+the records do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ import math
 import numbers
 import operator
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import Field, asdict, dataclass, field, fields, replace
-from functools import partial, wraps
+from functools import cache, partial, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -288,7 +287,8 @@ class ExperimentConfig:
                                 metadata={">=": 0.0, "<": 100.0})
     tail_periods: int = field(default=4, metadata={">=": 0})
     compare_baseline: bool = False
-    n_workers: int = field(default=1, metadata={">=": 1})
+    # trials run in one thread; kept for the digests, so only 1 is valid
+    n_workers: int = field(default=1, metadata={">=": 1, "<=": 1})
 
     def __post_init__(self):
         # each field as its annotated kind, so that a config given lists or
@@ -407,41 +407,25 @@ def _record(cfg: ExperimentConfig, digest: str, layout: FrameLayout,
 CHUNK_TRIALS = 16
 
 
-# Most chunks each worker thread has in flight: submitted and not yet read.
-# Finished chunks wait for the reader only this far, so a threaded run's
-# memory does not grow with the trial count.
-CHUNKS_IN_FLIGHT_PER_WORKER = 2
+def _chunks(trials: int):
+    """Contiguous ranges of at most CHUNK_TRIALS trial indices, in order."""
+    return (range(lo, min(lo + CHUNK_TRIALS, trials))
+            for lo in range(0, trials, CHUNK_TRIALS))
 
 
-def _chunk_results(work, trials: int, n_workers: int):
-    """Yield `work(range)` over contiguous ranges of trial indices, in trial
-    order. Threads take whole chunks, at most CHUNKS_IN_FLIGHT_PER_WORKER
-    per thread ahead of the reader; closing the generator early cancels the
-    chunks not yet started."""
-    size = min(CHUNK_TRIALS, -(-trials // n_workers))
-    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    if n_workers <= 1:
-        yield from map(work, chunks)
-        return
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        pending = deque()
-        try:
-            for chunk in chunks:
-                if len(pending) == CHUNKS_IN_FLIGHT_PER_WORKER * n_workers:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(work, chunk))
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+def _map_chunks(work, trials: int) -> tuple:
+    """`work(range)` over `_chunks(trials)`, a tuple of arrays with a row per
+    trial each time, concatenated in trial order, column by column."""
+    return tuple(np.concatenate(col) for col in zip(*map(work, _chunks(trials))))
 
 
-def _map_chunks(work, trials: int, n_workers: int) -> tuple:
-    """`_chunk_results` of a `work` that returns a tuple of arrays with one
-    leading row per trial, concatenated in trial order, column by column."""
-    return tuple(np.concatenate(col)
-                 for col in zip(*_chunk_results(work, trials, n_workers)))
+def _workspace(trials: int):
+    """The arrays the chunks of one trial loop write into: `space(name, row
+    shape, dtype)` is one array of `min(CHUNK_TRIALS, trials)` rows, made on
+    first use, so a warm chunk allocates none. The next chunk overwrites a
+    chunk's rows, so nothing a chunk returns may alias them."""
+    rows = min(CHUNK_TRIALS, trials)
+    return cache(lambda name, shape, dtype: np.empty((rows, *shape), dtype))
 
 
 def _data_bits(rng: SeededRng, layout: FrameLayout, scheme) -> np.ndarray:
@@ -469,6 +453,11 @@ def _dfts_baseline(cfg: ExperimentConfig) -> tuple:
             (FrameLayout(0, 0, 0, m, 0), filt, grid))
 
 
+def _joined(*warnings) -> str | None:
+    """The warnings given, other than empty ones, as one; None if none."""
+    return "; ".join(filter(None, warnings)) or None
+
+
 def _runner(plan):
     """The runner of `plan`, which checks a config and resolves what it
     needs without running a trial, then returns the trial loop that makes
@@ -491,10 +480,10 @@ PAPR_CCDF_GRID_DB = tuple(np.arange(0.0, 12.25, 0.25))
 PAPR_CCDF_POINT = 0.01
 
 
-def _normalized_sample_power(bodies) -> np.ndarray:
-    """Per-sample power of each body, normalized by that body's mean."""
-    p = np.abs(bodies) ** 2
-    return p / p.mean(axis=-1, keepdims=True)
+def _normalized_sample_power(bodies, out) -> np.ndarray:
+    """Per-sample power of each body over its mean, written into `out`."""
+    p = np.square(np.abs(bodies, out=out), out=out)
+    return np.divide(p, p.mean(axis=-1, keepdims=True), out=p)
 
 
 @_runner
@@ -504,61 +493,49 @@ def run_papr(cfg: ExperimentConfig):
     exceedance point (PAPR_CCDF_POINT)."""
     scheme, layout, filt, grid = cfg.resolve()
     frame = ((layout, filt, grid), _dfts_baseline(cfg)[1])
-    record = partial(_record, cfg, cfg.digest())
-    notes = []
-    if cfg.trials < 10_000:
-        notes.append(f"trials={cfg.trials} below 1e4; "
-                     f"{PAPR_CCDF_POINT:.0%} point is noisy")
-    if cfg.channel != "AWGN" or cfg.speed_kmh != 0:
-        notes.append(f"PAPR is a transmit-only metric; channel={cfg.channel} and "
-                     f"speed_kmh={cfg.speed_kmh} were ignored")
-    warning = "; ".join(notes) or None
-
-    gamma_pct = 200.0 * filt.excess / cfg.alloc_size
-
-    def chunk(trials: range):
-        sent = (transmit_frame(frame, scheme, SeededRng(cfg.seed, trial))
-                for trial in trials)
-        # each symbol's body: its time samples after its own grid's prefix
-        bodies = [[time[g.cp_len :] for (*_, g), (_, time, *_) in zip(frame, s)]
-                  for s in sent]
-        return tuple(_normalized_sample_power(np.stack(col))
-                     for col in zip(*bodies))
+    warning = _joined(
+        cfg.trials < 10_000 and (f"trials={cfg.trials} below 1e4; "
+                                 f"{PAPR_CCDF_POINT:.0%} point is noisy"),
+        (cfg.channel != "AWGN" or cfg.speed_kmh != 0) and (
+            f"PAPR is a transmit-only metric; channel={cfg.channel} and "
+            f"speed_kmh={cfg.speed_kmh} were ignored"))
+    record = partial(_record, cfg, cfg.digest(), layout, warning=warning,
+                     gamma_pct=200.0 * filt.excess / cfg.alloc_size)
 
     def run_trials() -> list[MetricRecord]:
-        # one counter per waveform, each over its own body size; chunks are
-        # counted as they arrive, so the pooled power is never held
+        # one counter per waveform, each over its own body size; a chunk is
+        # counted (`add` sorts a copy) before the next overwrites its rows
         grid_lin = 10.0 ** (np.asarray(PAPR_CCDF_GRID_DB) / 10.0)
-        shaped, plain = (CcdfCounter(grid_lin, cfg.trials * g.fft_size,
-                                     1.0 - PAPR_CCDF_POINT) for _, _, g in frame)
-        for p_shaped, p_plain in _chunk_results(chunk, cfg.trials, cfg.n_workers):
-            shaped.add(p_shaped)
-            plain.add(p_plain)
-
-        records = []
-        for thr_db, (_, p_shaped), (_, p_plain) in zip(
-                PAPR_CCDF_GRID_DB, shaped.ccdf(), plain.ccdf()):
-            records.append(record(layout, "papr_ccdf", "papr_db", thr_db,
-                                  p_shaped, gamma_pct=gamma_pct, warning=warning))
-            records.append(record(layout, "papr_ccdf_baseline", "papr_db",
-                                  thr_db, p_plain, gamma_pct=gamma_pct,
-                                  warning=warning))
-
+        counters = [CcdfCounter(grid_lin, cfg.trials * g.fft_size,
+                                1.0 - PAPR_CCDF_POINT) for _, _, g in frame]
+        space = _workspace(cfg.trials)
+        for trials in _chunks(cfg.trials):
+            bodies = [space(f"body{i}", (g.fft_size,), complex)[: len(trials)]
+                      for i, (*_, g) in enumerate(frame)]
+            for row, trial in enumerate(trials):
+                sent = transmit_frame(frame, scheme, SeededRng(cfg.seed, trial))
+                # each symbol's body: its time samples after its grid's prefix
+                for body, (*_, g), (_, time, *_) in zip(bodies, frame, sent):
+                    body[row] = time[g.cp_len :]
+            for counter, body in zip(counters, bodies):
+                counter.add(_normalized_sample_power(
+                    body, space("power", body.shape[1:], float)[: len(trials)]))
+        shaped, plain = counters
+        records = [record(metric, "papr_db", thr_db, p)
+                   for thr_db, (_, p_shaped), (_, p_plain) in zip(
+                       PAPR_CCDF_GRID_DB, shaped.ccdf(), plain.ccdf())
+                   for metric, p in (("papr_ccdf", p_shaped),
+                                     ("papr_ccdf_baseline", p_plain))]
         note = (f"per-sample power CCDF on a {grid.fft_size}-point body "
                 f"(>=4x oversampling of alloc {cfg.alloc_size}); "
                 f"layout rounding: {ROUNDING_RULE}")
         q_shaped, q_plain = (float(10.0 * np.log10(c.quantile()))
                              for c in (shaped, plain))
-        records.append(record(layout, "papr_db_at_ccdf", "ccdf_point",
-                              PAPR_CCDF_POINT, q_shaped, gamma_pct=gamma_pct,
-                              warning=warning, note=note))
-        records.append(record(layout, "papr_db_at_ccdf_baseline", "ccdf_point",
-                              PAPR_CCDF_POINT, q_plain, gamma_pct=gamma_pct,
-                              warning=warning, note=note))
-        records.append(record(layout, "papr_gain_db", "ccdf_point",
-                              PAPR_CCDF_POINT, q_plain - q_shaped,
-                              gamma_pct=gamma_pct, warning=warning, note=note))
-        return records
+        return records + [
+            record(metric, "ccdf_point", PAPR_CCDF_POINT, q, note=note)
+            for metric, q in (("papr_db_at_ccdf", q_shaped),
+                              ("papr_db_at_ccdf_baseline", q_plain),
+                              ("papr_gain_db", q_plain - q_shaped))]
 
     return run_trials
 
@@ -614,20 +591,20 @@ class _Sent(NamedTuple):
 
 
 def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
-          trials: range, with_truth: bool) -> _Sent:
+          space, trials: range, with_truth: bool = False) -> _Sent:
     """Send a chunk one trial at a time, each on its own stream: the frame's
     symbols (`transmit_frame`), one channel realization on the first
     symbol's grid applied to them all with AWGN of variance `time_var`,
     then (with `with_truth`) the oracle folded composite mid first symbol,
     for the whole chunk at once. TDL-C fading is drawn per trial; the other
     channels draw nothing, so one realization and its composite serve the
-    whole chunk. Only what the receiver reads is kept: each trial joins its
-    frame's fields, and each field is stacked over the chunk once."""
+    whole chunk. Only what the receiver reads is kept: each trial joins each
+    field over the frame into its row of `space`, which the next chunk
+    overwrites, so a chunk must return arrays computed from them, not them."""
     _, filt, grid = frame[0]
     mid = grid.cp_len + grid.fft_size // 2
-    ch = None
-    rows, impulses = [], []
-    for trial in trials:
+    ch, rows, impulses = None, None, []
+    for row, trial in enumerate(trials):
         rng = SeededRng(cfg.seed, trial)
         bits, tx, rs_core, data, ars = map(
             _join, zip(*transmit_frame(frame, scheme, rng)))
@@ -635,18 +612,28 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
             ch = _make_channel(cfg, grid, rng, num_samples=tx.size)
             if with_truth:
                 impulses.append(ch.impulse_response(mid))
-        rows.append((bits, apply_channel(tx, ch, rng, time_var), rs_core, data,
-                     ars))
+        fields = (bits, apply_channel(tx, ch, rng, time_var), rs_core, data, ars)
+        if rows is None:
+            rows = [space(name, f.shape, f.dtype)[: len(trials)]
+                    for name, f in zip(_Sent._fields, fields)]
+        for out, f in zip(rows, fields):
+            out[row] = f
     truth = None
     if with_truth:
         truth = _composite_truth(np.stack(impulses), grid, filt)
-        truth = np.repeat(truth, len(rows) // len(impulses), axis=0)
-    return _Sent(*map(np.stack, zip(*rows)), truth)
+        truth = np.repeat(truth, len(trials) // len(impulses), axis=0)
+    return _Sent(*rows, truth)
 
 
 def _join(parts) -> np.ndarray:
     """Concatenate along the last axis, without copying a single part."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _front_end(rx: np.ndarray, grid: WaveformGrid, space) -> np.ndarray:
+    """`front_end` of a chunk's rows, its FFT written into `space`."""
+    out = space("spectrum", (grid.fft_size,), complex)[: len(rx)]
+    return front_end(rx, grid, out=out)
 
 
 def _estimator(cfg: ExperimentConfig, scheme, layout: FrameLayout,
@@ -674,16 +661,19 @@ def _estimator(cfg: ExperimentConfig, scheme, layout: FrameLayout,
 def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
                filt: ShapingFilter, grid: WaveformGrid,
                est_cfg: EstimatorConfig, snr_db: float) -> float:
+    # a workspace per point: the points differ in layout and grid, so one
+    # per runner call would hold every point's arrays to its end
     time_var, _ = _noise_vars(grid, snr_db)
+    space = _workspace(cfg.trials)
 
     def chunk(trials: range):
-        sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, trials,
-                     with_truth=True)
-        folded = fold_spectrum(front_end(sent.rx, grid), filt)
+        sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, space,
+                     trials, with_truth=True)
+        folded = fold_spectrum(_front_end(sent.rx, grid, space), filt)
         response = estimate_channel(folded, filt, layout, sent.rs_core, est_cfg)
         return (np.mean(np.abs(response - sent.truth) ** 2, axis=-1),)
 
-    (per_trial,) = _map_chunks(chunk, cfg.trials, cfg.n_workers)
+    (per_trial,) = _map_chunks(chunk, cfg.trials)
     return float(np.mean(per_trial))
 
 
@@ -709,8 +699,12 @@ def run_mse(cfg: ExperimentConfig):
     estimators = [_estimator(cfg, scheme, layout, filt, rs_field)
                   for (scheme, layout, filt, _), (*_, rs_field) in zip(resolved,
                                                                        points)]
+    ignored = " and ".join(f"{name}=True" for name in
+                           ("genie_channel", "compare_baseline") if getattr(cfg, name))
+    mse_warning = ignored and (f"run_mse has no genie or baseline run; {ignored} "
+                               "had no effect")
     record = partial(_record, cfg, cfg.digest(),
-                     warning=_awgn_speed_warning(cfg))
+                     warning=_joined(_awgn_speed_warning(cfg), mse_warning))
 
     def run_trials() -> list[MetricRecord]:
         return [record(point[1], "chan_mse", iv_name, iv_value,
@@ -746,12 +740,13 @@ def _data_errors(data, response, inv_snr: float, scheme, bits: np.ndarray,
             np.sum(np.abs(sent) ** 2, axis=-1))
 
 
-def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trials):
+def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, space,
+                 trials):
     """End-to-end OTFDM symbols of one chunk of trials."""
     time_var, inv_snr = _noise_vars(grid, snr_db)
-    sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, trials,
+    sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, space, trials,
                  with_truth=cfg.genie_channel)
-    folded = fold_spectrum(front_end(sent.rx, grid), filt)
+    folded = fold_spectrum(_front_end(sent.rx, grid, space), filt)
     if cfg.genie_channel:
         response = sent.truth
     else:
@@ -763,16 +758,16 @@ def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trials):
                         inv_snr, scheme, sent.bits, sent.data_symbols)
 
 
-def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, trials):
+def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, space, trials):
     """Two-symbol DFT-s-OFDM reference (`_dfts_baseline`): the LS estimate
     from the RS symbol is reused, unchanged, on the following data symbol,
     which is all data."""
     (_, filt, grid), _ = frame
     time_var, inv_snr = _noise_vars(grid, snr_db)
-    sent = _send(cfg, scheme, frame, time_var, trials, with_truth=False)
+    sent = _send(cfg, scheme, frame, time_var, space, trials)
     half = grid.fft_size + grid.cp_len
-    y_rs = fold_spectrum(front_end(sent.rx[:, :half], grid), filt)
-    y_data = fold_spectrum(front_end(sent.rx[:, half:], grid), filt)
+    y_rs = fold_spectrum(_front_end(sent.rx[:, :half], grid, space), filt)
+    y_data = fold_spectrum(_front_end(sent.rx[:, half:], grid, space), filt)
     response = y_rs / np.fft.fft(sent.rs_core)
     return _data_errors(mmse_equalize(y_data, response, inv_snr), response,
                         inv_snr, scheme, sent.bits, sent.data_symbols)
@@ -822,25 +817,24 @@ def run_ber(cfg: ExperimentConfig):
     baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
     record = partial(_record, cfg, cfg.digest())
     speed_warning = _awgn_speed_warning(cfg)
-    otfdm_warning = "; ".join(
-        w for w in (speed_warning, _ars_warning(cfg)) if w) or None
+    otfdm_warning = _joined(speed_warning, _ars_warning(cfg))
 
     def run_trials() -> list[MetricRecord]:
         records = []
+        # the OTFDM and baseline frames keep separate workspace arrays
+        space = _workspace(cfg.trials)
         for snr_db in cfg.snr_db:
             # the baseline carries no ARS, so only OTFDM records take the
             # ARS warning
-            runs = [("", otfdm_warning, lambda t: _otfdm_chunk(
-                cfg, scheme, layout, filt, grid, est_cfg, snr_db, t))]
+            runs = [("", otfdm_warning, partial(_otfdm_chunk, cfg, scheme, layout,
+                                                filt, grid, est_cfg, snr_db, space))]
             if baseline:
-                runs.append(("_baseline", speed_warning,
-                             lambda t: _dfts_baseline_chunk(
-                                 cfg, scheme, baseline, snr_db, t)))
+                runs.append(("_baseline", speed_warning, partial(
+                    _dfts_baseline_chunk, cfg, scheme, baseline, snr_db, space)))
             for suffix, warning, chunk in runs:
                 # per-trial rows summed as Python numbers, in trial order
                 errors, bits, err_pow, ref_pow = (
-                    sum(col.tolist())
-                    for col in _map_chunks(chunk, cfg.trials, cfg.n_workers))
+                    sum(col.tolist()) for col in _map_chunks(chunk, cfg.trials))
                 values = (("ber", errors / bits),
                           ("evm_db", power_ratio_db(err_pow, ref_pow)))
                 records += [record(layout, metric + suffix, "snr_db", snr_db,

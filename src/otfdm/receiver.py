@@ -75,11 +75,13 @@ class EstimatorConfig:
                              f"got {self.ridge!r}")
 
 
-def front_end(rx, grid: WaveformGrid) -> np.ndarray:
+def front_end(rx, grid: WaveformGrid, *, out=None) -> np.ndarray:
     """Strip the symbol CP, transform, and demap the extended block.
 
     The fixed alloc/fft scale undoes the transmit normalization, so a clean
-    loopback returns exactly the shaped block that was mapped.
+    loopback returns exactly the shaped block that was mapped. A complex
+    `out` of shape (leading axes, fft_size) takes the body's FFT, so a caller
+    can reuse it; the result is a new array, byte for byte the same.
     """
     rx = np.asarray(rx, dtype=np.complex128)
     need = grid.fft_size + grid.cp_len
@@ -88,7 +90,7 @@ def front_end(rx, grid: WaveformGrid) -> np.ndarray:
             f"front_end: need at least {need} samples, got {rx.shape[-1:]}"
         )
     body = rx[..., grid.cp_len : grid.cp_len + grid.fft_size]
-    spectrum = np.fft.fft(body)
+    spectrum = np.fft.fft(body, out=out)
     return spectrum[..., grid.mapped_bins()] * (grid.alloc_size / grid.fft_size)
 
 

@@ -253,9 +253,9 @@ def make_sqrc_filter(alloc_size: int, excess: int) -> ShapingFilter:
     if m < 1:
         raise ValueError("make_sqrc_filter: alloc_size must be >= 1")
     if g < 0 or 2 * g > m:
-        raise ValueError(
-            f"make_sqrc_filter: excess {g} outside [0, {m // 2}] (extension < 100%)"
-        )
+        raise ValueError(f"make_sqrc_filter: excess {g} outside [0, {m // 2}]; an "
+                         "extension of pct% has round(alloc_size * pct / 200) "
+                         "excess subcarriers per side, at most alloc_size // 2")
     k = np.arange(-g, m + g, dtype=np.float64)
     w = np.ones(m + 2 * g)
     if g > 0:

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -264,29 +264,34 @@ class TestDeterminism:
             (r.metric, r.iv_value, r.value) for r in b
         ]
 
-    def test_parallel_equals_serial(self):
-        base = ExperimentConfig(scheme="QPSK", alloc_size=96, channel="TDLC",
-                                delay_spread_ns=300.0, trials=40, seed=5,
-                                rs_overhead_pct=10.0,
-                                gamma_sweep_pct=(0.0, 10.0),
-                                rs_sweep_pct=(10.0,))
-        serial = run_mse(base)
-        threaded = run_mse(ExperimentConfig(**{**base.__dict__,
-                                               "n_workers": 4}))
-        assert [r.value for r in serial] == [r.value for r in threaded]
+    def test_parallel_equals_serial(self, monkeypatch):
+        # chunks of 16 and of 5 trials give the same values
+        cfg = ExperimentConfig(scheme="QPSK", alloc_size=96, channel="TDLC",
+                               delay_spread_ns=300.0, trials=40, seed=5,
+                               rs_overhead_pct=10.0,
+                               gamma_sweep_pct=(0.0, 10.0),
+                               rs_sweep_pct=(10.0,))
+        values = []
+        for chunk in (16, 5):
+            monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
+            values.append([r.value for r in run_mse(cfg)])
+        assert values[0] == values[1]
 
     @pytest.mark.parametrize("kwargs", [
         dict(scheme="QAM64", channel="TDLC", speed_kmh=120.0, trials=3),
         dict(scheme="QAM256", channel="HST", speed_kmh=500.0, ars_pct=2.0,
              trials=8),
     ])
-    def test_time_varying_parallel_csv_equals_serial(self, tmp_path, kwargs):
-        base = dict(alloc_size=240, extension_pct=5.0, snr_db=(30.0,),
-                    seed=21, **kwargs)
+    def test_time_varying_parallel_csv_equals_serial(self, tmp_path,
+                                                     monkeypatch, kwargs):
+        # chunks of 16 and of 5 trials write the same CSV bytes
+        cfg = ExperimentConfig(alloc_size=240, extension_pct=5.0,
+                               snr_db=(30.0,), seed=21, **kwargs)
         paths = []
-        for workers in (1, 2):
-            path = tmp_path / f"w{workers}.csv"
-            write_csv(run_ber(ExperimentConfig(**base, n_workers=workers)), path)
+        for chunk in (16, 5):
+            monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
+            path = tmp_path / f"c{chunk}.csv"
+            write_csv(run_ber(cfg), path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -354,7 +359,7 @@ def test_benchmark_config_digests_are_pinned():
 
 class TestChunking:
     """Runners that stack trials give the values of one trial at a time,
-    whatever the chunking and the thread count."""
+    whatever the chunking."""
 
     @pytest.mark.parametrize("runner, oracle, kwargs", [
         ("ber", oracles.ber_values,
@@ -389,42 +394,64 @@ class TestChunking:
         # is larger than one chunk's 16 x 600 values
         ("papr", oracles.papr_values,
          dict(scheme="QPSK", alloc_size=120, rs_overhead_pct=8.0, trials=1700)),
+        # the OTFDM and baseline frames alternate through one workspace, over
+        # two SNRs, with a last chunk shorter than the others
+        ("ber", oracles.ber_values,
+         dict(scheme="QAM16", compare_baseline=True, snr_db=(12.0, 18.0),
+              trials=37)),
     ])
-    def test_records_equal_one_trial_at_a_time(self, tmp_path, runner, oracle,
-                                               kwargs):
+    def test_records_equal_one_trial_at_a_time(self, tmp_path, monkeypatch,
+                                               runner, oracle, kwargs):
+        cfg = ExperimentConfig(seed=12, **kwargs)
         paths = []
-        for workers in (1, 3):
-            cfg = ExperimentConfig(seed=12, n_workers=workers, **kwargs)
+        for chunk in (16, 5):
+            monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
             records = {"ber": run_ber, "mse": run_mse, "papr": run_papr}[
                 runner](cfg)
-            paths.append(tmp_path / f"w{workers}.csv")
+            paths.append(tmp_path / f"c{chunk}.csv")
             write_csv(records, paths[-1])
         assert [r.value for r in records] == oracle(cfg)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-    def test_threads_hold_a_bounded_number_of_chunks(self, monkeypatch):
-        submitted = []
+class TestWorkspace:
+    """A runner call's chunks write into one workspace, so a warm chunk
+    allocates only its short-lived intermediates."""
 
-        class CountingPool(ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                submitted.append(args[0])
-                return super().submit(fn, *args, **kwargs)
+    @pytest.mark.parametrize("runner, kwargs, limit_kib", [
+        (run_papr, dict(scheme="QPSK", rs_overhead_pct=8.0), 256),
+        (run_ber, dict(scheme="QAM64", snr_db=(14.0, 18.0, 22.0)), 1024),
+    ], ids=["papr", "ber"])
+    def test_warm_chunk_peak_memory(self, monkeypatch, runner, kwargs,
+                                    limit_kib):
+        # the first chunk of the call fills the workspace; the third chunk
+        # (trials 32-47) of each trial loop is traced
+        chunks, peaks = harness._chunks, []
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
-        bound = harness.CHUNKS_IN_FLIGHT_PER_WORKER * 3
-        chunks = [range(lo, min(lo + 16, 200)) for lo in range(0, 200, 16)]
-        results = harness._chunk_results(list, 200, 3)
-        assert next(results) == list(chunks[0])
-        assert submitted == chunks[:bound]
-        assert [list(c) for c in chunks[1:]] == list(results)
-        assert submitted == chunks
-        # closing early submits nothing more
-        submitted.clear()
-        results = harness._chunk_results(list, 200, 3)
-        next(results)
-        results.close()
-        assert submitted == chunks[:bound]
+        def traced(trials):
+            for i, chunk in enumerate(chunks(trials)):
+                if i == 2:
+                    tracemalloc.start()
+                yield chunk
+                if i == 2:
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+
+        monkeypatch.setattr(harness, "_chunks", traced)
+        runner(ExperimentConfig(alloc_size=240, extension_pct=5.0, trials=48,
+                                seed=3, **kwargs))
+        assert peaks and max(peaks) < limit_kib * 1024
+
+    def test_rows_sized_to_the_run_and_reused(self):
+        space = harness._workspace(6)
+        rx = space("rx", (100,), complex)
+        assert rx.shape == (6, 100)
+        assert space("rx", (100,), complex) is rx
+        # another name, row shape or dtype is another array
+        assert not np.shares_memory(space("spectrum", (100,), complex), rx)
+        assert not np.shares_memory(space("rx", (120,), complex), rx)
+        assert not np.shares_memory(space("rx", (200,), float), rx)
+        assert len(harness._workspace(1000)("rx", (1,), float)) == harness.CHUNK_TRIALS
 
 
 class TestOncePerRunnerCall:
@@ -483,7 +510,7 @@ class TestOncePerRunnerCall:
     ])
     def test_filters_built_once(self, monkeypatch, runner, kwargs, filters):
         cfg = ExperimentConfig(scheme="QPSK", trials=20, seed=3,
-                               rs_overhead_pct=8.0, n_workers=3, **kwargs)
+                               rs_overhead_pct=8.0, **kwargs)
         calls = []
         make = harness.make_sqrc_filter
         monkeypatch.setattr(harness, "make_sqrc_filter",
@@ -574,6 +601,23 @@ class TestMse:
         assert [r.warning for r in plain] == [None, None]
         assert [r.warning for r in moving] == [
             "channel=AWGN has no Doppler; speed_kmh=120.0 was ignored"] * 2
+
+    def test_genie_and_baseline_are_ignored_with_warning(self):
+        base = dict(scheme="QPSK", alloc_size=96, snr_db=(20.0,), trials=4,
+                    seed=2, gamma_sweep_pct=(5.0,), rs_sweep_pct=(8.0,))
+        plain = run_mse(ExperimentConfig(**base))
+        for extra, ignored in [
+                (dict(genie_channel=True), "genie_channel=True"),
+                (dict(compare_baseline=True), "compare_baseline=True"),
+                (dict(genie_channel=True, compare_baseline=True, speed_kmh=3.0),
+                 "genie_channel=True and compare_baseline=True")]:
+            records = run_mse(ExperimentConfig(**base, **extra))
+            assert [r.value for r in records] == [r.value for r in plain]
+            want = f"run_mse has no genie or baseline run; {ignored} had no effect"
+            if "speed_kmh" in extra:
+                want = ("channel=AWGN has no Doppler; speed_kmh=3.0 was "
+                        f"ignored; {want}")
+            assert [r.warning for r in records] == [want] * 2
 
     def test_mse_decreases_with_rs_overhead(self):
         cfg = ExperimentConfig(scheme="QPSK", alloc_size=480, channel="TDLC",

@@ -108,6 +108,18 @@ class TestFrontEnd:
         with pytest.raises(ValueError):
             front_end(time[:-1], grid)
 
+    @pytest.mark.parametrize("rows", [None, 1, 3, 17])
+    def test_out_gives_the_same_bytes(self, rows):
+        _, _, _, grid, _, _ = _qpsk_symbol()
+        n = grid.cp_len + grid.fft_size + 5
+        shape = (n,) if rows is None else (rows, n)
+        rng = np.random.default_rng(rows)
+        rx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = np.empty(shape[:-1] + (grid.fft_size,), dtype=complex)
+        got = front_end(rx, grid, out=out)
+        assert got.tobytes() == front_end(rx, grid).tobytes()
+        assert not np.shares_memory(got, out)
+
 
 class TestFoldSpectrum:
     def test_zero_excess_unity_filter_identity(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from otfdm import (
     modulate,
     zadoff_chu,
 )
+from otfdm.harness import filter_for
 
 
 class TestModulate:
@@ -219,6 +221,16 @@ class TestSqrcFilter:
     def test_excess_above_half_raises(self):
         with pytest.raises(ValueError):
             make_sqrc_filter(48, 25)
+
+    def test_refusal_states_the_fit_rule(self):
+        # 100% of alloc 11 rounds to an excess of 6 > 11 // 2, while 100.4%
+        # of alloc 240 rounds to 120 = 240 // 2 and fits
+        with pytest.raises(ValueError, match=re.escape(
+                "excess 6 outside [0, 5]; an extension of pct% has "
+                "round(alloc_size * pct / 200) excess subcarriers per side, "
+                "at most alloc_size // 2")):
+            filter_for("SQRC", 11, 100.0)
+        assert filter_for("SQRC", 240, 100.4).excess == 120
 
     @pytest.mark.parametrize("alloc, excess", [(12, 3), (240, 6), (240, 54),
                                                (480, 108)])
