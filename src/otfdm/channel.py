@@ -375,7 +375,8 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray) -> np.ndarra
     built. Every output is the same length-ir_len dot product as in one
     product over the whole window, times the same gain, with taps summed in
     the same order. Within 1e-13 relative of one np.convolve per tap.
-    One-sample kernels (HST) only scale the signal, with no window built.
+    One-sample kernels (flat AWGN, HST) only scale the signal, with no window
+    built.
     """
     ir_len = kernels.shape[1]
     if ir_len == 1:
@@ -417,11 +418,12 @@ def apply_channel(signal, ch: ChannelRealization, rng: SeededRng,
         raise ValueError("apply_channel: noise_variance must be finite and "
                          f">= 0, got {noise_variance!r}")
     out_len = x.size + ch.ir_len - 1
-    if ch.is_static:
+    if ch.is_static and ch.ir_len > 1:
         # impulse_response() is a new, writeable array: np.convolve is
         # several times slower on a read-only kernel
         y = np.convolve(x, ch.impulse_response())
     else:
+        # time-varying, or one sample long (flat AWGN, HST): a scaling
         y = _tap_sum(x, ch.kernels, ch.gains)
     if noise_variance > 0.0:
         y += rng.complex_normal(out_len, noise_variance)

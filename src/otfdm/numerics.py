@@ -175,7 +175,10 @@ class CcdfCounter:
         vidx = self._vidx
         tail = self._largest()
         if vidx >= self.total - 1:  # one value kept: numpy takes the largest
-            return float(tail[0])
+            top = float(tail[0])
+            # of two or more values, numpy interpolates it with itself, which
+            # turns -0.0 into 0.0
+            return top if self.total == 1 else top + (top - top) * 0.0
         tail.partition((0, 1))
         a, b = float(tail[0]), float(tail[1])
         g = vidx - math.floor(vidx)
@@ -338,9 +341,33 @@ class SeededRng:
         generator, pcg64, words = _stream_types()
         block = _seed_block(self.seed, self.stream_id // _BLOCK)
         self._gen = generator(pcg64(words(block[self.stream_id % _BLOCK])))
+        # whether numpy holds the unread high half of a word, which its next
+        # 32-bit draw returns; only `bits` draws 32 bits at a time
+        self._half = False
 
     def bits(self, count: int) -> np.ndarray:
-        return self._gen.integers(0, 2, size=count, dtype=np.int64)
+        """`count` fair bits as int64: exactly `Generator.integers(0, 2,
+        count, dtype=np.int64)`, whose bits are the top bits of the 32-bit
+        halves of PCG64 words, low half first. Whole words are read at once
+        (`random_raw`); a half that numpy holds before them, or an odd one
+        after them, is left to `integers`, so that numpy holds or consumes
+        its half as a plain `integers` call would."""
+        head = self._half and count > 0
+        words, odd = divmod(count - head, 2)
+        out = (self._gen.bit_generator.random_raw(words).view(np.uint32)
+               >> 31).astype(np.int64)
+        if not (head or odd):
+            return out
+
+        def one():
+            return self._gen.integers(0, 2, size=1, dtype=np.int64)
+
+        parts = [one()] if head else []
+        parts.append(out)
+        if odd:
+            parts.append(one())
+        self._half = bool(odd)
+        return np.concatenate(parts)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size=size)

@@ -8,6 +8,7 @@ stays linear.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,27 +80,72 @@ class WaveformGrid:
 
 
 @shared
-def _extension_index(alloc_size: int, excess: int) -> np.ndarray:
-    """Read-only spectrum index (j - excess) % alloc_size of each extended
-    position j."""
-    return (np.arange(alloc_size + 2 * excess) - excess) % alloc_size
+def _slice_runs(alloc_size: int, excess: int, fft_size: int,
+                first: int) -> tuple:
+    """Read-only plan of the extended block: ((extended, spectrum, bin)
+    slices, ...), one triple per run of extended positions j over which both
+    the spectrum index (j - excess) % alloc_size and the bin
+    (first + j) % fft_size step by one. Runs split where either wraps: at
+    most 4 when excess <= alloc_size, fewer on a zero excess."""
+    size = alloc_size + 2 * excess
+    # the spectrum index wraps where j = excess (mod alloc_size), the bin
+    # where j = -first (mod fft_size)
+    wraps = {*range(excess % alloc_size, size, alloc_size), -first % fft_size}
+    cuts = sorted({0, size} | {j for j in wraps if 0 < j < size})
+    runs = []
+    for lo, hi in itertools.pairwise(cuts):
+        spectrum = (lo - excess) % alloc_size
+        bin_ = (first + lo) % fft_size
+        runs.append((slice(lo, hi), slice(spectrum, spectrum + hi - lo),
+                     slice(bin_, bin_ + hi - lo)))
+    return tuple(runs)
+
+
+def _grid_runs(grid: WaveformGrid) -> tuple:
+    """The `_slice_runs` plan of the grid's extended block on its fft bins."""
+    return _slice_runs(grid.alloc_size, grid.excess, grid.fft_size,
+                       grid.first_subcarrier)
+
+
+def _multiplex(rs_block, data, ars) -> np.ndarray:
+    """[RS block | data | ARS] of three 1-D parts, as one complex vector."""
+    return np.concatenate((rs_block, data, ars), dtype=np.complex128)
+
+
+def _extend_shape(spectrum, weights, runs, out) -> np.ndarray:
+    """out[target] = weights[extended] * spectrum[source] over each run of
+    a `_slice_runs` plan: the cyclically extended, shaped spectrum, written
+    where the plan places it."""
+    for extended, source, target in runs:
+        np.multiply(weights[extended], spectrum[source], out=out[target])
+    return out
+
+
+def _ofdm(mapped, grid: WaveformGrid) -> np.ndarray:
+    """The cp_len + fft_size transmit samples of a mapped fft grid: its
+    inverse transform, written straight into the body of the output and
+    scaled there, then the body's tail copied into the prefix."""
+    n, cp = grid.fft_size, grid.cp_len
+    time = np.empty(cp + n, dtype=np.complex128)
+    body = np.fft.ifft(mapped, out=time[cp:])
+    body *= n / grid.alloc_size
+    time[:cp] = body[n - cp :]
+    return time
 
 
 def multiplex_symbol(data, rs_block, ars, layout: FrameLayout) -> np.ndarray:
     """Write [RS block | data | ARS] into one alloc-size symbol."""
     parts = ((rs_block, layout.rs_block_len, "rs_block"),
              (data, layout.data_len, "data"), (ars, layout.ars_len, "ars"))
-    out = np.empty(layout.total_len, dtype=np.complex128)
-    start = 0
+    flat = []
     for part, length, name in parts:
         part = np.asarray(part)
         if part.size != length:
             raise ValueError(
                 f"multiplex_symbol: {name} length {part.size} != {length}"
             )
-        out[start : start + length] = part.ravel()
-        start += length
-    return out
+        flat.append(part.ravel())
+    return _multiplex(*flat)
 
 
 def precode_extend_shape(multiplexed, filt: ShapingFilter) -> np.ndarray:
@@ -109,13 +155,14 @@ def precode_extend_shape(multiplexed, filt: ShapingFilter) -> np.ndarray:
     j in [0, alloc + 2*excess).
     """
     x = np.asarray(multiplexed, dtype=np.complex128)
-    m = filt.alloc_size
+    m, g = filt.alloc_size, filt.excess
     if x.size != m:
         raise ValueError(
             f"precode_extend_shape: input length {x.size} != filter alloc {m}"
         )
-    shaped = dft(x)[_extension_index(m, filt.excess)]
-    return np.multiply(filt.weights, shaped, out=shaped)
+    # a plan whose bins are the extended positions themselves
+    return _extend_shape(dft(x), filt.weights, _slice_runs(m, g, m + 2 * g, 0),
+                         np.empty(m + 2 * g, dtype=np.complex128))
 
 
 def map_and_modulate(shaped, grid: WaveformGrid) -> np.ndarray:
@@ -123,23 +170,18 @@ def map_and_modulate(shaped, grid: WaveformGrid) -> np.ndarray:
     the cp_len + fft_size transmit samples.
 
     The fixed fft_size/alloc_size amplitude scale makes the mean time-sample
-    power unity for unit-power constellations under a fold-flat filter. The
-    scaled transform is written straight into the body of the output, whose
-    prefix then copies the body's tail.
+    power unity for unit-power constellations under a fold-flat filter.
     """
-    shaped = np.asarray(shaped, dtype=np.complex128)
+    shaped = np.asarray(shaped, dtype=np.complex128).ravel()
     if shaped.size != grid.extended_size:
         raise ValueError(
             f"map_and_modulate: block length {shaped.size} != "
             f"grid extended size {grid.extended_size}"
         )
-    n, cp = grid.fft_size, grid.cp_len
-    mapped = np.zeros(n, dtype=np.complex128)
-    mapped[grid.mapped_bins()] = shaped
-    time = np.empty(cp + n, dtype=np.complex128)
-    body = np.multiply(np.fft.ifft(mapped), n / grid.alloc_size, out=time[cp:])
-    time[:cp] = body[n - cp :]
-    return time
+    mapped = np.zeros(grid.fft_size, dtype=np.complex128)
+    for extended, _, target in _grid_runs(grid):
+        mapped[target] = shaped[extended]
+    return _ofdm(mapped, grid)
 
 
 def effective_pulse(filt: ShapingFilter, grid: WaveformGrid) -> np.ndarray:
@@ -203,9 +245,12 @@ def generate_otfdm(
 
     rs_core, rs_block, ars = _references(layout, scheme, rng)
     data = modulate(bits, scheme)
-    shaped = precode_extend_shape(multiplex_symbol(data, rs_block, ars, layout),
-                                  filt)
-    return map_and_modulate(shaped, grid), rs_core, data, ars
+    # the stages' own size checks follow from the ones above; extension,
+    # shaping and mapping are one slice multiply per run of the grid's plan
+    mapped = np.zeros(grid.fft_size, dtype=np.complex128)
+    _extend_shape(dft(_multiplex(rs_block, data, ars)), filt.weights,
+                  _grid_runs(grid), mapped)
+    return _ofdm(mapped, grid), rs_core, data, ars
 
 
 def write_waveform(path, time_samples, scheme: ModScheme, layout: FrameLayout,

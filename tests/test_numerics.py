@@ -135,6 +135,48 @@ def test_seeded_rng_is_the_spawned_seed_sequence_stream(seed, stream_id):
     assert np.array_equal(rng._gen.standard_normal(9), want.standard_normal(9))
 
 
+def _live_state(gen):
+    """What of a generator's state a later draw can read: the PCG64 state,
+    whether numpy holds the high half of a word, and that half while it is
+    held. Once the half is consumed, numpy keeps the stale word; `random_raw`
+    leaves it in place where `integers` would overwrite it, and no draw
+    reads it, so it is not compared."""
+    state = gen.bit_generator.state
+    held = state["has_uint32"]
+    return state["state"], held, state["uinteger"] if held else None
+
+
+_DRAWS = st.one_of(st.tuples(st.just("bits"), st.integers(0, 500)),
+                   st.tuples(st.just("uniform"), st.integers(0, 5)),
+                   st.tuples(st.just("complex_normal"), st.integers(0, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64), stream_id=st.integers(0, 2**40),
+       draws=st.lists(_DRAWS, max_size=12))
+def test_bits_equal_integers_on_a_live_stream(seed, stream_id, draws):
+    """`bits` reads whole PCG64 words (each bit the top bit of a 32-bit
+    half, low half first) and leaves numpy's held half as `integers` would,
+    so any sequence of draws, odd counts included, equals the plain
+    generator's, draw for draw and state for state. If a numpy release
+    changes how `integers` draws bits, this fails."""
+    rng = SeededRng(seed, stream_id)
+    want = np.random.default_rng(np.random.SeedSequence(seed,
+                                                        spawn_key=(stream_id,)))
+    for kind, n in draws:
+        if kind == "bits":
+            got, expected = rng.bits(n), want.integers(0, 2, n, dtype=np.int64)
+            assert got.dtype == expected.dtype
+        elif kind == "uniform":
+            got, expected = rng.uniform(size=n), want.uniform(0.0, 1.0, n)
+        else:
+            got = rng.complex_normal(n)
+            expected = np.sqrt(0.5) * (want.standard_normal(n)
+                                       + 1j * want.standard_normal(n))
+        assert np.array_equal(got, expected)
+        assert _live_state(rng._gen) == _live_state(want)
+
+
 def test_seed_blocks_are_read_only():
     from otfdm.numerics import _seed_block
 
@@ -288,6 +330,16 @@ def test_ccdf_counter_equals_pooled_scan_and_quantile(data):
     assert counter.quantile().hex() == float(np.quantile(values, q)).hex()
 
 
+@pytest.mark.parametrize("values, q", [([-0.0, 0.0, 0.0], 1.0),
+                                       ([-0.0, -0.0], 1.0), ([-0.0], 0.3),
+                                       ([-0.0, 1.0], 0.0)])
+def test_ccdf_counter_quantile_keeps_numpys_zero_sign(values, q):
+    # numpy interpolates the largest of two or more values with itself
+    counter = CcdfCounter([0.0], len(values), q)
+    counter.add(values)
+    assert counter.quantile().hex() == float(np.quantile(values, q)).hex()
+
+
 def test_ccdf_counter_misuse_raises():
     with pytest.raises(ValueError, match="outside"):
         CcdfCounter([0.0], 4, 1.5)
@@ -315,7 +367,7 @@ def _shared_builders():
         ("numerics._seed_block", numerics._seed_block, (5, 1)),
         ("numerics._stream_types", numerics._stream_types, ()),
         ("sequences._constellation", sequences._constellation, (qam16,)),
-        ("transmitter._extension_index", transmitter._extension_index, (16, 2)),
+        ("transmitter._slice_runs", transmitter._slice_runs, (16, 2, 64, -10)),
         ("transmitter._fixed_references", transmitter._fixed_references,
          (layout_for("QAM16", 120, 4), qam16)),
         ("transmitter.WaveformGrid.mapped_bins",

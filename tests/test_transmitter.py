@@ -17,6 +17,7 @@ from otfdm import (
     map_and_modulate,
     multiplex_symbol,
     precode_extend_shape,
+    transmitter,
     write_waveform,
 )
 from otfdm.harness import ExperimentConfig, filter_for, grid_for, layout_for
@@ -372,6 +373,49 @@ class TestMatchesDirectChain:
         except ValueError:
             assume(False)
         _assert_matches_direct(scheme, layout, filt, grid, seed)
+
+
+def _split_cases():
+    """(filter kind, alloc, excess) on odd and even allocations from 1 up:
+    every kind at zero excess, where only the bin wrap splits the plan, and
+    SQRC at the largest excess, alloc // 2, where the spectrum wraps sit
+    next to the bin wrap (odd alloc) or on it (even alloc)."""
+    cases = []
+    for alloc in (*range(1, 14), 31, 32, 240, 241):
+        cases += [("SQRC", alloc, 0), ("SQRC", alloc, alloc // 2),
+                  ("NONE", alloc, 0)]
+        cases += [(kind, alloc, 0) for kind, taps in (("TAPS2", 2), ("TAPS3", 3))
+                  if alloc >= taps]
+    return list(dict.fromkeys(cases))
+
+
+class TestSliceRuns:
+    """generate_otfdm extends, shapes and maps by slice runs of one plan per
+    grid; wherever the runs split, it equals the uncached chain to the bit."""
+
+    @pytest.mark.parametrize("kind, alloc, excess", _split_cases())
+    def test_matches_direct_chain_at_every_split(self, kind, alloc, excess):
+        filt = (make_sqrc_filter(alloc, excess) if kind == "SQRC"
+                else filter_for(kind, alloc, 0.0))
+        grid = grid_for(alloc, excess)
+        layout = FrameLayout(alloc // 4, 0, 0, alloc - alloc // 4, 0)
+        for seed in range(2):
+            _assert_matches_direct(MOD_SCHEMES["QPSK"], layout, filt, grid, seed)
+
+    @pytest.mark.parametrize("alloc, excess",
+                             sorted({case[1:] for case in _split_cases()}))
+    def test_runs_cover_the_extended_block_once(self, alloc, excess):
+        grid = grid_for(alloc, excess)
+        runs = transmitter._grid_runs(grid)
+        assert 1 <= len(runs) <= 4
+
+        def joined(column, size):
+            return np.concatenate([np.arange(size)[run[column]] for run in runs])
+
+        extended = joined(0, grid.extended_size)
+        np.testing.assert_array_equal(extended, np.arange(grid.extended_size))
+        np.testing.assert_array_equal(joined(1, alloc), (extended - excess) % alloc)
+        np.testing.assert_array_equal(joined(2, grid.fft_size), grid.mapped_bins())
 
 
 class TestLayoutConstants:
