@@ -379,9 +379,10 @@ CSV_COLUMNS = (
 
 
 def _record(cfg: ExperimentConfig, digest: str, layout: FrameLayout,
-            metric: str, iv_name: str, iv_value: float, value: float,
-            gamma_pct: float | None = None, snr_db: float = float("nan"),
+            filt: ShapingFilter, metric: str, iv_name: str, iv_value: float,
+            value: float, snr_db: float = float("nan"),
             warning: str | None = None, note: str = "") -> MetricRecord:
+    """A record of a point, with the realized shares of its OTFDM symbol."""
     return MetricRecord(
         metric=metric,
         config_digest=digest,
@@ -391,7 +392,7 @@ def _record(cfg: ExperimentConfig, digest: str, layout: FrameLayout,
         trials=cfg.trials,
         seed=cfg.seed,
         scheme=cfg.scheme,
-        gamma_pct=cfg.extension_pct if gamma_pct is None else gamma_pct,
+        gamma_pct=200.0 * filt.excess / cfg.alloc_size,
         rs_overhead_pct=100.0 * layout.rs_block_len / cfg.alloc_size,
         scs_khz=cfg.scs_khz,
         speed_kmh=cfg.speed_kmh,
@@ -458,17 +459,56 @@ def _joined(*warnings) -> str | None:
     return "; ".join(filter(None, warnings)) or None
 
 
-def _runner(plan):
-    """The runner of `plan`, which checks a config and resolves what it
-    needs without running a trial, then returns the trial loop that makes
-    the records. The runner calls both; `sweep` calls `runner.plan` on
-    every (config, metric) pair before it runs any loop."""
-    @wraps(plan)
-    def runner(cfg: ExperimentConfig) -> list[MetricRecord]:
-        return plan(cfg)()
+# Fields never reported as ignored: the run controls, and the sweep axes of
+# single runners, so that a sweep of many metrics does not warn on each row.
+UNREPORTED = frozenset({"trials", "seed", "n_workers", "gamma_sweep_pct",
+                        "rs_sweep_pct", "tail_periods"})
 
-    runner.plan = plan
-    return runner
+
+def _if(condition: bool, *names: str) -> set:
+    """The field names given if `condition` holds, else none."""
+    return set(names) if condition else set()
+
+
+def _waveform_reads(cfg: ExperimentConfig) -> set:
+    """The fields of the OTFDM symbol; only SQRC has an extension."""
+    return ({"scheme", "alloc_size", "filter_kind", "rs_overhead_pct", "ars_pct"}
+            | _if(cfg.filter_kind == "SQRC", "extension_pct"))
+
+
+def _link_reads(cfg: ExperimentConfig) -> set:
+    """The symbol's fields, then the channel's and the estimator's."""
+    return (_waveform_reads(cfg) | {"channel", "snr_db", "ridge"}
+            | _if(cfg.channel != "AWGN", "scs_khz", "speed_kmh")
+            | _if(cfg.channel != "AWGN" and cfg.speed_kmh > 0, "fc_ghz")
+            | _if(cfg.channel == "TDLC", "delay_spread_ns"))
+
+
+def _runner(reads):
+    """The runner of a plan, which checks a config and resolves what it
+    needs without running a trial, then returns the trial loop; `reads(cfg)`
+    names the fields the records depend on. The runner calls both; `sweep`
+    calls `runner.plan` on every pair first. Every record warns of each
+    field off its default that neither `reads(cfg)` nor UNREPORTED holds."""
+    def decorate(plan):
+        @wraps(plan)
+        def checked(cfg: ExperimentConfig):
+            run_trials = plan(cfg)
+            ignored = ", ".join(f"{f.name}={getattr(cfg, f.name)}"
+                                for f in fields(cfg) if f.name not in UNREPORTED
+                                and getattr(cfg, f.name) != f.default
+                                and f.name not in reads(cfg))
+            if not ignored:
+                return run_trials
+            note = f"{plan.__name__} ignored {ignored}"
+            return lambda: [replace(r, warning=_joined(r.warning, note))
+                            for r in run_trials()]
+
+        runner = wraps(plan)(lambda cfg: checked(cfg)())
+        runner.plan = checked
+        return runner
+
+    return decorate
 
 
 # --------------------------------------------------------------------------
@@ -486,21 +526,16 @@ def _normalized_sample_power(bodies, out) -> np.ndarray:
     return np.divide(p, p.mean(axis=-1, keepdims=True), out=p)
 
 
-@_runner
+@_runner(_waveform_reads)
 def run_papr(cfg: ExperimentConfig):
     """Instantaneous-power CCDF for the configured waveform and the
     separate-RS DFT-s-OFDM baseline, plus the quantile gain at the 1%
     exceedance point (PAPR_CCDF_POINT)."""
     scheme, layout, filt, grid = cfg.resolve()
     frame = ((layout, filt, grid), _dfts_baseline(cfg)[1])
-    warning = _joined(
-        cfg.trials < 10_000 and (f"trials={cfg.trials} below 1e4; "
-                                 f"{PAPR_CCDF_POINT:.0%} point is noisy"),
-        (cfg.channel != "AWGN" or cfg.speed_kmh != 0) and (
-            f"PAPR is a transmit-only metric; channel={cfg.channel} and "
-            f"speed_kmh={cfg.speed_kmh} were ignored"))
-    record = partial(_record, cfg, cfg.digest(), layout, warning=warning,
-                     gamma_pct=200.0 * filt.excess / cfg.alloc_size)
+    warning = (f"trials={cfg.trials} below 1e4; {PAPR_CCDF_POINT:.0%} point "
+               "is noisy" if cfg.trials < 10_000 else None)
+    record = partial(_record, cfg, cfg.digest(), layout, filt, warning=warning)
 
     def run_trials() -> list[MetricRecord]:
         # one counter per waveform, each over its own body size; a chunk is
@@ -677,7 +712,10 @@ def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
     return float(np.mean(per_trial))
 
 
-@_runner
+# the fixed RS share is read by extension points, the extension by RS points
+@_runner(lambda cfg: _link_reads(cfg)
+         - _if(not cfg.gamma_sweep_pct, "rs_overhead_pct")
+         - _if(not cfg.rs_sweep_pct, "extension_pct"))
 def run_mse(cfg: ExperimentConfig):
     """Estimate-vs-truth MSE swept over the extension factor at fixed RS
     overhead, then over the RS overhead at fixed extension, at the config's
@@ -686,6 +724,10 @@ def run_mse(cfg: ExperimentConfig):
         raise ValueError(f"run_mse: needs exactly one SNR, got {len(cfg.snr_db)}")
     if not cfg.gamma_sweep_pct and not cfg.rs_sweep_pct:
         raise ValueError("run_mse: gamma_sweep_pct and rs_sweep_pct are both empty")
+    for name, ext in _entries("gamma_sweep_pct", cfg.gamma_sweep_pct):
+        if ext != 0 and cfg.filter_kind != "SQRC":
+            raise ValueError(f"run_mse: {name} = {ext} needs filter_kind SQRC; "
+                             f"filter_kind {cfg.filter_kind} has no extension")
     snr_db = cfg.snr_db[0]
     (fixed_field, rs_fixed), *rs_sweep = cfg._mse_rs_shares()
     # (iv name, iv value, extension, RS share, config entry of the RS share)
@@ -699,18 +741,12 @@ def run_mse(cfg: ExperimentConfig):
     estimators = [_estimator(cfg, scheme, layout, filt, rs_field)
                   for (scheme, layout, filt, _), (*_, rs_field) in zip(resolved,
                                                                        points)]
-    ignored = " and ".join(f"{name}=True" for name in
-                           ("genie_channel", "compare_baseline") if getattr(cfg, name))
-    mse_warning = ignored and (f"run_mse has no genie or baseline run; {ignored} "
-                               "had no effect")
-    record = partial(_record, cfg, cfg.digest(),
-                     warning=_joined(_awgn_speed_warning(cfg), mse_warning))
+    record = partial(_record, cfg, cfg.digest())
 
     def run_trials() -> list[MetricRecord]:
-        return [record(point[1], "chan_mse", iv_name, iv_value,
-                       _mse_point(cfg, *point, est_cfg, snr_db),
-                       gamma_pct=ext, snr_db=snr_db)
-                for (iv_name, iv_value, ext, _, _), point, est_cfg
+        return [record(*point[1:3], "chan_mse", iv_name, iv_value,
+                       _mse_point(cfg, *point, est_cfg, snr_db), snr_db=snr_db)
+                for (iv_name, iv_value, *_), point, est_cfg
                 in zip(points, resolved, estimators)]
 
     return run_trials
@@ -773,14 +809,6 @@ def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, space, trials):
                         inv_snr, scheme, sent.bits, sent.data_symbols)
 
 
-def _awgn_speed_warning(cfg: ExperimentConfig) -> str | None:
-    """Warning for a speed given with the AWGN channel, which applies no
-    Doppler, so the speed the records carry had no effect."""
-    if cfg.channel != "AWGN" or cfg.speed_kmh == 0:
-        return None
-    return f"channel=AWGN has no Doppler; speed_kmh={cfg.speed_kmh} was ignored"
-
-
 def _ars_warning(cfg: ExperimentConfig) -> str | None:
     """Warning for a corrected ARS run whose worst per-symbol Doppler phase
     2*pi*f_d,max/scs reaches pi/2: `ars_phase_correct`'s step is ambiguous
@@ -795,7 +823,9 @@ def _ars_warning(cfg: ExperimentConfig) -> str | None:
             f"2*pi*f_d/scs = {phase:.2f} rad reaches pi/2 (ambiguous at pi)")
 
 
-@_runner
+@_runner(lambda cfg: (_link_reads(cfg) - _if(cfg.genie_channel, "ridge"))
+         | {"genie_channel", "compare_baseline"}
+         | _if(cfg.ars_pct > 0, "ars_correction"))
 def run_ber(cfg: ExperimentConfig):
     """Uncoded BER and pooled EVM versus SNR; optionally also for the
     two-symbol DFT-s-OFDM baseline with matched resources."""
@@ -815,9 +845,8 @@ def run_ber(cfg: ExperimentConfig):
                                       "nulls a subcarrier, which snr_db=inf "
                                       f"cannot equalize: {err}") from None
     baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
-    record = partial(_record, cfg, cfg.digest())
-    speed_warning = _awgn_speed_warning(cfg)
-    otfdm_warning = _joined(speed_warning, _ars_warning(cfg))
+    record = partial(_record, cfg, cfg.digest(), layout, filt)
+    ars_warning = _ars_warning(cfg)
 
     def run_trials() -> list[MetricRecord]:
         records = []
@@ -826,10 +855,10 @@ def run_ber(cfg: ExperimentConfig):
         for snr_db in cfg.snr_db:
             # the baseline carries no ARS, so only OTFDM records take the
             # ARS warning
-            runs = [("", otfdm_warning, partial(_otfdm_chunk, cfg, scheme, layout,
-                                                filt, grid, est_cfg, snr_db, space))]
+            runs = [("", ars_warning, partial(_otfdm_chunk, cfg, scheme, layout,
+                                              filt, grid, est_cfg, snr_db, space))]
             if baseline:
-                runs.append(("_baseline", speed_warning, partial(
+                runs.append(("_baseline", None, partial(
                     _dfts_baseline_chunk, cfg, scheme, baseline, snr_db, space)))
             for suffix, warning, chunk in runs:
                 # per-trial rows summed as Python numbers, in trial order
@@ -837,8 +866,8 @@ def run_ber(cfg: ExperimentConfig):
                     sum(col.tolist()) for col in _map_chunks(chunk, cfg.trials))
                 values = (("ber", errors / bits),
                           ("evm_db", power_ratio_db(err_pow, ref_pow)))
-                records += [record(layout, metric + suffix, "snr_db", snr_db,
-                                   value, snr_db=snr_db, warning=warning)
+                records += [record(metric + suffix, "snr_db", snr_db, value,
+                                   snr_db=snr_db, warning=warning)
                             for metric, value in values]
         return records
 
@@ -853,11 +882,15 @@ def pulse_tail_fraction(alloc_size: int, extension_pct: float,
                         tail_periods: int) -> float:
     """Fraction of effective-pulse energy outside +-tail_periods symbol
     periods around the peak (0 once the window spans the whole pulse)."""
+    return _tail_fraction(filter_for("SQRC", alloc_size, extension_pct), tail_periods)
+
+
+def _tail_fraction(filt: ShapingFilter, tail_periods: int) -> float:
+    """`pulse_tail_fraction` of the pulse that `filt` shapes."""
     if tail_periods < 0:
         raise ValueError("pulse_tail_fraction: tail_periods must be >= 0")
-    filt = filter_for("SQRC", alloc_size, extension_pct)
-    grid = grid_for(alloc_size, filt.excess)
-    half = tail_periods * grid.fft_size // alloc_size
+    grid = grid_for(filt.alloc_size, filt.excess)
+    half = tail_periods * grid.fft_size // filt.alloc_size
     if 2 * half + 1 >= grid.fft_size:
         return 0.0
     energy = np.abs(effective_pulse(filt, grid)) ** 2
@@ -868,24 +901,21 @@ def pulse_tail_fraction(alloc_size: int, extension_pct: float,
     return float(1.0 - inside / energy.sum())
 
 
-@_runner
+# the pulse is the SQRC one of each swept extension, whatever the filter
+@_runner(lambda cfg: {"alloc_size"})
 def run_pulse_decay(cfg: ExperimentConfig):
     """Tail-energy fraction of the transmit pulse per extension factor."""
     if not cfg.gamma_sweep_pct:
         raise ValueError("run_pulse_decay: empty extension sweep")
     layout = layout_for(cfg.scheme, cfg.alloc_size, cfg.ars_len(),
                         cfg.rs_overhead_pct)
-    warning = None
-    if cfg.filter_kind != "SQRC":
-        warning = (f"pulse decay uses the SQRC filter; "
-                   f"filter_kind={cfg.filter_kind} was ignored")
-    record = partial(_record, cfg, cfg.digest())
+    record = partial(_record, cfg, cfg.digest(), layout)
 
     def run_trials() -> list[MetricRecord]:
-        return [record(layout, "pulse_tail_energy", "gamma_pct", ext,
-                       pulse_tail_fraction(cfg.alloc_size, ext, cfg.tail_periods),
-                       gamma_pct=ext, warning=warning)
-                for ext in cfg.gamma_sweep_pct]
+        return [record(filt, "pulse_tail_energy", "gamma_pct", ext,
+                       _tail_fraction(filt, cfg.tail_periods))
+                for ext in cfg.gamma_sweep_pct
+                for filt in [filter_for("SQRC", cfg.alloc_size, ext)]]
 
     return run_trials
 
@@ -894,14 +924,14 @@ def run_pulse_decay(cfg: ExperimentConfig):
 # overheads and the sweep driver
 # --------------------------------------------------------------------------
 
-@_runner
+@_runner(lambda cfg: _waveform_reads(cfg) - {"ars_pct"})
 def run_overhead(cfg: ExperimentConfig):
     """Total overhead (RS block share plus extension) for the resolved layout."""
     _, layout, filt, _ = cfg.resolve()
-    gamma_pct = 200.0 * filt.excess / cfg.alloc_size
-    pct = 100.0 * layout.rs_block_len / cfg.alloc_size + gamma_pct
-    records = [_record(cfg, cfg.digest(), layout, "overhead_pct", "alloc_size",
-                       cfg.alloc_size, pct, gamma_pct=gamma_pct)]
+    # the overhead is the sum of the record's two realized shares
+    shares = _record(cfg, cfg.digest(), layout, filt, "overhead_pct",
+                     "alloc_size", cfg.alloc_size, math.nan)
+    records = [replace(shares, value=shares.rs_overhead_pct + shares.gamma_pct)]
     return lambda: records
 
 

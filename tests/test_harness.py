@@ -532,8 +532,11 @@ class TestPapr:
         linked = run_papr(ExperimentConfig(**base, channel="TDLC",
                                            speed_kmh=120.0, snr_db=(0.0,)))
         assert [r.value for r in linked] == [r.value for r in plain]
-        assert all("transmit-only" in r.warning for r in linked)
-        assert not any("transmit-only" in r.warning for r in plain)
+        floor = "trials=40 below 1e4; 1% point is noisy"
+        assert {r.warning for r in plain} == {floor}
+        assert {r.warning for r in linked} == {
+            f"{floor}; run_papr ignored channel=TDLC, speed_kmh=120.0, "
+            "snr_db=(0.0,)"}
 
     def test_ccdf_curve_monotone(self):
         cfg = ExperimentConfig(scheme="QPSK", trials=300, seed=2,
@@ -559,7 +562,7 @@ class TestPulseDecay:
         assert [r.value for r in taps] == [r.value for r in sqrc]
         assert [r.warning for r in sqrc] == [None]
         assert [r.warning for r in taps] == [
-            "pulse decay uses the SQRC filter; filter_kind=TAPS2 was ignored"]
+            "run_pulse_decay ignored filter_kind=TAPS2"]
 
     def test_tail_fraction_is_zero_once_the_window_spans_the_pulse(self):
         # alloc 240 at 5% has a 1200-sample pulse: +-120 periods span it
@@ -600,7 +603,7 @@ class TestMse:
         assert [r.value for r in moving] == [r.value for r in plain]
         assert [r.warning for r in plain] == [None, None]
         assert [r.warning for r in moving] == [
-            "channel=AWGN has no Doppler; speed_kmh=120.0 was ignored"] * 2
+            "run_mse ignored speed_kmh=120.0"] * 2
 
     def test_genie_and_baseline_are_ignored_with_warning(self):
         base = dict(scheme="QPSK", alloc_size=96, snr_db=(20.0,), trials=4,
@@ -610,14 +613,11 @@ class TestMse:
                 (dict(genie_channel=True), "genie_channel=True"),
                 (dict(compare_baseline=True), "compare_baseline=True"),
                 (dict(genie_channel=True, compare_baseline=True, speed_kmh=3.0),
-                 "genie_channel=True and compare_baseline=True")]:
+                 "speed_kmh=3.0, genie_channel=True, compare_baseline=True")]:
             records = run_mse(ExperimentConfig(**base, **extra))
             assert [r.value for r in records] == [r.value for r in plain]
-            want = f"run_mse has no genie or baseline run; {ignored} had no effect"
-            if "speed_kmh" in extra:
-                want = ("channel=AWGN has no Doppler; speed_kmh=3.0 was "
-                        f"ignored; {want}")
-            assert [r.warning for r in records] == [want] * 2
+            assert [r.warning for r in records] == [
+                f"run_mse ignored {ignored}"] * 2
 
     def test_mse_decreases_with_rs_overhead(self):
         cfg = ExperimentConfig(scheme="QPSK", alloc_size=480, channel="TDLC",
@@ -632,6 +632,17 @@ class TestMse:
         # an empty snr_db is already refused when the config is built
         with pytest.raises(ValueError, match="one SNR"):
             run_mse(ExperimentConfig(snr_db=snr_db, trials=1))
+
+    def test_extension_sweep_needs_the_sqrc_filter(self):
+        # a tap filter has no extension, so each point would repeat one value
+        cfg = ExperimentConfig(filter_kind="TAPS2", trials=1,
+                               gamma_sweep_pct=(0.0, 5.0, 10.0))
+        with pytest.raises(ValueError, match=r"run_mse: gamma_sweep_pct\[1\] "
+                           "= 5.0 needs filter_kind SQRC; filter_kind TAPS2"):
+            run_mse(cfg)
+        records = run_mse(replace(cfg, gamma_sweep_pct=(0.0,), ridge=0.1))
+        assert [r.iv_name for r in records] == ["gamma_pct"] + [
+            "rs_overhead_pct"] * 3
 
     def test_empty_sweeps_rejected(self):
         cfg = ExperimentConfig(trials=1, gamma_sweep_pct=(), rs_sweep_pct=())
@@ -777,7 +788,7 @@ class TestBer:
         assert [r.value for r in moving] == [r.value for r in plain]
         assert all(r.warning is None for r in plain)
         assert [r.warning for r in moving] == [
-            "channel=AWGN has no Doppler; speed_kmh=120.0 was ignored"] * 4
+            "run_ber ignored speed_kmh=120.0"] * 4
 
     def test_no_ars_warning_at_the_benchmark_hst_config(self):
         records = run_ber(ExperimentConfig(fc_ghz=7.0, **self.ARS_HST))
@@ -801,6 +812,111 @@ class TestBer:
         else:
             assert [r.value for r in run_ber(cfg)
                     if r.metric.startswith("evm")] == [evm, evm]
+
+
+def _named(runner, records) -> set:
+    """The field names that `runner`'s ignored-input warning names in any
+    of `records`, parsed name by name, so `channel=` is not read inside
+    `genie_channel=`."""
+    prefix = f"{runner.__name__} ignored "
+    return {name for r in records for part in (r.warning or "").split("; ")
+            if part.startswith(prefix)
+            for name in re.findall(r"(?:^|, )(\w+)=", part[len(prefix):])}
+
+
+class TestIgnoredInputs:
+    """A config field moved from a base config changes a record value
+    exactly when the runner's warning does not name it as ignored."""
+
+    # each field moves to the first of its values that differs from the base
+    MOVES = {
+        "scheme": ("QAM16", "QPSK"),
+        "alloc_size": (120, 96),
+        "extension_pct": (10.0, 5.0),
+        "filter_kind": ("TAPS3", "SQRC"),
+        "rs_overhead_pct": (12.0, 10.0),
+        "ars_pct": (4.0, 2.0),
+        "ars_correction": (False, True),
+        "scs_khz": (15.0, 30.0),
+        "channel": ("TDLC", "AWGN"),
+        "delay_spread_ns": (300.0, 1000.0),
+        "speed_kmh": (60.0, 120.0),
+        "fc_ghz": (30.0, 7.0),
+        "snr_db": ((20.0,), (10.0,)),
+        "genie_channel": (True, False),
+        "ridge": (0.01, 0.1),
+        "compare_baseline": (True, False),
+    }
+    COMMON = dict(alloc_size=96, snr_db=(10.0,), trials=2, seed=5,
+                  gamma_sweep_pct=(0.0,), rs_sweep_pct=(12.0,))
+    BASES = {
+        "awgn": {},
+        "awgn_ars": dict(ars_pct=2.0),
+        "tdlc_static": dict(channel="TDLC"),
+        "tdlc_mobile_ars": dict(channel="TDLC", speed_kmh=120.0, ars_pct=2.0),
+        "hst": dict(channel="HST", speed_kmh=500.0),
+        "genie": dict(genie_channel=True),
+        "taps3_ridge": dict(filter_kind="TAPS3", ridge=0.1),
+    }
+
+    def test_every_field_is_exempt_or_has_a_move(self):
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert harness.UNREPORTED <= names
+        assert set(self.MOVES) == names - harness.UNREPORTED
+
+    @pytest.mark.parametrize("metric", list(harness.RUNNERS))
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_moved_field_changes_a_value_or_is_named(self, base, metric):
+        runner = harness.RUNNERS[metric]
+        cfg = ExperimentConfig(**self.COMMON, **self.BASES[base])
+        before = runner(cfg)
+        for f in fields(ExperimentConfig):
+            if f.name in harness.UNREPORTED:
+                continue
+            value = next(v for v in self.MOVES[f.name]
+                         if v != getattr(cfg, f.name))
+            after = runner(replace(cfg, **{f.name: value}))
+            changed = [r.value for r in after] != [r.value for r in before]
+            # the side that differs from the default names an ignored field
+            named = f.name in _named(runner, before) | _named(runner, after)
+            assert changed != named, f"{f.name} -> {value!r}"
+
+    @pytest.mark.parametrize("sweeps, name, value", [
+        (dict(gamma_sweep_pct=()), "rs_overhead_pct", 12.0),
+        (dict(rs_sweep_pct=()), "extension_pct", 10.0)])
+    def test_mse_reads_the_fixed_share_of_a_sweep_it_runs(self, sweeps, name,
+                                                          value):
+        # the extension sweep's points read the fixed RS share, and the RS
+        # sweep's the fixed extension; pulse decay refuses an empty
+        # extension sweep, so no base config above has one
+        cfg = ExperimentConfig(**dict(self.COMMON, **sweeps))
+        plain, moved = run_mse(cfg), run_mse(replace(cfg, **{name: value}))
+        assert [r.value for r in moved] == [r.value for r in plain]
+        assert _named(run_mse, moved) == {name}
+
+    @pytest.mark.parametrize("metric", list(harness.RUNNERS))
+    def test_sweep_warns_as_the_runner_does(self, metric):
+        # no runner reads a speed on AWGN
+        cfg = ExperimentConfig(**self.COMMON, speed_kmh=30.0)
+        runner = harness.RUNNERS[metric]
+        records = sweep([cfg], [metric])
+        # compared as text, since a NaN snr_db equals no other NaN
+        assert list(map(repr, records)) == list(map(repr, runner(cfg)))
+        assert _named(runner, records) >= {"speed_kmh"}
+
+    def test_gamma_pct_is_the_realized_extension(self):
+        # 5% of alloc 96 rounds to 2 excess subcarriers per side, 4.17%
+        sqrc = ExperimentConfig(**dict(self.COMMON, gamma_sweep_pct=(5.0,)),
+                                compare_baseline=True)
+        taps = replace(sqrc, filter_kind="TAPS2", ridge=0.1,
+                       gamma_sweep_pct=(0.0,))
+        # the baseline rows too carry the OTFDM filter's extension
+        for runner in harness.RUNNERS.values():
+            assert {r.gamma_pct for r in runner(sqrc)} == {200.0 * 2 / 96}
+            assert {r.gamma_pct for r in runner(taps)} == {0.0}
+        # the pulse is the SQRC one whatever the filter
+        pulse = run_pulse_decay(replace(taps, gamma_sweep_pct=(5.0,)))
+        assert [r.gamma_pct for r in pulse] == [200.0 * 2 / 96]
 
 
 class TestAwgnAnchors:
