@@ -6,7 +6,6 @@ trials can run concurrently, each with its own rng stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,7 +204,7 @@ def _rayleigh_tap_gains(
     amp = np.sqrt(powers)[:, None]
     if doppler_hz == 0.0:
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(taps, NUM_SINUSOIDS))
-        g = np.sum(np.exp(1j * phases), axis=1) / np.sqrt(NUM_SINUSOIDS)
+        g = np.sum(_phasor(phases), axis=1) / np.sqrt(NUM_SINUSOIDS)
         return np.repeat(amp * g[:, None], num_samples, axis=1)
     draws = rng.uniform(0.0, 2.0 * np.pi, size=(taps, 2, NUM_SINUSOIDS))
     phases, angles = draws[:, 0, :], draws[:, 1, :]
@@ -352,15 +351,19 @@ _TILE = 128
 
 
 def _weight(gains: np.ndarray, block: np.ndarray, lo: int) -> None:
-    """Multiply block, every tap's output samples from lo on, in place by its
-    gains, the last gain held past the end of the trajectory."""
-    span = min(max(gains.shape[1] - lo, 0), block.shape[1])
-    np.multiply(gains[:, lo : lo + span], block[:, :span], out=block[:, :span])
-    if span < block.shape[1]:
-        np.multiply(gains[:, -1:], block[:, span:], out=block[:, span:])
+    """Multiply block (..., taps, samples), every tap's samples from lo on,
+    in place by its gains, the last one held past the end of the trajectory
+    (all of them, in one product, if static)."""
+    span = 0 if gains.shape[1] == 1 else min(max(gains.shape[1] - lo, 0),
+                                              block.shape[-1])
+    np.multiply(gains[:, lo : lo + span], block[..., :span],
+                out=block[..., :span])
+    if span < block.shape[-1]:
+        np.multiply(gains[:, -1:], block[..., span:], out=block[..., span:])
 
 
-def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray,
+             out=None) -> np.ndarray:
     """sum_t gains[t] * (x convolved with kernels[t]), the last gain held over
     the convolution tail.
 
@@ -376,21 +379,28 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray) -> np.ndarra
     product over the whole window, times the same gain, with taps summed in
     the same order. Within 1e-13 relative of one np.convolve per tap.
     One-sample kernels (flat AWGN, HST) only scale the signal, with no window
-    built.
+    built; there x may carry leading axes, each row scaled as the 1-D call,
+    and one tap may scale into `out`, x itself included.
     """
     ir_len = kernels.shape[1]
     if ir_len == 1:
-        conv = kernels * x
-        _weight(gains, conv, 0)
-        return conv.sum(axis=0)
+        # complex kernels, as numpy would cast them, and varying gains a row
+        # at a time: numpy gives a cast or broadcast operand of a stack a
+        # ~128 KiB buffer, one more heap block for glibc to trim and refault
+        conv = np.multiply(kernels.astype(np.complex128), x[..., None, :],
+                           out=None if out is None else out[..., None, :])
+        for block in conv if x.ndim == 2 and gains.shape[1] > 1 else [conv]:
+            _weight(gains, block, 0)
+        # a one-tap sum is that tap, so no second array is made
+        return conv[..., 0, :] if len(kernels) == 1 else conv.sum(axis=-2)
     out_len = x.size + ir_len - 1
     padded = np.zeros(x.size + 2 * (ir_len - 1), dtype=np.complex128)
     padded[ir_len - 1 : ir_len - 1 + x.size] = x
     window = sliding_window_view(padded.view(np.float64), 2 * out_len)[::2]
     reversed_kernels = np.ascontiguousarray(kernels[:, ::-1])
     buf = np.empty((kernels.shape[0], 2 * _TILE))
-    out = np.empty(out_len, dtype=np.complex128)
-    flat = out.view(np.float64)
+    y = np.empty(out_len, dtype=np.complex128)
+    flat = y.view(np.float64)
     for lo in range(0, out_len, _TILE):
         cols = slice(2 * lo, 2 * min(lo + _TILE, out_len))
         tile = buf[:, : cols.stop - cols.start]
@@ -400,31 +410,32 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray) -> np.ndarra
         # summed as floats: a one-sample tile summed as complex would reduce
         # its taps pairwise, not in order
         np.add.reduce(tile, axis=0, out=flat[cols])
-    return out
+    return y
 
 
-def apply_channel(signal, ch: ChannelRealization, rng: SeededRng,
-                  noise_variance: float = 0.0) -> np.ndarray:
+def apply_channel(signal, ch: ChannelRealization, rng: SeededRng | None = None,
+                  noise_variance: float = 0.0, out=None) -> np.ndarray:
     """Time-varying linear convolution with the realized taps, plus complex
-    AWGN of power noise_variance per output sample, drawn from rng.
+    AWGN of power noise_variance per output sample (`rng.complex_normal`).
 
     Output length is the signal length plus the impulse-response span so the
-    full convolution tail is kept.
+    full convolution tail is kept. One-sample channels (flat AWGN, HST) also
+    take stacked rows, each as the 1-D call, and with one tap `out`, which
+    may be the signal; longer ones refuse both. Only noise reads `rng`.
     """
     x = np.asarray(signal, dtype=np.complex128)
     if x.size == 0:
         raise ValueError("apply_channel: empty signal")
-    if not (math.isfinite(noise_variance) and noise_variance >= 0.0):
-        raise ValueError("apply_channel: noise_variance must be finite and "
-                         f">= 0, got {noise_variance!r}")
-    out_len = x.size + ch.ir_len - 1
+    if (x.ndim > 1 or out is not None) and ch.ir_len > 1:
+        raise ValueError("apply_channel: a stacked signal or out= needs a "
+                         f"one-sample channel, not {ch.ir_len} samples long")
     if ch.is_static and ch.ir_len > 1:
         # impulse_response() is a new, writeable array: np.convolve is
         # several times slower on a read-only kernel
         y = np.convolve(x, ch.impulse_response())
     else:
         # time-varying, or one sample long (flat AWGN, HST): a scaling
-        y = _tap_sum(x, ch.kernels, ch.gains)
-    if noise_variance > 0.0:
-        y += rng.complex_normal(out_len, noise_variance)
+        y = _tap_sum(x, ch.kernels, ch.gains, out)
+    if noise_variance != 0.0:
+        y += rng.complex_normal(y.shape, noise_variance)
     return y

@@ -627,42 +627,58 @@ class _Sent(NamedTuple):
 
 def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
           space, trials: range, with_truth: bool = False) -> _Sent:
-    """Send a chunk one trial at a time, each on its own stream: the frame's
-    symbols (`transmit_frame`), one channel realization on the first
-    symbol's grid applied to them all with AWGN of variance `time_var`,
-    then (with `with_truth`) the oracle folded composite mid first symbol,
-    for the whole chunk at once. TDL-C fading is drawn per trial; the other
-    channels draw nothing, so one realization and its composite serve the
-    whole chunk. Only what the receiver reads is kept: each trial joins each
-    field over the frame into its row of `space`, which the next chunk
-    overwrites, so a chunk must return arrays computed from them, not them."""
+    """Send a chunk through one channel realization per trial, on the first
+    symbol's grid, with AWGN of variance `time_var`. Per trial, on its own
+    stream, only the draws, into its rows of `space`: the frame
+    (`transmit_frame`), and on TDL-C the fading, applied with its noise.
+    AWGN and HST draw nothing: one call propagates all rows in place, and
+    then each trial's stream draws its noise onto its row. `with_truth` adds
+    the oracle folded composite mid first symbol. The next chunk overwrites
+    `space`: return arrays computed from it."""
     _, filt, grid = frame[0]
     mid = grid.cp_len + grid.fft_size // 2
-    ch, rows, impulses = None, None, []
+    count, per_trial = len(trials), cfg.channel == "TDLC"
+    impulses, streams = [], []
     for row, trial in enumerate(trials):
         rng = SeededRng(cfg.seed, trial)
-        bits, tx, rs_core, data, ars = map(
-            _join, zip(*transmit_frame(frame, scheme, rng)))
-        if ch is None or cfg.channel == "TDLC":
-            ch = _make_channel(cfg, grid, rng, num_samples=tx.size)
+        symbols = transmit_frame(frame, scheme, rng)
+        if row == 0 or per_trial:
+            ch = _make_channel(cfg, grid, rng, sum(s[1].size for s in symbols))
             if with_truth:
                 impulses.append(ch.impulse_response(mid))
-        fields = (bits, apply_channel(tx, ch, rng, time_var), rs_core, data, ars)
-        if rows is None:
-            rows = [space(name, f.shape, f.dtype)[: len(trials)]
-                    for name, f in zip(_Sent._fields, fields)]
-        for out, f in zip(rows, fields):
-            out[row] = f
+        if row == 0:
+            # a row per field over the frame, the sent frame at the head of
+            # the received one's, and the columns of each symbol's non-empty
+            # fields in them: (view, symbol, field)
+            ends = np.cumsum([[f.shape[-1] for f in s] for s in symbols], 0)
+            n = ends[-1][1]
+            rows = [space(name, (end + (ch.ir_len - 1) * (name == "rx"),),
+                          np.result_type(*parts))[:count]
+                    for name, end, parts in zip(("bits", "rx", "rs", "data",
+                                                 "ars"), ends[-1], zip(*symbols))]
+            columns = [(r[:, e - f.shape[-1] : e], i, k)
+                       for i, (s, es) in enumerate(zip(symbols, ends))
+                       for k, (r, f, e) in enumerate(zip(rows, s, es))
+                       if f.shape[-1]]
+            rx = rows[1]
+        for view, i, k in columns:
+            view[row] = symbols[i][k]
+        if per_trial:
+            rx[row] = apply_channel(rx[row, :n], ch, rng, time_var)
+        else:
+            streams.append(rng)
+    if not per_trial:
+        apply_channel(rx, ch, out=rx)
+        # y + n, as the 1-D call adds them, a row at a time: a chunk of noise
+        # would be one more chunk-sized array to allocate and fault in
+        noise = np.empty(n, dtype=complex)
+        for y, rng in zip(rx, streams if time_var else ()):
+            y += rng.complex_normal(n, time_var, out=noise)
     truth = None
     if with_truth:
         truth = _composite_truth(np.stack(impulses), grid, filt)
-        truth = np.repeat(truth, len(trials) // len(impulses), axis=0)
+        truth = np.repeat(truth, count // len(impulses), axis=0)
     return _Sent(*rows, truth)
-
-
-def _join(parts) -> np.ndarray:
-    """Concatenate along the last axis, without copying a single part."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _front_end(rx: np.ndarray, grid: WaveformGrid, space) -> np.ndarray:

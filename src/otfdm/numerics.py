@@ -168,7 +168,7 @@ class CcdfCounter:
 
     def quantile(self) -> float:
         """The sample quantile `q`, as `np.quantile` (method "linear") gives
-        it on the pooled values."""
+        it on the pooled values, up to the sign of a zero between +-0.0s."""
         if self._vidx is None:
             raise ValueError("ccdf: counter was built without a quantile")
         self._check_complete()
@@ -372,13 +372,17 @@ class SeededRng:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size=size)
 
-    def complex_normal(self, size, variance: float = 1.0) -> np.ndarray:
-        """Circularly symmetric complex Gaussian samples of given variance:
-        the real parts are drawn first, then the imaginary parts."""
-        scale = np.sqrt(variance / 2.0)
+    def complex_normal(self, size, variance: float = 1.0, out=None) -> np.ndarray:
+        """Circularly symmetric complex Gaussian samples of a finite variance
+        >= 0 (else refused before any draw), into `out` if given: the real
+        parts are drawn first, then the imaginary parts."""
+        if not (math.isfinite(variance) and variance >= 0.0):
+            raise ValueError("complex_normal: variance must be finite and "
+                             f">= 0, got {variance!r}")
+        scale = math.sqrt(variance / 2.0)
         re = self._gen.standard_normal(size)
         im = self._gen.standard_normal(size)
-        out = np.empty(re.shape, dtype=np.complex128)
+        out = np.empty(re.shape, dtype=np.complex128) if out is None else out
         np.multiply(re, scale, out=out.real)
         np.multiply(im, scale, out=out.imag)
         return out

@@ -246,9 +246,45 @@ class TestApplyChannel:
     @pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf")])
     def test_bad_noise_variance_raises(self, variance):
         # a negative or NaN variance must not quietly add no noise
-        with pytest.raises(ValueError, match="noise_variance"):
+        with pytest.raises(ValueError, match="variance must be finite"):
             apply_channel(np.ones(8, dtype=complex), flat_realization(),
                           SeededRng(1, 0), variance)
+
+    @pytest.mark.parametrize("kind", ["flat", "hst"])
+    def test_one_sample_channel_stack_equals_rows(self, kind):
+        # a chunk's rows propagated in one call, each byte for byte the 1-D
+        # call on that row
+        ch = flat_realization() if kind == "flat" else _hst()
+        x = SeededRng(15, 0).complex_normal((5, 1284))
+        y = apply_channel(x, ch)
+        assert y.shape == x.shape
+        for row, got in zip(x, y):
+            assert got.tobytes() == apply_channel(row, ch).tobytes()
+        # in place, as the harness propagates its workspace rows
+        apply_channel(x, ch, out=x)
+        assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("kind", ["flat", "hst"])
+    def test_one_sample_channel_scales_a_stack_without_buffers(self, kind):
+        # numpy would give a cast or row-broadcast operand a ~128 KiB
+        # buffer; a chunk's rows are scaled in place with none
+        ch = flat_realization() if kind == "flat" else _hst()
+        x = SeededRng(17, 0).complex_normal((16, 1284))
+        tracemalloc.start()
+        apply_channel(x, ch, out=x)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    @pytest.mark.parametrize("kind", ["static", "mobile"])
+    def test_multi_tap_channel_refuses_a_stack(self, kind):
+        speed = 0.0 if kind == "static" else 120.0
+        ch = _tdlc(SeededRng(16, 1), speed)
+        with pytest.raises(ValueError, match="stacked signal"):
+            apply_channel(np.ones((2, 1284), dtype=complex), ch)
+        with pytest.raises(ValueError, match="out="):
+            apply_channel(np.ones(1284, dtype=complex), ch,
+                          out=np.empty(1284 + ch.ir_len - 1, dtype=complex))
 
     def test_time_varying_gains_applied_per_sample(self):
         cfg = HstConfig(ds_m=30000.0, dmin_m=2.0, speed_kmh=500.0, fc_ghz=7.0)

@@ -399,6 +399,15 @@ class TestChunking:
         ("ber", oracles.ber_values,
          dict(scheme="QAM16", compare_baseline=True, snr_db=(12.0, 18.0),
               trials=37)),
+        # the flat channel propagates a chunk at once; at the noiseless
+        # point no noise is drawn or added
+        ("ber", oracles.ber_values,
+         dict(scheme="QAM64", snr_db=(18.0, math.inf), trials=37)),
+        # genie HST: one realization propagates the chunk, and its one
+        # composite is the response of every trial
+        ("ber", oracles.ber_values,
+         dict(scheme="QAM16", genie_channel=True, channel="HST",
+              speed_kmh=500.0, snr_db=(24.0,), trials=20)),
     ])
     def test_records_equal_one_trial_at_a_time(self, tmp_path, monkeypatch,
                                                runner, oracle, kwargs):
@@ -421,7 +430,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("runner, kwargs, limit_kib", [
         (run_papr, dict(scheme="QPSK", rs_overhead_pct=8.0), 256),
         (run_ber, dict(scheme="QAM64", snr_db=(14.0, 18.0, 22.0)), 1024),
-    ], ids=["papr", "ber"])
+        (run_ber, dict(scheme="QAM256", channel="HST", speed_kmh=500.0,
+                       ars_pct=2.0, snr_db=(30.0,)), 1024),
+    ], ids=["papr", "ber", "ber_hst"])
     def test_warm_chunk_peak_memory(self, monkeypatch, runner, kwargs,
                                     limit_kib):
         # the first chunk of the call fills the workspace; the third chunk
