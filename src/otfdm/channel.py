@@ -95,12 +95,13 @@ def _delay_kernel(delay: float, length: int) -> np.ndarray:
     return kernel / np.sqrt(np.sum(kernel**2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One channel draw: per-tap delayed kernels and gain trajectories.
 
     kernels has shape (num_taps, ir_len); gains has shape (num_taps,
     num_samples) for time-varying channels or (num_taps, 1) for static ones.
+    Realizations compare and hash by identity, as draws, not by value.
     """
 
     kernels: np.ndarray

@@ -63,7 +63,7 @@ def _cmd_tx(args) -> int:
     (cfg,) = configs
     scheme, layout, filt, grid = cfg.resolve()
     # the runners' estimator rule, checked before anything is written
-    est_cfg = _estimator(cfg, scheme, layout, filt) if args.verbose else None
+    est_cfg = _estimator(scheme, layout, filt, cfg.ridge) if args.verbose else None
     ((_, time, rs_core, _, _),) = transmit_frame(((layout, filt, grid),), scheme,
                                                  SeededRng(cfg.seed, 0))
     write_waveform(args.out, time, scheme, layout, filt, grid,

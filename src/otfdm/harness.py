@@ -32,7 +32,7 @@ import numbers
 import operator
 import sys
 from dataclasses import Field, asdict, dataclass, field, fields, replace
-from functools import cache, partial, wraps
+from functools import cache, cached_property, partial, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,7 @@ from .channel import (
     hst_realization,
     tdlc_realization,
 )
-from .numerics import CcdfCounter, SeededRng, cyclic_fold, power_ratio_db
+from .numerics import CcdfCounter, SeededRng, cyclic_fold, power_ratio_db, shared
 from .receiver import (
     DegenerateEqualizer,
     EstimatorConfig,
@@ -63,11 +63,11 @@ from .sequences import (
     MOD_SCHEMES,
     FrameLayout,
     ShapingFilter,
-    make_rs_core,
     make_sqrc_filter,
     make_taps_filter,
 )
-from .transmitter import WaveformGrid, effective_pulse, generate_otfdm
+from .transmitter import (WaveformGrid, _fixed_references, effective_pulse,
+                          generate_otfdm)
 
 __all__ = [
     "ModProfile",
@@ -124,12 +124,9 @@ def _round_count(x: float, even: bool) -> int:
     return max(int(round(x)), 0)
 
 
-def layout_for(
-    scheme_name: str,
-    alloc_size: int,
-    ars_len: int = 0,
-    rs_overhead_pct: float | None = None,
-) -> FrameLayout:
+@shared
+def layout_for(scheme_name: str, alloc_size: int, ars_len: int = 0,
+               rs_overhead_pct: float | None = None) -> FrameLayout:
     """Scale the modulation profile onto an allocation of alloc_size samples.
 
     rs_overhead_pct overrides the profile's RS share while keeping its
@@ -150,9 +147,8 @@ def layout_for(
     data_len = alloc_size - (rs_len + rs_cp + rs_cs) - ars_len
     if data_len < 1:
         raise ValueError("layout_for: allocation too small for the RS budget")
-    return FrameLayout(
-        rs_len=rs_len, rs_cp=rs_cp, rs_cs=rs_cs, data_len=data_len, ars_len=ars_len
-    )
+    return FrameLayout(rs_len=rs_len, rs_cp=rs_cp, rs_cs=rs_cs,
+                       data_len=data_len, ars_len=ars_len)
 
 
 def window_for(scheme_name: str, layout: FrameLayout) -> int:
@@ -166,6 +162,7 @@ def window_for(scheme_name: str, layout: FrameLayout) -> int:
 OVERSAMPLE = 4.0
 
 
+@shared
 def grid_for(alloc_size: int, excess: int, scs_khz: float = 30.0) -> WaveformGrid:
     """Desk-scale grid: fft size is the smallest multiple of the allocation
     that oversamples the extended block by OVERSAMPLE, so symbol-spaced lags
@@ -173,13 +170,8 @@ def grid_for(alloc_size: int, excess: int, scs_khz: float = 30.0) -> WaveformGri
     mult = max(int(math.ceil(OVERSAMPLE * (alloc_size + 2 * excess) / alloc_size)), 1)
     fft_size = mult * alloc_size
     cp_len = int(round(0.07 * fft_size))
-    return WaveformGrid(
-        alloc_size=alloc_size,
-        excess=excess,
-        fft_size=fft_size,
-        cp_len=cp_len,
-        scs_khz=scs_khz,
-    )
+    return WaveformGrid(alloc_size=alloc_size, excess=excess, fft_size=fft_size,
+                        cp_len=cp_len, scs_khz=scs_khz)
 
 
 FILTER_KINDS = ("SQRC", "NONE", "TAPS2", "TAPS3")
@@ -242,9 +234,11 @@ def _stored(f: Field, value):
     return value
 
 
+@shared
 def filter_for(kind: str, alloc_size: int, extension_pct: float) -> ShapingFilter:
     """SQRC with the requested extension, a 2/3-tap magnitude filter, or the
-    rectangular (no shaping) filter."""
+    rectangular (no shaping) filter; a run constant, so that one argument
+    tuple gives one filter, and the receiver's gains of it are built once."""
     if kind == "SQRC":
         excess = int(round(alloc_size * extension_pct / 200.0))
         return make_sqrc_filter(alloc_size, excess)
@@ -317,6 +311,11 @@ class ExperimentConfig:
                                  f"alloc_size = {self.alloc_size}: {err}") from None
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        """`digest`, computed on first use and kept on the instance."""
         payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -494,10 +493,10 @@ def _runner(reads):
         @wraps(plan)
         def checked(cfg: ExperimentConfig):
             run_trials = plan(cfg)
+            read = reads(cfg) | UNREPORTED
             ignored = ", ".join(f"{f.name}={getattr(cfg, f.name)}"
-                                for f in fields(cfg) if f.name not in UNREPORTED
-                                and getattr(cfg, f.name) != f.default
-                                and f.name not in reads(cfg))
+                                for f in fields(cfg) if f.name not in read
+                                and getattr(cfg, f.name) != f.default)
             if not ignored:
                 return run_trials
             note = f"{plan.__name__} ignored {ignored}"
@@ -687,23 +686,24 @@ def _front_end(rx: np.ndarray, grid: WaveformGrid, space) -> np.ndarray:
     return front_end(rx, grid, out=out)
 
 
-def _estimator(cfg: ExperimentConfig, scheme, layout: FrameLayout,
-               filt: ShapingFilter,
+@shared
+def _estimator(scheme, layout: FrameLayout, filt: ShapingFilter, ridge: float,
                rs_field: str = "rs_overhead_pct") -> EstimatorConfig:
-    """The RS estimator of a layout, checked before any trial. A layout
-    without RS (`rs_field`, the config entry that set its RS share, is 0) is
-    refused. A pi/2-BPSK RS is drawn per symbol and any draw can have a
-    spectral null, so without ridge it is refused. Every other RS is fixed:
-    an unregularized one with a null raises SingularReference here, not
-    mid-run."""
+    """The RS estimator of a layout, checked before any trial, once per key;
+    a refused key raises on every call. A layout without RS (`rs_field`, the
+    config entry that set its RS share, is 0) is refused. A pi/2-BPSK RS is
+    drawn per symbol and any draw can have a spectral null, so without ridge
+    it is refused. Every other RS is the layout's fixed one: an
+    unregularized one with a null raises SingularReference, not mid-run."""
     if layout.rs_len == 0:
         raise ValueError(f"{rs_field} = 0 gives a layout without RS, which "
                          "leaves nothing to estimate the channel from")
-    est_cfg = EstimatorConfig(window_len=window_for(cfg.scheme, layout),
-                              ridge=cfg.ridge)
+    est_cfg = EstimatorConfig(window_len=window_for(scheme.name, layout),
+                              ridge=ridge)
     if scheme.name != "PI2_BPSK":
-        check_reference(make_rs_core(layout.rs_len, scheme), layout, filt, est_cfg)
-    elif cfg.ridge == 0:
+        check_reference(_fixed_references(layout, scheme)[0], layout, filt,
+                        est_cfg)
+    elif ridge == 0:
         raise ValueError("PI2_BPSK RS spectra are drawn per symbol and can have "
                          "nulls; set ridge > 0")
     return est_cfg
@@ -754,7 +754,7 @@ def run_mse(cfg: ExperimentConfig):
     # resolve and check every point before the first trial
     resolved = [cfg.resolve(extension_pct=ext, rs_overhead_pct=rs_pct)
                 for _, _, ext, rs_pct, _ in points]
-    estimators = [_estimator(cfg, scheme, layout, filt, rs_field)
+    estimators = [_estimator(scheme, layout, filt, cfg.ridge, rs_field)
                   for (scheme, layout, filt, _), (*_, rs_field) in zip(resolved,
                                                                        points)]
     record = partial(_record, cfg, cfg.digest())
@@ -850,7 +850,7 @@ def run_ber(cfg: ExperimentConfig):
                          "exact nulls and is divided without ridge; drop "
                          "compare_baseline")
     scheme, layout, filt, grid = cfg.resolve()
-    est_cfg = None if cfg.genie_channel else _estimator(cfg, scheme, layout, filt)
+    est_cfg = None if cfg.genie_channel else _estimator(scheme, layout, filt, cfg.ridge)
     if math.inf in cfg.snr_db:
         # every response, estimated or genie, carries the filter's folded
         # gain, so a null in it fails the noiseless point for certain

@@ -25,12 +25,13 @@ __all__ = ["shared", "dft", "cyclic_fold", "ccdf", "CcdfCounter", "evm_db",
 
 def shared(builder):
     """Decorator for a run constant, a builder whose result depends only on
-    its hashable arguments: each argument tuple is built once, the last
-    CACHE_SIZE kept, and every ndarray in the result (returned directly, in
-    nested tuples or as a dataclass's fields) is made read-only, so every
-    caller can share it. The result stays a plain function, which binds as a
+    its hashable arguments: each argument tuple is built once (equal values
+    of other types, such as 30 and 30.0, apart), the last CACHE_SIZE kept,
+    and every ndarray in the result (returned directly, in nested tuples or
+    as a dataclass's fields) is made read-only, so every caller can share
+    it. The result stays a plain function, which binds as a
     method and which tracers wrap, with `cache_info` and `cache_clear`."""
-    @functools.lru_cache(maxsize=CACHE_SIZE)
+    @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
     def cached(*args, **kwargs):
         return _freeze(builder(*args, **kwargs))
 

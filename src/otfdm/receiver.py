@@ -111,22 +111,12 @@ def fold_spectrum(demapped, filt: ShapingFilter) -> np.ndarray:
     return cyclic_fold(filt.weights * y, m, g)
 
 
-def _filter_gains(filt: ShapingFilter, rs_len: int) -> tuple:
-    """Read-only (composite, reference gain) of `filt`: its folded squared
-    gain, and that gain resampled onto the RS-length grid through an
-    rs_len-point cyclic lens (identically one for fold-flat filters).
-
-    Both depend only on the filter and the RS length, so they are built once
-    per excess, weight values and rs_len, and shared by every chunk.
-    """
-    weights = np.asarray(filt.weights, dtype=np.float64)
-    return _reference_gain(filt.excess, weights.tobytes(), rs_len)
-
-
 @shared
-def _reference_gain(excess: int, weights: bytes, rs_len: int) -> tuple:
-    """`_filter_gains` of the filter with these values (float64 weights)."""
-    filt = ShapingFilter(np.frombuffer(weights), excess, kind="")
+def _filter_gains(filt: ShapingFilter, rs_len: int) -> tuple:
+    """Read-only (composite, reference gain) of `filt`, built once per filter
+    and rs_len and shared by every chunk: its folded squared gain, and that
+    gain resampled onto the RS-length grid through an rs_len-point cyclic
+    lens (identically one for fold-flat filters)."""
     composite = filt.folded_square()
     return composite, np.fft.fft(cyclic_fold(np.fft.ifft(composite), rs_len))
 

@@ -219,19 +219,26 @@ def build_rs_block(rs_core, layout: FrameLayout) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapingFilter:
     """Real non-negative spectrum weights over the extended subcarrier grid.
 
     weights[j] is the gain at extended index j - excess, j in
     [0, alloc + 2*excess). SQRC filters satisfy the fold-flatness identity
     sum_p w(k + p*alloc)^2 = 1 exactly; tap filters only satisfy it in the
-    mean and carry the residual in their certificate.
+    mean and carry the residual in their certificate. A filter is immutable
+    (read-only float64 weights, a copy) and compares by identity, so that it
+    keys the constants derived from it.
     """
 
     weights: np.ndarray
     excess: int
     kind: str
+
+    def __post_init__(self):
+        weights = np.array(self.weights, dtype=np.float64)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     @property
     def alloc_size(self) -> int:

@@ -312,6 +312,13 @@ def test_shared_realizations_are_read_only():
             ch.gains[0, 0] = 2.0
 
 
+def test_realizations_compare_by_identity():
+    rng = SeededRng(12, 0)
+    first, second = _tdlc(rng, 120.0), _tdlc(rng, 120.0)
+    assert first == first and first != second
+    assert len({first, second, first, _hst(), _hst()}) == 3
+
+
 class TestTapSum:
     """The time-varying tap sum, a real matrix product taken tile by tile,
     equals the product over the whole window byte for byte and stays within

@@ -481,16 +481,28 @@ class TestOncePerRunnerCall:
             assert len(calls) == 1
             assert {r.config_digest for r in records} == {digest(cfg)}
 
-    def test_pulse_decay_builds_one_filter_per_point(self, monkeypatch):
-        # built before counting: a config builds its SQRC filters once, to
-        # check that they fit
-        cfg = ExperimentConfig(scheme="QPSK", gamma_sweep_pct=(0.0, 5.0, 10.0))
+    @staticmethod
+    def _filters_built(monkeypatch, runner, cfg) -> list:
+        """`make_sqrc_filter` calls of a cold then a warm runner call: the
+        filters are run constants (`filter_for`), so the first call builds
+        each distinct (kind, alloc, extension) once and the second none.
+        The config is built first, since it builds its SQRC filters to check
+        that they fit."""
         calls = []
         make = harness.make_sqrc_filter
         monkeypatch.setattr(harness, "make_sqrc_filter",
                             lambda *args: calls.append(args) or make(*args))
-        run_pulse_decay(cfg)
-        assert len(calls) == 3
+        filter_for.cache_clear()
+        built = []
+        for _ in range(2):
+            runner(cfg)
+            built.append(len(calls))
+            calls.clear()
+        return built
+
+    def test_pulse_decay_builds_one_filter_per_point(self, monkeypatch):
+        cfg = ExperimentConfig(scheme="QPSK", gamma_sweep_pct=(0.0, 5.0, 10.0))
+        assert self._filters_built(monkeypatch, run_pulse_decay, cfg) == [3, 0]
 
     @pytest.mark.parametrize("kwargs, trials, calls", [
         # HST and AWGN draw nothing: one realization per chunk of 16 trials
@@ -513,21 +525,40 @@ class TestOncePerRunnerCall:
         assert len(made) == count
 
     @pytest.mark.parametrize("runner, kwargs, filters", [
-        # one resolve per sweep point
+        # one filter per distinct extension: the three swept ones, which the
+        # RS points' fixed 5% repeats
         (run_mse, dict(gamma_sweep_pct=(0.0, 5.0, 10.0),
-                       rs_sweep_pct=(5.0, 8.0, 12.0)), 6),
+                       rs_sweep_pct=(5.0, 8.0, 12.0)), 3),
         # the configured waveform and the baseline, whatever the SNRs
         (run_ber, dict(compare_baseline=True, snr_db=(6.0, 12.0, 18.0)), 2),
     ])
     def test_filters_built_once(self, monkeypatch, runner, kwargs, filters):
         cfg = ExperimentConfig(scheme="QPSK", trials=20, seed=3,
                                rs_overhead_pct=8.0, **kwargs)
+        assert self._filters_built(monkeypatch, runner, cfg) == [filters, 0]
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(scheme="QAM64", channel="TDLC", speed_kmh=120.0),
+        dict(scheme="QAM256", ars_pct=2.0, channel="HST", speed_kmh=500.0),
+        dict(scheme="QPSK", compare_baseline=True, snr_db=(6.0, math.inf)),
+    ])
+    def test_warm_plan_does_no_numerical_work(self, monkeypatch, kwargs):
+        # layouts, filters, grids, filter gains, the reference check and the
+        # digest are run constants: a repeated plan rebuilds none of them
+        cfg = ExperimentConfig(alloc_size=240, extension_pct=5.0, trials=4,
+                               seed=2, **kwargs)
+        run_ber(cfg)
         calls = []
-        make = harness.make_sqrc_filter
+
+        def counting(name, original):
+            return lambda *a, **k: calls.append(name) or original(*a, **k)
+
         monkeypatch.setattr(harness, "make_sqrc_filter",
-                            lambda *args: calls.append(args) or make(*args))
-        runner(cfg)
-        assert len(calls) == filters
+                            counting("make_sqrc_filter", harness.make_sqrc_filter))
+        monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
+        monkeypatch.setattr(json, "dumps", counting("dumps", json.dumps))
+        run_ber.plan(cfg)
+        assert calls == []
 
 
 class TestPapr:
@@ -701,6 +732,8 @@ class TestMse:
         checked = []
         monkeypatch.setattr(harness, "check_reference",
                             lambda core, *a: checked.append(core))
+        # the check is a run constant: a warm key would not check again
+        harness._estimator.cache_clear()
         cfg = ExperimentConfig(scheme=scheme, trials=1, snr_db=(30.0,))
         run_ber(cfg)
         _, layout, filt, grid = cfg.resolve()

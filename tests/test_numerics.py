@@ -410,12 +410,17 @@ def test_ccdf_counter_misuse_raises():
 
 def _shared_builders():
     """(id, builder, args) of every `numerics.shared` builder."""
-    from otfdm import channel, numerics, receiver, sequences, transmitter
+    from otfdm import channel, harness, numerics, receiver, sequences, transmitter
     from otfdm.harness import filter_for, grid_for, layout_for
 
     qam16 = sequences.MOD_SCHEMES["QAM16"]
     filt = filter_for("SQRC", 96, 10.0)
     return [
+        ("harness.layout_for", layout_for, ("QAM16", 120, 4, 8.0)),
+        ("harness.grid_for", grid_for, (120, 3, 30.0)),
+        ("harness.filter_for", filter_for, ("TAPS3", 96, 0.0)),
+        ("harness._estimator", harness._estimator,
+         (qam16, layout_for("QAM16", 96, 0, 10.0), filt, 0.0)),
         ("numerics._seed_prefix", numerics._seed_prefix, (5,)),
         ("numerics._seed_block", numerics._seed_block, (5, 1)),
         ("numerics._stream_types", numerics._stream_types, ()),
@@ -425,8 +430,7 @@ def _shared_builders():
          (layout_for("QAM16", 120, 4), qam16)),
         ("transmitter.WaveformGrid.mapped_bins",
          transmitter.WaveformGrid.mapped_bins, (grid_for(120, 3),)),
-        ("receiver._reference_gain", receiver._reference_gain,
-         (filt.excess, filt.weights.tobytes(), 12)),
+        ("receiver._filter_gains", receiver._filter_gains, (filt, 12)),
         ("receiver._qam_axes", receiver._qam_axes,
          (sequences.MOD_SCHEMES["QAM64"],)),
         ("channel._tdlc_kernels", channel._tdlc_kernels, (1000.0, 36e6)),
@@ -453,11 +457,14 @@ def _arrays(value):
 
 
 def test_every_shared_builder_is_listed():
-    from otfdm import channel, numerics, receiver, sequences, transmitter
+    from otfdm import channel, harness, numerics, receiver, sequences, transmitter
 
+    # each builder under the module that defines it, not one that imports it
     found = {f"{module.__name__.split('.')[-1]}.{name}"
-             for module in (channel, numerics, receiver, sequences, transmitter)
-             for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
+             for module in (channel, harness, numerics, receiver, sequences,
+                            transmitter)
+             for name, obj in vars(module).items() if hasattr(obj, "cache_info")
+             and obj.__module__ == module.__name__}
     found |= {f"transmitter.WaveformGrid.{name}"
               for name, obj in vars(transmitter.WaveformGrid).items()
               if hasattr(obj, "cache_info")}
@@ -473,6 +480,15 @@ def test_shared_builder_is_one_bounded_read_only_constant(name, builder, args):
     assert builder(*args) is value
     assert all(not a.flags.writeable for a in _arrays(value))
     assert builder.cache_info().maxsize == CACHE_SIZE
+
+
+def test_equal_arguments_of_other_types_build_their_own_constant():
+    from otfdm.harness import grid_for
+
+    grid_for.cache_clear()
+    as_int, as_float = grid_for(120, 3, 30), grid_for(120, 3, 30.0)
+    assert as_int is not as_float and as_int == as_float
+    assert type(as_int.scs_khz) is int and type(as_float.scs_khz) is float
 
 
 def test_equal_hst_arguments_give_one_realization():

@@ -514,12 +514,12 @@ class TestDemodulate:
 
 
 class TestRunConstants:
-    """The filter gains and the demapper tables are built once per filter
-    value, RS length and scheme, and shared read-only."""
+    """The filter gains and the demapper tables are built once per filter,
+    RS length and scheme, and shared read-only."""
 
     @staticmethod
     def _clear():
-        receiver._reference_gain.cache_clear()
+        receiver._filter_gains.cache_clear()
         receiver._qam_axes.cache_clear()
 
     def test_records_do_not_depend_on_the_order_of_configs(self):

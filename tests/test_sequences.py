@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,20 @@ class TestSqrcFilter:
         expected = fold_composite_direct(filt.weights, alloc, excess, ones).real
         np.testing.assert_allclose(filt.folded_square(), expected, rtol=0,
                                    atol=4 * np.finfo(float).eps)
+
+
+def test_filter_is_an_immutable_value_compared_by_identity():
+    weights = np.ones(16)
+    filt = make_sqrc_filter(16, 0)
+    for f in (filt, make_taps_filter([1.0, -1.0], 16)):
+        with pytest.raises(ValueError, match="read-only"):
+            f.weights[0] = 2.0
+    twin = make_sqrc_filter(16, 0)
+    assert filt == filt and filt != twin and len({filt, twin, filt}) == 2
+    # the caller's array is copied, not frozen under the caller
+    other = replace(filt, weights=weights)
+    weights[0] = 2.0
+    assert other.weights[0] == 1.0 and weights.flags.writeable
 
 
 class TestTapsFilter:
