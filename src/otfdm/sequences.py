@@ -240,6 +240,11 @@ class ShapingFilter:
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
+    def __reduce__(self):
+        # copies and unpickled filters are built through __init__, so their
+        # weights are read-only too; each is a new identity
+        return type(self), (self.weights, self.excess, self.kind)
+
     @property
     def alloc_size(self) -> int:
         return self.weights.size - 2 * self.excess

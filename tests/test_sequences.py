@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -257,6 +259,20 @@ def test_filter_is_an_immutable_value_compared_by_identity():
     other = replace(filt, weights=weights)
     weights[0] = 2.0
     assert other.weights[0] == 1.0 and weights.flags.writeable
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda f: pickle.loads(pickle.dumps(f))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copied_filter_is_a_new_immutable_value(clone):
+    filt = filter_for("SQRC", 240, 5.0)
+    twin = clone(filt)
+    assert twin is not filt and twin != filt
+    assert (twin.excess, twin.kind) == (filt.excess, filt.kind)
+    assert twin.weights.tobytes() == filt.weights.tobytes()
+    assert not np.shares_memory(twin.weights, filt.weights)
+    with pytest.raises(ValueError, match="read-only"):
+        twin.weights[0] = 2.0
 
 
 class TestTapsFilter:
