@@ -5,11 +5,9 @@ can run concurrently, each with its own stream.
 
 Which arrays a realization may share: the AWGN and HST realizations are run
 constants (`numerics.shared`), one read-only realization per key that every
-trial reads. A TDL-C realization's gains are written into the buffer that
-its `work` gives (`numerics.fresh`): a new array by default, which the
-caller owns. The harness's send loop passes its lasting workspace, so a
-TDL-C realization it builds is valid only until its next trial, which
-writes the next draw's gains into the same buffer.
+trial reads. A TDL-C realization's gains are a new, writable array of its
+caller's (its delay kernels are a shared, read-only run constant), and so
+are a custom realization's kernels and gains.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import SeededRng, fresh, shared
+from .numerics import SeededRng, shared
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -187,11 +185,9 @@ def _rayleigh_tap_gains(
     doppler_hz: float,
     sample_rate_hz: float,
     rng: SeededRng,
-    work=fresh,
 ) -> np.ndarray:
     """(num_taps, num_samples) Rayleigh gain trajectories, classical Doppler
-    spectrum, tap t with mean power powers[t]. The trajectory (a view of
-    one) and the series product are written into `work`'s buffers.
+    spectrum, tap t with mean power powers[t].
 
     Each tap is a sum of sinusoids exp(i(w_k n / fs + phi_k)) with random
     phases and arrival angles, drawn tap after tap (phases, then angles); a
@@ -216,9 +212,7 @@ def _rayleigh_tap_gains(
     if doppler_hz == 0.0:
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(taps, NUM_SINUSOIDS))
         g = np.sum(_phasor(phases), axis=1) / np.sqrt(NUM_SINUSOIDS)
-        out = work("channel.gains", (taps, num_samples), np.complex128)
-        out[...] = amp * g[:, None]
-        return out
+        return np.repeat(amp * g[:, None], num_samples, axis=1)
     draws = rng.uniform(0.0, 2.0 * np.pi, size=(taps, 2, NUM_SINUSOIDS))
     phases, angles = draws[:, 0, :], draws[:, 1, :]
     w = 2.0 * np.pi * doppler_hz * np.cos(angles)
@@ -230,28 +224,25 @@ def _rayleigh_tap_gains(
     phasors = _phasor(w[:, :, None] * centres + phases[:, :, None])
     # coef[m, t, k] = amp[t] / sqrt(K) * (w[t, k] / fs)^m; the 1/m! is in
     # the offset table
-    coef = work("channel.coef", (order + 1, taps, NUM_SINUSOIDS), np.float64)
+    coef = np.empty((order + 1, taps, NUM_SINUSOIDS))
     coef[0] = amp / np.sqrt(NUM_SINUSOIDS)
     step = w / sample_rate_hz
     for m in range(1, order + 1):
         np.multiply(coef[m - 1], step, out=coef[m])
     # (taps, order + 1, blocks) series coefficients: a real product with the
     # phasors' interleaved (real, imaginary) parts, then times i^m
-    series = np.matmul(coef.transpose(1, 0, 2), phasors.view(np.float64),
-                       out=work("channel.series", (taps, order + 1, 2 * blocks),
-                                np.float64)).view(np.complex128)
+    series = np.matmul(coef.transpose(1, 0, 2), phasors.view(np.float64))
+    series = series.view(np.complex128)
     series *= _I_POWERS[np.arange(order + 1) % 4, None]
     # per (tap, block): offset powers (block, order + 1) times the
     # coefficients as (order + 1, 2) interleaved floats
-    by_block = work("channel.by_block", (taps, blocks, order + 1),
-                    np.complex128)
-    by_block[...] = series.transpose(0, 2, 1)
-    g = work("channel.gains", (taps, blocks * block), np.complex128)
-    np.matmul(_offset_powers(order, block).T,
-              by_block.view(np.float64).reshape(taps * blocks, order + 1, 2),
-              out=g.view(np.float64).reshape(taps * blocks, block, 2))
-    # the last block's samples past num_samples are dropped
-    return g if blocks * block == num_samples else g[:, :num_samples]
+    series = np.ascontiguousarray(series.transpose(0, 2, 1))
+    g = np.matmul(_offset_powers(order, block).T,
+                  series.view(np.float64).reshape(taps * blocks, order + 1, 2))
+    g = g.reshape(taps, 2 * blocks * block).view(np.complex128)
+    if blocks * block == num_samples:
+        return g
+    return np.ascontiguousarray(g[:, :num_samples])
 
 
 def tdlc_realization(
@@ -261,13 +252,11 @@ def tdlc_realization(
     sample_rate_hz: float,
     rng: SeededRng,
     num_samples: int = 1,
-    work=fresh,
 ) -> ChannelRealization:
     """TDL-C fading draw with the profile span scaled to delay_spread_ns.
 
     Per-tap Rayleigh processes follow the classical Doppler spectrum with
-    maximum shift (speed/c) * fc. Average total tap power is one. The gains
-    are written into `work`'s buffers (see the module docstring).
+    maximum shift (speed/c) * fc. Average total tap power is one.
     """
     if delay_spread_ns <= 0:
         raise ValueError("tdlc_realization: delay_spread_ns must be > 0")
@@ -275,8 +264,7 @@ def tdlc_realization(
 
     span = num_samples if (speed_kmh > 0 and num_samples > 1) else 1
     doppler = _max_doppler_hz(speed_kmh, fc_ghz) if span > 1 else 0.0
-    gains = _rayleigh_tap_gains(_TDLC_POWERS, span, doppler, sample_rate_hz,
-                                rng, work)
+    gains = _rayleigh_tap_gains(_TDLC_POWERS, span, doppler, sample_rate_hz, rng)
     return ChannelRealization(kernels=kernels, gains=gains)
 
 
@@ -382,7 +370,7 @@ def _weight(gains: np.ndarray, block: np.ndarray, lo: int) -> None:
 
 
 def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray,
-             out=None, work=fresh) -> np.ndarray:
+             out=None) -> np.ndarray:
     """sum_t gains[t] * (x convolved with kernels[t]), the last gain held over
     the convolution tail.
 
@@ -390,15 +378,13 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray,
     sliding window holds the zero-padded signal shifted by j, as interleaved
     (real, imaginary) floats, so the reversed real kernels times the window
     are the complex convolutions of every tap. The product runs tile by tile
-    over _TILE output samples: each tile's window is copied into one
-    contiguous buffer (ir_len * 2 * _TILE floats) that every tile reuses, its
-    product goes into another, (taps, 2 * _TILE), is weighted by its gain
-    columns there and summed over taps straight into its samples of the
-    result, so no taps x samples array is built. The padded signal, both
-    tile buffers and the result are `work`'s buffers. Every output is the
-    same length-ir_len dot product as in one product over the whole window,
-    times the same gain, with taps summed in the same order. Within 1e-13
-    relative of one np.convolve per tap.
+    over _TILE output samples: each tile's window is copied once (ir_len * 2
+    * _TILE floats), its product goes into one (taps, 2 * _TILE) buffer reused
+    by every tile, is weighted by its gain columns there and summed over taps
+    straight into its samples of the result, so no taps x samples array is
+    built. Every output is the same length-ir_len dot product as in one
+    product over the whole window, times the same gain, with taps summed in
+    the same order. Within 1e-13 relative of one np.convolve per tap.
     One-sample kernels (flat AWGN, HST) only scale the signal, with no window
     built; there x may carry leading axes, each row scaled as the 1-D call,
     and one tap may scale into `out`, x itself included.
@@ -415,27 +401,18 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray,
         # a one-tap sum is that tap, so no second array is made
         return conv[..., 0, :] if len(kernels) == 1 else conv.sum(axis=-2)
     out_len = x.size + ir_len - 1
-    padded = work("channel.padded", (x.size + 2 * (ir_len - 1),), np.complex128)
-    padded[: ir_len - 1] = 0.0
+    padded = np.zeros(x.size + 2 * (ir_len - 1), dtype=np.complex128)
     padded[ir_len - 1 : ir_len - 1 + x.size] = x
-    padded[ir_len - 1 + x.size :] = 0.0
     window = sliding_window_view(padded.view(np.float64), 2 * out_len)[::2]
     reversed_kernels = np.ascontiguousarray(kernels[:, ::-1])
-    windows = work("channel.windows", (ir_len * 2 * _TILE,), np.float64)
-    full = windows.reshape(ir_len, 2 * _TILE)
-    buf = work("channel.tiles", (kernels.shape[0], 2 * _TILE), np.float64)
-    y = work("channel.tap_sum", (out_len,), np.complex128)
+    buf = np.empty((kernels.shape[0], 2 * _TILE))
+    y = np.empty(out_len, dtype=np.complex128)
     flat = y.view(np.float64)
     for lo in range(0, out_len, _TILE):
         cols = slice(2 * lo, 2 * min(lo + _TILE, out_len))
-        width = cols.stop - cols.start
-        tile = buf[:, :width]
-        # the window's columns copied into a contiguous (ir_len, width) head
-        # of the buffer, the operand that np.ascontiguousarray would make
-        operand = (full if width == 2 * _TILE
-                   else windows[: ir_len * width].reshape(ir_len, width))
-        operand[...] = window[:, cols]
-        np.matmul(reversed_kernels, operand, out=tile)
+        tile = buf[:, : cols.stop - cols.start]
+        np.matmul(reversed_kernels, np.ascontiguousarray(window[:, cols]),
+                  out=tile)
         _weight(gains, tile.view(np.complex128), lo)
         # summed as floats: a one-sample tile summed as complex would reduce
         # its taps pairwise, not in order
@@ -444,17 +421,14 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray,
 
 
 def apply_channel(signal, ch: ChannelRealization, rng: SeededRng | None = None,
-                  noise_variance: float = 0.0, out=None,
-                  work=fresh) -> np.ndarray:
+                  noise_variance: float = 0.0, out=None) -> np.ndarray:
     """Time-varying linear convolution with the realized taps, plus complex
     AWGN of power noise_variance per output sample (`rng.complex_normal`).
 
     Output length is the signal length plus the impulse-response span so the
     full convolution tail is kept. One-sample channels (flat AWGN, HST) also
     take stacked rows, each as the 1-D call, and with one tap `out`, which
-    may be the signal; longer ones refuse both. Only noise reads `rng`. A
-    time-varying multi-tap sum and its noise are `work`'s buffers, and so is
-    its result.
+    may be the signal; longer ones refuse both. Only noise reads `rng`.
     """
     x = np.asarray(signal, dtype=np.complex128)
     if x.size == 0:
@@ -468,8 +442,7 @@ def apply_channel(signal, ch: ChannelRealization, rng: SeededRng | None = None,
         y = np.convolve(x, ch.impulse_response())
     else:
         # time-varying, or one sample long (flat AWGN, HST): a scaling
-        y = _tap_sum(x, ch.kernels, ch.gains, out, work)
+        y = _tap_sum(x, ch.kernels, ch.gains, out)
     if noise_variance != 0.0:
-        noise = work("channel.noise", y.shape, np.complex128)
-        y += rng.complex_normal(y.shape, noise_variance, out=noise)
+        y += rng.complex_normal(y.shape, noise_variance)
     return y

@@ -17,20 +17,10 @@ inverse linear SNR as its noise variance.
 
 Trials run in chunks of contiguous trial indices, in one thread. Each
 trial sends its frame (one or more symbols back to back) through one channel
-realization on its own `SeededRng(seed, trial)` stream into its rows of the
-workspace; the receiver then runs once per chunk on those rows, and
-per-trial results are pooled in trial order, so the records do not depend
-on the chunking.
-
-The workspace outlives the runner call. It is each thread's pool of
-writable arrays (`_pooled`), one per (name, shape, dtype), holding at most
-POOL_BYTES (16 MiB), the least recently used dropped first; an array with a
-row per trial has CHUNK_TRIALS rows (`_rows`). The channel and receiver
-calls of a trial loop take it as their `work`, so a warm runner call on the
-benchmark's mobility configs allocates no array above 128 KiB, and warm
-passes fault no memory in. After one pass of a benchmark workload it holds
-810 KiB (PAPR), 1574 KiB (AWGN BER), 3782 KiB (static TDL-C MSE) or 3630
-KiB (mobility BER).
+realization on its own `SeededRng(seed, trial)` stream into its rows of a
+`_workspace` that the runner call owns; the receiver then runs once per
+chunk on those rows, and per-trial results are pooled in trial order, so
+the records do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -41,8 +31,6 @@ import math
 import numbers
 import operator
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from functools import cache, cached_property, partial, wraps
 from typing import NamedTuple
@@ -431,53 +419,13 @@ def _map_chunks(work, trials: int) -> tuple:
     return tuple(np.concatenate(col) for col in zip(*map(work, _chunks(trials))))
 
 
-# Most bytes that one thread's workspace pool keeps between runner calls.
-POOL_BYTES = 16 << 20
-
-class _Pool(threading.local):
-    """One thread's workspace: `arrays` maps (name, shape, dtype) to its
-    array, the least recently used first."""
-
-    def __init__(self):
-        self.arrays = OrderedDict()
-
-
-_pool = _Pool()
-
-
-def _pooled(name: str, shape: tuple, dtype) -> np.ndarray:
-    """This thread's lasting writable array of (name, shape, dtype): made on
-    first use and kept across runner calls, so a warm call allocates none.
-    The least recently used arrays are dropped while the pool holds more
-    than POOL_BYTES. Every holder of one overwrites it, so nothing a runner
-    returns may alias it. It is the `work` (`numerics.fresh`) of the
-    per-trial channel calls."""
-    arrays, key = _pool.arrays, (name, shape, dtype)
-    array = arrays.get(key)
-    if array is not None:
-        arrays.move_to_end(key)
-        return array
-    array = arrays[key] = np.empty(shape, dtype)
-    held = sum(a.nbytes for a in arrays.values())
-    while held > POOL_BYTES and len(arrays) > 1:
-        held -= arrays.popitem(last=False)[1].nbytes
-    return array
-
-
-def _rows(name: str, shape: tuple, dtype) -> np.ndarray:
-    """The first shape[0] rows of the pooled array of CHUNK_TRIALS rows of
-    shape[1:]: the `work` of a chunk's calls, whose arrays have a row per
-    trial, so that chunks of every size share one array."""
-    return _pooled(name, (CHUNK_TRIALS, *shape[1:]), dtype)[: shape[0]]
-
-
 def _workspace(trials: int):
     """The arrays the chunks of one trial loop write into: `space(name, row
-    shape, dtype)` is `min(CHUNK_TRIALS, trials)` rows of a pooled array
-    (`_rows`). The next chunk overwrites a chunk's rows, so nothing a chunk
-    returns may alias them."""
+    shape, dtype)` is one array of `min(CHUNK_TRIALS, trials)` rows, made on
+    first use, so a warm chunk allocates none. The next chunk overwrites a
+    chunk's rows, so nothing a chunk returns may alias them."""
     rows = min(CHUNK_TRIALS, trials)
-    return cache(lambda name, shape, dtype: _rows(name, (rows, *shape), dtype))
+    return cache(lambda name, shape, dtype: np.empty((rows, *shape), dtype))
 
 
 def _data_bits(rng: SeededRng, layout: FrameLayout, scheme) -> np.ndarray:
@@ -633,15 +581,13 @@ def run_papr(cfg: ExperimentConfig):
 def _make_channel(cfg: ExperimentConfig, grid: WaveformGrid, rng: SeededRng,
                   num_samples: int) -> ChannelRealization:
     """The config's channel on one trial's stream `rng`. Only TDL-C draws
-    from it, into pooled buffers (`_pooled`) that the next TDL-C trial
-    overwrites; the AWGN and HST channels (every HST trial starts at t0 = 0)
-    are the same read-only realization for every trial."""
+    from it; the AWGN and HST channels (every HST trial starts at t0 = 0) are
+    the same read-only realization for every trial."""
     if cfg.channel == "AWGN":
         return flat_realization()
     if cfg.channel == "TDLC":
         return tdlc_realization(cfg.delay_spread_ns, cfg.speed_kmh, cfg.fc_ghz,
-                                grid.sample_rate_hz, rng,
-                                num_samples=num_samples, work=_pooled)
+                                grid.sample_rate_hz, rng, num_samples=num_samples)
     # HST, the one channel of CHANNELS left
     hst = HstConfig(speed_kmh=cfg.speed_kmh, fc_ghz=cfg.fc_ghz)
     return hst_realization(hst, t0=0.0, duration=num_samples / grid.sample_rate_hz,
@@ -687,10 +633,7 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
     AWGN and HST draw nothing: one call propagates all rows in place, and
     then each trial's stream draws its noise onto its row. `with_truth` adds
     the oracle folded composite mid first symbol. The next chunk overwrites
-    `space`: return arrays computed from it. A TDL-C trial's realization
-    views pooled buffers (`_pooled`), so it is valid only until the next
-    trial draws its own into them; it is used, and its oracle composite
-    taken, before that."""
+    `space`: return arrays computed from it."""
     _, filt, grid = frame[0]
     mid = grid.cp_len + grid.fft_size // 2
     count, per_trial = len(trials), cfg.channel == "TDLC"
@@ -720,15 +663,14 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
         for view, i, k in columns:
             view[row] = symbols[i][k]
         if per_trial:
-            rx[row] = apply_channel(rx[row, :n], ch, rng, time_var,
-                                    work=_pooled)
+            rx[row] = apply_channel(rx[row, :n], ch, rng, time_var)
         else:
             streams.append(rng)
     if not per_trial:
         apply_channel(rx, ch, out=rx)
         # y + n, as the 1-D call adds them, a row at a time: a chunk of noise
         # would be one more chunk-sized array to allocate and fault in
-        noise = _pooled("noise", (n,), complex)
+        noise = np.empty(n, dtype=complex)
         for y, rng in zip(rx, streams if time_var else ()):
             y += rng.complex_normal(n, time_var, out=noise)
     truth = None
@@ -738,6 +680,10 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
     return _Sent(*rows, truth)
 
 
+def _front_end(rx: np.ndarray, grid: WaveformGrid, space) -> np.ndarray:
+    """`front_end` of a chunk's rows, its FFT written into `space`."""
+    out = space("spectrum", (grid.fft_size,), complex)[: len(rx)]
+    return front_end(rx, grid, out=out)
 
 
 @shared
@@ -766,14 +712,15 @@ def _estimator(scheme, layout: FrameLayout, filt: ShapingFilter, ridge: float,
 def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
                filt: ShapingFilter, grid: WaveformGrid,
                est_cfg: EstimatorConfig, snr_db: float) -> float:
+    # a workspace per point: the points differ in layout and grid, so one
+    # per runner call would hold every point's arrays to its end
     time_var, _ = _noise_vars(grid, snr_db)
     space = _workspace(cfg.trials)
 
     def chunk(trials: range):
         sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, space,
                      trials, with_truth=True)
-        folded = fold_spectrum(front_end(sent.rx, grid, work=_rows), filt,
-                               _rows)
+        folded = fold_spectrum(_front_end(sent.rx, grid, space), filt)
         response = estimate_channel(folded, filt, layout, sent.rs_core, est_cfg)
         return (np.mean(np.abs(response - sent.truth) ** 2, axis=-1),)
 
@@ -828,24 +775,18 @@ def run_mse(cfg: ExperimentConfig):
 def _mmse_bias(response, inv_snr: float) -> np.ndarray:
     """Mean constellation shrink per symbol of the MMSE equalizer that used
     `response`, removed before minimum-distance demapping (unbiased-MMSE
-    convention); its per-subcarrier terms in pooled arrays (`_rows`)."""
-    power = np.abs(response, out=_rows("power", response.shape, float))
-    np.square(power, out=power)
-    shrink = np.add(power, inv_snr, out=_rows("shrink", response.shape, float))
-    np.divide(power, shrink, out=shrink)
-    return np.maximum(np.mean(shrink, axis=-1), 1e-6)
+    convention)."""
+    power = np.abs(response) ** 2
+    return np.maximum(np.mean(power / (power + inv_snr), axis=-1), 1e-6)
 
 
 def _data_errors(data, response, inv_snr: float, scheme, bits: np.ndarray,
                  sent: np.ndarray) -> tuple:
     """Per-trial (bit_errors, bits, error_power, reference_power) of the
-    equalized data segments of a chunk, unbiased and demapped in pooled
-    arrays (`_rows`)."""
-    data = np.divide(data, _mmse_bias(response, inv_snr)[:, None],
-                     out=_rows("unbiased", data.shape, complex))
-    hard = hard_bits(data, scheme, _rows)
-    wrong = np.not_equal(hard, bits, out=_rows("wrong", bits.shape, bool))
-    return (np.count_nonzero(wrong, axis=-1),
+    equalized data segments of a chunk, unbiased and demapped."""
+    data = data / _mmse_bias(response, inv_snr)[:, None]
+    hard = hard_bits(data, scheme)
+    return (np.count_nonzero(hard != bits, axis=-1),
             np.full(len(bits), bits.shape[-1]),
             np.sum(np.abs(data - sent) ** 2, axis=-1),
             np.sum(np.abs(sent) ** 2, axis=-1))
@@ -857,14 +798,14 @@ def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, space,
     time_var, inv_snr = _noise_vars(grid, snr_db)
     sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, space, trials,
                  with_truth=cfg.genie_channel)
-    folded = fold_spectrum(front_end(sent.rx, grid, work=_rows), filt, _rows)
+    folded = fold_spectrum(_front_end(sent.rx, grid, space), filt)
     if cfg.genie_channel:
         response = sent.truth
     else:
         response = estimate_channel(folded, filt, layout, sent.rs_core, est_cfg)
     time = mmse_equalize(folded, response, inv_snr)
     if layout.ars_len and cfg.ars_correction:
-        time, _ = ars_phase_correct(time, sent.ars_symbols, layout, _rows)
+        time, _ = ars_phase_correct(time, sent.ars_symbols, layout)
     return _data_errors(time[:, layout.data_start : layout.ars_start], response,
                         inv_snr, scheme, sent.bits, sent.data_symbols)
 
@@ -877,8 +818,8 @@ def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, space, trials):
     time_var, inv_snr = _noise_vars(grid, snr_db)
     sent = _send(cfg, scheme, frame, time_var, space, trials)
     half = grid.fft_size + grid.cp_len
-    y_rs, y_data = (fold_spectrum(front_end(rx, grid, work=_rows), filt, _rows)
-                    for rx in (sent.rx[:, :half], sent.rx[:, half:]))
+    y_rs = fold_spectrum(_front_end(sent.rx[:, :half], grid, space), filt)
+    y_data = fold_spectrum(_front_end(sent.rx[:, half:], grid, space), filt)
     response = y_rs / np.fft.fft(sent.rs_core)
     return _data_errors(mmse_equalize(y_data, response, inv_snr), response,
                         inv_snr, scheme, sent.bits, sent.data_symbols)

@@ -19,8 +19,8 @@ import numpy as np
 # of KiB per entry.
 CACHE_SIZE = 32
 
-__all__ = ["shared", "fresh", "dft", "cyclic_fold", "ccdf", "CcdfCounter",
-           "evm_db", "power_ratio_db", "SeededRng"]
+__all__ = ["shared", "dft", "cyclic_fold", "ccdf", "CcdfCounter", "evm_db",
+           "power_ratio_db", "SeededRng"]
 
 
 def shared(builder):
@@ -54,16 +54,6 @@ def _freeze(value):
         for item in value:
             _freeze(item)
     return value
-
-
-def fresh(name: str, shape: tuple, dtype) -> np.ndarray:
-    """A new, uninitialized array: the default `work` of the functions that
-    take one. `work(name, shape, dtype)` gives the buffer that a function
-    calls `name`, one name per buffer it uses at once. A caller that keeps
-    buffers between calls, as the harness's lasting workspace does, passes
-    its own; a result in a kept buffer is then valid until the next call
-    with the same `work` writes it again."""
-    return np.empty(shape, dtype)
 
 
 def _as_complex_vec(x) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cyclic_fold, fresh, shared
+from .numerics import cyclic_fold, shared
 from .sequences import FrameLayout, ModScheme, ShapingFilter, modulate
 from .transmitter import WaveformGrid
 
@@ -75,15 +75,13 @@ class EstimatorConfig:
                              f"got {self.ridge!r}")
 
 
-def front_end(rx, grid: WaveformGrid, *, out=None, work=fresh) -> np.ndarray:
+def front_end(rx, grid: WaveformGrid, *, out=None) -> np.ndarray:
     """Strip the symbol CP, transform, and demap the extended block.
 
     The fixed alloc/fft scale undoes the transmit normalization, so a clean
     loopback returns exactly the shaped block that was mapped. A complex
-    `out` of shape (leading axes, fft_size) takes the body's FFT (without
-    it, a `work` buffer does), so a caller can reuse it; the demapped block
-    is another `work` buffer, by default a new array, byte for byte the same
-    whichever buffers are used.
+    `out` of shape (leading axes, fft_size) takes the body's FFT, so a caller
+    can reuse it; the result is a new array, byte for byte the same.
     """
     rx = np.asarray(rx, dtype=np.complex128)
     need = grid.fft_size + grid.cp_len
@@ -92,24 +90,16 @@ def front_end(rx, grid: WaveformGrid, *, out=None, work=fresh) -> np.ndarray:
             f"front_end: need at least {need} samples, got {rx.shape[-1:]}"
         )
     body = rx[..., grid.cp_len : grid.cp_len + grid.fft_size]
-    if out is None:
-        out = work("front_end.spectrum", body.shape, np.complex128)
     spectrum = np.fft.fft(body, out=out)
-    # mode="clip" takes without a buffered copy; every bin is in range
-    block = np.take(spectrum, grid.mapped_bins(), axis=-1, mode="clip",
-                    out=work("front_end.block",
-                             body.shape[:-1] + (grid.extended_size,),
-                             np.complex128))
-    return np.multiply(block, grid.alloc_size / grid.fft_size, out=block)
+    return spectrum[..., grid.mapped_bins()] * (grid.alloc_size / grid.fft_size)
 
 
-def fold_spectrum(demapped, filt: ShapingFilter, work=fresh) -> np.ndarray:
+def fold_spectrum(demapped, filt: ShapingFilter) -> np.ndarray:
     """Matched-filter the extended block and alias it to the allocation size,
     the symbol-rate spectrum with the allocation length on its last axis.
 
     Each output bin k accumulates w*y over the extended positions congruent
     to k modulo the allocation; out-of-range aliases contribute nothing.
-    The matched-filtered block is a `work` buffer.
     """
     y = np.asarray(demapped, dtype=np.complex128)
     m, g = filt.alloc_size, filt.excess
@@ -118,8 +108,7 @@ def fold_spectrum(demapped, filt: ShapingFilter, work=fresh) -> np.ndarray:
             f"fold_spectrum: block length {y.shape[-1:]} != extended size "
             f"{m + 2 * g}"
         )
-    weighted = work("fold_spectrum.weighted", y.shape, np.complex128)
-    return cyclic_fold(np.multiply(filt.weights, y, out=weighted), m, g)
+    return cyclic_fold(filt.weights * y, m, g)
 
 
 @shared
@@ -233,8 +222,7 @@ def mmse_equalize(folded, response, noise_var: float) -> np.ndarray:
     return np.fft.ifft(np.conj(h) / (np.abs(h) ** 2 + noise_var) * folded)
 
 
-def ars_phase_correct(equalized, ars_ref, layout: FrameLayout,
-                      work=fresh) -> tuple:
+def ars_phase_correct(equalized, ars_ref, layout: FrameLayout) -> tuple:
     """Estimate the per-sample phase increment from the tail pilots and
     derotate the data segment: (time, phase_step) of each equalized time
     symbol, phase_step a float for one symbol and one step per symbol for a
@@ -243,7 +231,6 @@ def ars_phase_correct(equalized, ars_ref, layout: FrameLayout,
     The phase reference sits at the end of the RS core, so pilot sample n
     carries phase (n + rs_cs + data_len) * step and data sample n carries
     (n + rs_cs) * step. Unambiguous while |step| * alloc stays below pi.
-    The derotation phasors are a `work` buffer.
     """
     ars_ref = np.asarray(ars_ref, dtype=np.complex128)
     if layout.ars_len < 1:
@@ -262,11 +249,8 @@ def ars_phase_correct(equalized, ars_ref, layout: FrameLayout,
         step = float(step)
 
     lo, hi = layout.data_start, layout.ars_start
-    rot = work("ars_phase_correct.rot", time.shape[:-1] + (layout.data_len,),
-               np.complex128)
-    np.multiply(-1j * (np.arange(layout.data_len) + layout.rs_cs),
-                np.expand_dims(step, -1), out=rot)
-    np.exp(rot, out=rot)
+    rot = np.exp(-1j * (np.arange(layout.data_len) + layout.rs_cs)
+                 * np.expand_dims(step, -1))
     time[..., lo:hi] = time[..., lo:hi] * rot
     return time, step
 
@@ -279,44 +263,25 @@ def _level_grid(levels: np.ndarray) -> tuple:
 
 
 def _nearest_level(r: np.ndarray, levels: np.ndarray, order: np.ndarray,
-                   step: float, work=fresh) -> np.ndarray:
+                   step: float) -> np.ndarray:
     """Index of the level nearest to each finite r in squared distance, the
     lowest index on ties: what a scan of every level's (r - level)**2
     returns for |r| < 2**40, and the outer level on r's side beyond.
-    `levels`, `order` and `step` are a `_level_grid`. Every intermediate,
-    and the result, is a `work` buffer of r's shape.
+    `levels`, `order` and `step` are a `_level_grid`.
 
     Only the two levels that bracket r can be nearest, so only their
     distances are compared. r is first clipped to one level step beyond the
     outer levels, which keeps the nearest level and keeps huge r from
     rounding its two distances into a tie.
     """
-    def buffer(name, dtype):
-        return work(f"nearest_level.{name}", r.shape, dtype)
-
     # the levels are evenly spaced, so r's bracket is one floor away; off by
     # one only where r is within rounding of a level, which both brackets hold
     low = levels[order[0]]
-    r = np.clip(r, low - step, levels[order[-1]] + step, out=buffer("r", float))
-    t = np.subtract(r, low, out=buffer("t", float))
-    np.floor(np.divide(t, step, out=t), out=t)
-    np.clip(t, 0, levels.size - 2, out=t)
-    j = buffer("j", np.intp)
-    np.copyto(j, t, casting="unsafe")
-    # the bracket's two level indices, then the same two in index order
-    lower = np.take(order, j, mode="clip", out=buffer("lower", np.intp))
-    upper = np.take(order, np.add(j, 1, out=j), mode="clip",
-                    out=buffer("upper", np.intp))
-    first = np.minimum(lower, upper, out=j)
-    last = np.maximum(lower, upper, out=upper)
-    # r's squared distance to each: the last level wherever it is closer
-    to_last = np.take(levels, last, mode="clip", out=t)
-    np.square(np.subtract(r, to_last, out=to_last), out=to_last)
-    to_first = np.take(levels, first, mode="clip", out=buffer("to_first", float))
-    np.square(np.subtract(r, to_first, out=to_first), out=to_first)
-    np.putmask(first, np.less(to_last, to_first, out=buffer("closer", bool)),
-               last)
-    return first
+    r = np.clip(r, low - step, levels[order[-1]] + step)
+    j = np.clip(np.floor((r - low) / step), 0, levels.size - 2).astype(np.intp)
+    lo, hi = order[j], order[j + 1]
+    first, last = np.minimum(lo, hi), np.maximum(lo, hi)
+    return np.where((r - levels[last]) ** 2 < (r - levels[first]) ** 2, last, first)
 
 
 def _received(symbols) -> np.ndarray:
@@ -355,10 +320,9 @@ def _qam_axes(scheme: ModScheme) -> tuple:
     return labels, _level_grid(points.real)
 
 
-def hard_bits(symbols, scheme: ModScheme, work=fresh) -> np.ndarray:
+def hard_bits(symbols, scheme: ModScheme) -> np.ndarray:
     """Minimum-distance hard bits, the symbols' bits in order along the last
-    axis: the labels of the nearest constellation point, a QAM scheme's
-    written into a `work` buffer."""
+    axis: the labels of the nearest constellation point."""
     rx = _received(symbols)
     if scheme.name == "PI2_BPSK":
         d = _pi2_bpsk_distances(rx)
@@ -366,11 +330,9 @@ def hard_bits(symbols, scheme: ModScheme, work=fresh) -> np.ndarray:
     labels, grid = _qam_axes(scheme)
     # the I and Q parts of each symbol side by side, demapped in one call
     parts = np.ascontiguousarray(rx).view(np.float64).reshape(rx.shape + (2,))
-    nearest = _nearest_level(parts, *grid, work)
+    nearest = _nearest_level(parts, *grid)
     point = nearest[..., 0] * grid[0].size + nearest[..., 1]
-    out = work("hard_bits", point.shape + labels.shape[1:], labels.dtype)
-    return labels.take(point, axis=0, mode="clip", out=out).reshape(
-        rx.shape[:-1] + (-1,))
+    return labels.take(point, axis=0).reshape(rx.shape[:-1] + (-1,))
 
 
 # Leading values of each array that the diagnostics dump prints.

@@ -146,23 +146,6 @@ def nearest_point_bits(rx, points, labels):
     return bits.ravel()
 
 
-def kept_buffers():
-    """A `work` (`numerics.fresh`) that keeps one buffer per (name, shape,
-    dtype) across calls, as the harness's workspace pool does, filled with
-    NaN (1 if not inexact) until first written: a call that reads a buffer
-    before writing it, or leaves part of a reused one stale, shows."""
-    buffers = {}
-
-    def work(name, shape, dtype):
-        key = (name, tuple(shape), np.dtype(dtype))
-        if key not in buffers:
-            fill = np.nan if key[2].kind in "fc" else 1
-            buffers[key] = np.full(shape, fill, dtype)
-        return buffers[key]
-
-    return work
-
-
 def qfunc(z):
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 

@@ -9,7 +9,6 @@ from oracles import (
     bessel_j0,
     hst_phase_direct,
     jakes_direct,
-    kept_buffers,
     tap_sum_one_product,
 )
 from otfdm import (
@@ -318,29 +317,6 @@ def test_realizations_compare_by_identity():
     first, second = _tdlc(rng, 120.0), _tdlc(rng, 120.0)
     assert first == first and first != second
     assert len({first, second, first, _hst(), _hst()}) == 3
-
-
-# static; one series block over 1284 samples (120 km/h at 7 GHz); 54-sample
-# blocks of which 1284 is not a multiple (900 km/h at 100 GHz, 28.8 Ms/s)
-@pytest.mark.parametrize("speed_kmh, fc_ghz, fs", [
-    (0.0, 7.0, 36e6), (120.0, 7.0, 36e6), (900.0, 100.0, 28.8e6)],
-    ids=["static", "one_block", "partial_block"])
-def test_realization_in_kept_buffers_equals_fresh_bytes(speed_kmh, fc_ghz, fs):
-    work = kept_buffers()
-    # each later draw overwrites the buffers of the one before
-    for stream in range(3):
-        fresh, kept = (tdlc_realization(1000.0, speed_kmh, fc_ghz, fs,
-                                        SeededRng(4, stream), num_samples=1284,
-                                        **kwargs)
-                       for kwargs in ({}, {"work": work}))
-        assert kept.gains.shape == fresh.gains.shape
-        assert kept.gains.tobytes() == fresh.gains.tobytes()
-        x = SeededRng(5, stream).complex_normal(1284)
-        y_fresh, y_kept = (apply_channel(x, ch, SeededRng(6, stream), 0.01,
-                                         **kwargs)
-                           for ch, kwargs in ((fresh, {}),
-                                              (kept, {"work": work})))
-        assert y_kept.tobytes() == y_fresh.tobytes()
 
 
 class TestTapSum:

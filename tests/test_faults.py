@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -18,3 +20,13 @@ def test_tiny_run_reports_every_workload():
                  "ber_mobility"):
         assert f"\n{name} (seed 1, 2 passes" in f"\n{proc.stdout}"
     assert proc.stdout.count("minor faults per trial") == 4
+
+
+@pytest.mark.parametrize("passes", ["0", "-1"])
+def test_fewer_than_one_pass_refused(passes):
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "faults.py"),
+                           "--tiny", "--passes", passes],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--passes must be >= 1" in proc.stderr
+    assert proc.stdout == ""

@@ -424,60 +424,16 @@ class TestChunking:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-# The two runner calls of the benchmark's ber_mobility workload, but trials.
-MOBILITY = {
-    "tdlc": dict(scheme="QAM64", alloc_size=240, extension_pct=5.0,
-                 channel="TDLC", delay_spread_ns=1000.0, speed_kmh=120.0,
-                 snr_db=(30.0,)),
-    "hst": dict(scheme="QAM256", alloc_size=240, extension_pct=5.0,
-                ars_pct=2.0, channel="HST", speed_kmh=500.0, fc_ghz=7.0,
-                snr_db=(30.0,)),
-}
-
-
-def _largest_instruction_growth(call) -> int:
-    """Most traced bytes that one bytecode instruction of `call()` (in any
-    frame) allocates above what was held when it began: an upper bound on
-    any one array it made, numpy's iteration and cast buffers included."""
-    largest, open_at = [0], [None]
-
-    def close():
-        if open_at[0] is not None:
-            grown = tracemalloc.get_traced_memory()[1] - open_at[0]
-            largest[0] = max(largest[0], grown)
-            open_at[0] = None
-
-    def trace(frame, event, arg):
-        close()
-        if event == "call":
-            frame.f_trace_opcodes = True
-        elif event == "opcode":
-            tracemalloc.reset_peak()
-            open_at[0] = tracemalloc.get_traced_memory()[0]
-        return trace
-
-    tracemalloc.start()
-    sys.settrace(trace)
-    try:
-        call()
-    finally:
-        sys.settrace(None)
-        close()
-        tracemalloc.stop()
-    return largest[0]
-
-
 class TestWorkspace:
-    """Chunks write into one thread's lasting workspace pool, so a warm
-    chunk allocates only its short-lived intermediates, and a warm runner
-    call on the benchmark's mobility configs no array above 128 KiB."""
+    """A runner call's chunks write into one workspace, so a warm chunk
+    allocates only its short-lived intermediates."""
 
     @pytest.mark.parametrize("runner, kwargs, limit_kib", [
         (run_papr, dict(scheme="QPSK", rs_overhead_pct=8.0), 256),
-        (run_ber, dict(scheme="QAM64", snr_db=(14.0, 18.0, 22.0)), 512),
-        (run_ber, MOBILITY["hst"], 512),
-        (run_ber, MOBILITY["tdlc"], 512),
-    ], ids=["papr", "ber", "ber_hst", "ber_tdlc"])
+        (run_ber, dict(scheme="QAM64", snr_db=(14.0, 18.0, 22.0)), 1024),
+        (run_ber, dict(scheme="QAM256", channel="HST", speed_kmh=500.0,
+                       ars_pct=2.0, snr_db=(30.0,)), 1024),
+    ], ids=["papr", "ber", "ber_hst"])
     def test_warm_chunk_peak_memory(self, monkeypatch, runner, kwargs,
                                     limit_kib):
         # the first chunk of the call fills the workspace; the third chunk
@@ -494,57 +450,9 @@ class TestWorkspace:
                     tracemalloc.stop()
 
         monkeypatch.setattr(harness, "_chunks", traced)
-        runner(ExperimentConfig(**{"alloc_size": 240, "extension_pct": 5.0,
-                                   **kwargs}, trials=48, seed=3))
+        runner(ExperimentConfig(alloc_size=240, extension_pct=5.0, trials=48,
+                                seed=3, **kwargs))
         assert peaks and max(peaks) < limit_kib * 1024
-
-    @pytest.mark.parametrize("trials, name", [(4, "tdlc"), (28, "hst")])
-    def test_warm_call_allocates_no_large_array(self, trials, name):
-        cfg = ExperimentConfig(**MOBILITY[name], trials=trials, seed=3)
-        run_ber(cfg)
-        assert 0 < _largest_instruction_growth(lambda: run_ber(cfg)) <= 128 * 1024
-
-    def test_second_call_reuses_the_pooled_arrays(self):
-        cfg = ExperimentConfig(**MOBILITY["tdlc"], trials=20, seed=3,
-                               compare_baseline=True)
-        run_ber(cfg)
-        held = dict(harness._pool.arrays)
-        run_ber(cfg)
-        assert harness._pool.arrays.keys() == held.keys()
-        assert all(harness._pool.arrays[key] is a for key, a in held.items())
-
-    def test_pool_drops_the_least_recently_used_beyond_its_bound(
-            self, monkeypatch):
-        def held():
-            return [id(a) for a in harness._pool.arrays.values()]
-
-        monkeypatch.setattr(harness, "_pool", harness._Pool())
-        monkeypatch.setattr(harness, "POOL_BYTES", 2000)
-        a = harness._pooled("a", (100,), float)
-        b = harness._pooled("b", (100,), float)
-        assert harness._pooled("a", (100,), float) is a
-        # 2400 bytes with a third: "b", the least recently used, is dropped
-        c = harness._pooled("c", (100,), float)
-        assert held() == [id(a), id(c)]
-        assert harness._pooled("b", (100,), float) is not b
-        # an array above the bound is kept, alone
-        big = harness._pooled("big", (1000,), float)
-        assert held() == [id(big)]
-
-    def test_threads_give_the_serial_records(self):
-        cfgs = [ExperimentConfig(**MOBILITY[name], trials=trials, seed=seed)
-                for seed in (3, 4) for name, trials in (("tdlc", 6),
-                                                         ("hst", 20))]
-        serial = [run_ber(cfg) for cfg in cfgs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                futures = [pool.submit(run_ber, cfg) for cfg in cfgs * 3]
-                threaded = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial * 3
 
     def test_rows_sized_to_the_run_and_reused(self):
         space = harness._workspace(6)
@@ -556,6 +464,30 @@ class TestWorkspace:
         assert not np.shares_memory(space("rx", (120,), complex), rx)
         assert not np.shares_memory(space("rx", (200,), float), rx)
         assert len(harness._workspace(1000)("rx", (1,), float)) == harness.CHUNK_TRIALS
+
+    def test_threads_give_the_serial_records(self):
+        # runner calls share no workspace: the benchmark's two ber_mobility
+        # configs at two seeds, run 3 times over from 3 threads that switch
+        # as often as the interpreter allows
+        mobility = (
+            dict(scheme="QAM64", channel="TDLC", delay_spread_ns=1000.0,
+                 speed_kmh=120.0, trials=6),
+            dict(scheme="QAM256", ars_pct=2.0, channel="HST", speed_kmh=500.0,
+                 fc_ghz=7.0, trials=20),
+        )
+        cfgs = [ExperimentConfig(alloc_size=240, extension_pct=5.0,
+                                 snr_db=(30.0,), seed=seed, **kwargs)
+                for seed in (3, 4) for kwargs in mobility]
+        serial = [run_ber(cfg) for cfg in cfgs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(run_ber, cfg) for cfg in cfgs * 3]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 3
 
 
 class TestOncePerRunnerCall:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import (
     fold_composite_direct,
     fold_direct,
-    kept_buffers,
     nearest_point_bits,
     qam_ber_exact,
 )
@@ -657,29 +656,6 @@ class TestLeadingTrialAxis:
             assert steps[t] == s1
             assert isinstance(s1, float)
             assert np.array_equal(hard[t], h1)
-
-    @pytest.mark.parametrize("name", ["QAM16", "QAM256"])
-    def test_kept_buffers_give_the_fresh_bytes(self, name):
-        # the stages that take a `work`, as a chunk runs them in the
-        # harness's lasting workspace: the second stack reuses every buffer
-        # the first one wrote
-        work = kept_buffers()
-        for seed in (73, 74):
-            scheme, layout, filt, grid, syms, rx = _received_stack(
-                17, name, seed=seed)
-            est_cfg = EstimatorConfig(window_len=window_for(name, layout))
-            _, rs_cores, _, ars_cores = map(np.stack, zip(*syms))
-            got = []
-            for kwargs in ({}, {"work": work}):
-                demapped = front_end(np.stack(rx), grid, **kwargs)
-                folded = fold_spectrum(demapped, filt, **kwargs)
-                est = estimate_channel(folded, filt, layout, rs_cores, est_cfg)
-                eq, steps = ars_phase_correct(mmse_equalize(folded, est, 0.01),
-                                              ars_cores, layout, **kwargs)
-                hard = hard_bits(_data(eq, layout), scheme, **kwargs)
-                got.append(b"".join(a.tobytes() for a in (demapped, folded,
-                                                           eq, steps, hard)))
-            assert got[0] == got[1]
 
     @pytest.mark.parametrize("count", [1, 3, 17])
     def test_genie_and_one_sided_rows(self, count):

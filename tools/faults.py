@@ -119,7 +119,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tiny", action="store_true",
                         help="divide trial counts (smoke runs only)")
     args = parser.parse_args(argv)
-    passes = args.passes or (TINY_PASSES if args.tiny else PASSES)
+    passes = (args.passes if args.passes is not None
+              else TINY_PASSES if args.tiny else PASSES)
     if passes < 1:
         parser.error("--passes must be >= 1")
     if args.workload != "all":
