@@ -15,12 +15,14 @@ Per-subcarrier SNR convention: the target SNR fixes the ratio of demapped
 per-subcarrier signal power to noise power; the equalizer receives the
 inverse linear SNR as its noise variance.
 
-Trials run in chunks of contiguous trial indices, in one thread. Each
-trial sends its frame (one or more symbols back to back) through one channel
-realization on its own `SeededRng(seed, trial)` stream into its rows of a
-`_workspace` that the runner call owns; the receiver then runs once per
-chunk on those rows, and per-trial results are pooled in trial order, so
-the records do not depend on the chunking.
+Trials run in chunks of contiguous trial indices, in one thread. One driver,
+`_run_chunks`, runs a link runner's runs (each SNR and frame of `run_ber`,
+each sweep point of `run_mse`) chunk by chunk in one `_workspace`. In a
+chunk, `_send` sends each trial's frame (symbols back to back) through one
+channel realization on its own `SeededRng(seed, trial)` stream and returns
+each symbol's folded spectrum; the receiver then runs once per chunk.
+Per-trial results are pooled in trial order, so the records depend neither
+on the chunking nor on the order of the runs.
 """
 
 from __future__ import annotations
@@ -413,19 +415,26 @@ def _chunks(trials: int):
             for lo in range(0, trials, CHUNK_TRIALS))
 
 
-def _map_chunks(work, trials: int) -> tuple:
-    """`work(range)` over `_chunks(trials)`, a tuple of arrays with a row per
-    trial each time, concatenated in trial order, column by column."""
-    return tuple(np.concatenate(col) for col in zip(*map(work, _chunks(trials))))
-
-
 def _workspace(trials: int):
-    """The arrays the chunks of one trial loop write into: `space(name, row
+    """The arrays the chunks of one runner call write into: `space(name, row
     shape, dtype)` is one array of `min(CHUNK_TRIALS, trials)` rows, made on
     first use, so a warm chunk allocates none. The next chunk overwrites a
     chunk's rows, so nothing a chunk returns may alias them."""
     rows = min(CHUNK_TRIALS, trials)
     return cache(lambda name, shape, dtype: np.empty((rows, *shape), dtype))
+
+
+def _run_chunks(runs, trials: int) -> list:
+    """Each `run(space, chunk)` over `_chunks(trials)`, chunk-outer: every run
+    finishes a chunk before any run starts the next, and all write into one
+    `_workspace`. Per run, the tuples of arrays with a row per trial that it
+    returns, concatenated in trial order, column by column."""
+    space = _workspace(trials)
+    parts = [[] for _ in runs]
+    for chunk in _chunks(trials):
+        for part, run in zip(parts, runs):
+            part.append(run(space, chunk))
+    return [tuple(map(np.concatenate, zip(*part))) for part in parts]
 
 
 def _data_bits(rng: SeededRng, layout: FrameLayout, scheme) -> np.ndarray:
@@ -614,27 +623,32 @@ def _noise_vars(grid: WaveformGrid, snr_db: float) -> tuple[float, float]:
 
 
 class _Sent(NamedTuple):
-    """Transmit side of a chunk: one row per trial, frame symbols concatenated."""
+    """A chunk through the link: one row per trial; the sent fields with the
+    frame symbols concatenated, and the received folded spectra per symbol."""
 
     bits: np.ndarray
-    rx: np.ndarray
+    folded: tuple
     rs_core: np.ndarray
     data_symbols: np.ndarray
     ars_symbols: np.ndarray
     truth: np.ndarray | None
+    inv_snr: float
 
 
-def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
+def _send(cfg: ExperimentConfig, scheme, frame, snr_db: float,
           space, trials: range, with_truth: bool = False) -> _Sent:
-    """Send a chunk through one channel realization per trial, on the first
-    symbol's grid, with AWGN of variance `time_var`. Per trial, on its own
-    stream, only the draws, into its rows of `space`: the frame
+    """Send a chunk through one channel realization per trial at `snr_db`
+    (`_noise_vars`), all on the first symbol's grid and filter. Per trial, on
+    its own stream, only the draws, into its rows of `space`: the frame
     (`transmit_frame`), and on TDL-C the fading, applied with its noise.
     AWGN and HST draw nothing: one call propagates all rows in place, and
-    then each trial's stream draws its noise onto its row. `with_truth` adds
+    then each trial's stream draws its noise onto its row. Symbol i of the
+    received rows starts at i * (cp_len + fft_size); each goes through
+    `front_end`, its FFT into `space`, and `fold_spectrum`. `with_truth` adds
     the oracle folded composite mid first symbol. The next chunk overwrites
     `space`: return arrays computed from it."""
     _, filt, grid = frame[0]
+    time_var, inv_snr = _noise_vars(grid, snr_db)
     mid = grid.cp_len + grid.fft_size // 2
     count, per_trial = len(trials), cfg.channel == "TDLC"
     impulses, streams = [], []
@@ -673,17 +687,16 @@ def _send(cfg: ExperimentConfig, scheme, frame, time_var: float,
         noise = np.empty(n, dtype=complex)
         for y, rng in zip(rx, streams if time_var else ()):
             y += rng.complex_normal(n, time_var, out=noise)
-    truth = None
+    truth = None  # before the folded spectra, so they are not held through it
     if with_truth:
         truth = _composite_truth(np.stack(impulses), grid, filt)
         truth = np.repeat(truth, count // len(impulses), axis=0)
-    return _Sent(*rows, truth)
-
-
-def _front_end(rx: np.ndarray, grid: WaveformGrid, space) -> np.ndarray:
-    """`front_end` of a chunk's rows, its FFT written into `space`."""
-    out = space("spectrum", (grid.fft_size,), complex)[: len(rx)]
-    return front_end(rx, grid, out=out)
+    spectrum = space("spectrum", (grid.fft_size,), complex)[:count]
+    step = grid.cp_len + grid.fft_size
+    folded = tuple(fold_spectrum(front_end(rx[:, i * step :], grid,
+                                           out=spectrum), filt)
+                   for i in range(len(frame)))
+    return _Sent(rows[0], folded, *rows[2:], truth, inv_snr)
 
 
 @shared
@@ -709,23 +722,14 @@ def _estimator(scheme, layout: FrameLayout, filt: ShapingFilter, ridge: float,
     return est_cfg
 
 
-def _mse_point(cfg: ExperimentConfig, scheme, layout: FrameLayout,
-               filt: ShapingFilter, grid: WaveformGrid,
-               est_cfg: EstimatorConfig, snr_db: float) -> float:
-    # a workspace per point: the points differ in layout and grid, so one
-    # per runner call would hold every point's arrays to its end
-    time_var, _ = _noise_vars(grid, snr_db)
-    space = _workspace(cfg.trials)
-
-    def chunk(trials: range):
-        sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, space,
-                     trials, with_truth=True)
-        folded = fold_spectrum(_front_end(sent.rx, grid, space), filt)
-        response = estimate_channel(folded, filt, layout, sent.rs_core, est_cfg)
-        return (np.mean(np.abs(response - sent.truth) ** 2, axis=-1),)
-
-    (per_trial,) = _map_chunks(chunk, cfg.trials)
-    return float(np.mean(per_trial))
+def _mse_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, space,
+               trials):
+    """Per-trial estimate-vs-truth MSE of one sweep point's chunk."""
+    sent = _send(cfg, scheme, ((layout, filt, grid),), snr_db, space, trials,
+                 with_truth=True)
+    response = estimate_channel(*sent.folded, filt, layout, sent.rs_core,
+                                est_cfg)
+    return (np.mean(np.abs(response - sent.truth) ** 2, axis=-1),)
 
 
 # the fixed RS share is read by extension points, the extension by RS points
@@ -757,13 +761,15 @@ def run_mse(cfg: ExperimentConfig):
     estimators = [_estimator(scheme, layout, filt, cfg.ridge, rs_field)
                   for (scheme, layout, filt, _), (*_, rs_field) in zip(resolved,
                                                                        points)]
+    runs = [partial(_mse_chunk, cfg, *point, est_cfg, snr_db)
+            for point, est_cfg in zip(resolved, estimators)]
     record = partial(_record, cfg, cfg.digest())
 
     def run_trials() -> list[MetricRecord]:
         return [record(*point[1:3], "chan_mse", iv_name, iv_value,
-                       _mse_point(cfg, *point, est_cfg, snr_db), snr_db=snr_db)
-                for (iv_name, iv_value, *_), point, est_cfg
-                in zip(points, resolved, estimators)]
+                       float(np.mean(per_trial)), snr_db=snr_db)
+                for (iv_name, iv_value, *_), point, (per_trial,)
+                in zip(points, resolved, _run_chunks(runs, cfg.trials))]
 
     return run_trials
 
@@ -780,49 +786,43 @@ def _mmse_bias(response, inv_snr: float) -> np.ndarray:
     return np.maximum(np.mean(power / (power + inv_snr), axis=-1), 1e-6)
 
 
-def _data_errors(data, response, inv_snr: float, scheme, bits: np.ndarray,
-                 sent: np.ndarray) -> tuple:
+def _data_errors(data, response, sent: _Sent, scheme) -> tuple:
     """Per-trial (bit_errors, bits, error_power, reference_power) of the
     equalized data segments of a chunk, unbiased and demapped."""
-    data = data / _mmse_bias(response, inv_snr)[:, None]
-    hard = hard_bits(data, scheme)
-    return (np.count_nonzero(hard != bits, axis=-1),
+    data = data / _mmse_bias(response, sent.inv_snr)[:, None]
+    bits, ref = sent.bits, sent.data_symbols
+    return (np.count_nonzero(hard_bits(data, scheme) != bits, axis=-1),
             np.full(len(bits), bits.shape[-1]),
-            np.sum(np.abs(data - sent) ** 2, axis=-1),
-            np.sum(np.abs(sent) ** 2, axis=-1))
+            np.sum(np.abs(data - ref) ** 2, axis=-1),
+            np.sum(np.abs(ref) ** 2, axis=-1))
 
 
 def _otfdm_chunk(cfg, scheme, layout, filt, grid, est_cfg, snr_db, space,
                  trials):
     """End-to-end OTFDM symbols of one chunk of trials."""
-    time_var, inv_snr = _noise_vars(grid, snr_db)
-    sent = _send(cfg, scheme, ((layout, filt, grid),), time_var, space, trials,
+    sent = _send(cfg, scheme, ((layout, filt, grid),), snr_db, space, trials,
                  with_truth=cfg.genie_channel)
-    folded = fold_spectrum(_front_end(sent.rx, grid, space), filt)
+    (folded,) = sent.folded
     if cfg.genie_channel:
         response = sent.truth
     else:
         response = estimate_channel(folded, filt, layout, sent.rs_core, est_cfg)
-    time = mmse_equalize(folded, response, inv_snr)
+    time = mmse_equalize(folded, response, sent.inv_snr)
     if layout.ars_len and cfg.ars_correction:
         time, _ = ars_phase_correct(time, sent.ars_symbols, layout)
     return _data_errors(time[:, layout.data_start : layout.ars_start], response,
-                        inv_snr, scheme, sent.bits, sent.data_symbols)
+                        sent, scheme)
 
 
 def _dfts_baseline_chunk(cfg, scheme, frame, snr_db, space, trials):
     """Two-symbol DFT-s-OFDM reference (`_dfts_baseline`): the LS estimate
     from the RS symbol is reused, unchanged, on the following data symbol,
     which is all data."""
-    (_, filt, grid), _ = frame
-    time_var, inv_snr = _noise_vars(grid, snr_db)
-    sent = _send(cfg, scheme, frame, time_var, space, trials)
-    half = grid.fft_size + grid.cp_len
-    y_rs = fold_spectrum(_front_end(sent.rx[:, :half], grid, space), filt)
-    y_data = fold_spectrum(_front_end(sent.rx[:, half:], grid, space), filt)
+    sent = _send(cfg, scheme, frame, snr_db, space, trials)
+    y_rs, y_data = sent.folded
     response = y_rs / np.fft.fft(sent.rs_core)
-    return _data_errors(mmse_equalize(y_data, response, inv_snr), response,
-                        inv_snr, scheme, sent.bits, sent.data_symbols)
+    return _data_errors(mmse_equalize(y_data, response, sent.inv_snr),
+                        response, sent, scheme)
 
 
 def _ars_warning(cfg: ExperimentConfig) -> str | None:
@@ -860,31 +860,28 @@ def run_ber(cfg: ExperimentConfig):
             raise DegenerateEqualizer(f"run_ber: filter_kind {cfg.filter_kind} "
                                       "nulls a subcarrier, which snr_db=inf "
                                       f"cannot equalize: {err}") from None
-    baseline = _dfts_baseline(cfg) if cfg.compare_baseline else None
+    # (metric suffix, warning, chunk at an SNR) of each frame; the baseline
+    # carries no ARS, so only OTFDM records take the ARS warning
+    frames = [("", _ars_warning(cfg), partial(_otfdm_chunk, cfg, scheme, layout,
+                                              filt, grid, est_cfg))]
+    if cfg.compare_baseline:
+        frames.append(("_baseline", None, partial(_dfts_baseline_chunk, cfg,
+                                                  scheme, _dfts_baseline(cfg))))
+    runs = [(snr_db, suffix, warning, partial(chunk, snr_db))
+            for snr_db in cfg.snr_db for suffix, warning, chunk in frames]
     record = partial(_record, cfg, cfg.digest(), layout, filt)
-    ars_warning = _ars_warning(cfg)
 
     def run_trials() -> list[MetricRecord]:
         records = []
-        # the OTFDM and baseline frames keep separate workspace arrays
-        space = _workspace(cfg.trials)
-        for snr_db in cfg.snr_db:
-            # the baseline carries no ARS, so only OTFDM records take the
-            # ARS warning
-            runs = [("", ars_warning, partial(_otfdm_chunk, cfg, scheme, layout,
-                                              filt, grid, est_cfg, snr_db, space))]
-            if baseline:
-                runs.append(("_baseline", None, partial(
-                    _dfts_baseline_chunk, cfg, scheme, baseline, snr_db, space)))
-            for suffix, warning, chunk in runs:
-                # per-trial rows summed as Python numbers, in trial order
-                errors, bits, err_pow, ref_pow = (
-                    sum(col.tolist()) for col in _map_chunks(chunk, cfg.trials))
-                values = (("ber", errors / bits),
-                          ("evm_db", power_ratio_db(err_pow, ref_pow)))
-                records += [record(metric + suffix, "snr_db", snr_db, value,
-                                   snr_db=snr_db, warning=warning)
-                            for metric, value in values]
+        columns = _run_chunks([run[-1] for run in runs], cfg.trials)
+        for (snr_db, suffix, warning, _), cols in zip(runs, columns):
+            # per-trial rows summed as Python numbers, in trial order
+            errors, bits, err_pow, ref_pow = (sum(col.tolist()) for col in cols)
+            values = (("ber", errors / bits),
+                      ("evm_db", power_ratio_db(err_pow, ref_pow)))
+            records += [record(metric + suffix, "snr_db", snr_db, value,
+                               snr_db=snr_db, warning=warning)
+                        for metric, value in values]
         return records
 
     return run_trials

@@ -29,6 +29,27 @@ from otfdm.channel import (
     _tap_sum,
     _tdlc_kernels,
 )
+from otfdm.harness import filter_for, grid_for
+
+
+class TestDelayKernel:
+    def test_fractional_delay_over_the_occupied_band(self):
+        # A tap at delay d must act on the occupied band as the pure delay
+        # exp(-2j*pi*f*d). Bound: the noise at 30 dB SNR, the default SNR and
+        # that of the benchmark's TDL-C workloads; an error power
+        # |H - exp(-2j*pi*f*d)|^2 above 1e-3 of the tap's own would add a
+        # model error as large as that noise. The grid is QAM64/240's at
+        # 5% extension (fft 1200, band +-0.105 cycles/sample), and the delays
+        # lie past the kernel's half-width, so none is clipped at 0.
+        filt = filter_for("SQRC", 240, 5.0)
+        grid = grid_for(240, filt.excess)
+        f = np.fft.fftfreq(grid.fft_size)[grid.mapped_bins()]
+        for d in np.arange(201, 220) / 10.0:
+            kernel = custom_realization([(d, 1.0)]).kernels[0]
+            n = np.arange(kernel.size)
+            response = np.exp(-2j * np.pi * np.outer(f, n)) @ kernel
+            error = np.abs(response - np.exp(-2j * np.pi * f * d))
+            assert np.max(error) < math.sqrt(1e-3), d
 
 
 class TestTdlc:

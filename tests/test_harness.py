@@ -265,7 +265,7 @@ class TestDeterminism:
             (r.metric, r.iv_value, r.value) for r in b
         ]
 
-    def test_parallel_equals_serial(self, monkeypatch):
+    def test_mse_chunk_size_does_not_change_values(self, monkeypatch):
         # chunks of 16 and of 5 trials give the same values
         cfg = ExperimentConfig(scheme="QPSK", alloc_size=96, channel="TDLC",
                                delay_spread_ns=300.0, trials=40, seed=5,
@@ -283,8 +283,8 @@ class TestDeterminism:
         dict(scheme="QAM256", channel="HST", speed_kmh=500.0, ars_pct=2.0,
              trials=8),
     ])
-    def test_time_varying_parallel_csv_equals_serial(self, tmp_path,
-                                                     monkeypatch, kwargs):
+    def test_time_varying_chunk_size_does_not_change_csv(self, tmp_path,
+                                                         monkeypatch, kwargs):
         # chunks of 16 and of 5 trials write the same CSV bytes
         cfg = ExperimentConfig(alloc_size=240, extension_pct=5.0,
                                snr_db=(30.0,), seed=21, **kwargs)
@@ -433,7 +433,9 @@ class TestWorkspace:
         (run_ber, dict(scheme="QAM64", snr_db=(14.0, 18.0, 22.0)), 1024),
         (run_ber, dict(scheme="QAM256", channel="HST", speed_kmh=500.0,
                        ars_pct=2.0, snr_db=(30.0,)), 1024),
-    ], ids=["papr", "ber", "ber_hst"])
+        # static TDL-C over the default sweeps: six points in one workspace
+        (run_mse, dict(scheme="QPSK", channel="TDLC"), 1024),
+    ], ids=["papr", "ber", "ber_hst", "mse_tdlc"])
     def test_warm_chunk_peak_memory(self, monkeypatch, runner, kwargs,
                                     limit_kib):
         # the first chunk of the call fills the workspace; the third chunk

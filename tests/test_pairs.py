@@ -47,6 +47,16 @@ def test_layout_spread_compares_path_lengths():
     assert pairs.layout_spread(values, [1, 1, 1, 1]) == 0.0
 
 
+def test_empty_seed_range_refused_before_any_export(tmp_path, capsys):
+    scratch = tmp_path / "copies"
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--base", "HEAD", "--workload", "papr_qpsk",
+                    "--seeds", "5-3", "--scratch", str(scratch)])
+    assert exit_info.value.code == 2
+    assert "argument --seeds: invalid seeds value: '5-3'" in capsys.readouterr().err
+    assert not scratch.exists()
+
+
 def test_same_revision_smoke_run_does_not_claim(tmp_path):
     if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
                       capture_output=True).returncode != 0:

@@ -39,6 +39,7 @@ from otfdm import (
 from otfdm import receiver, sequences
 from otfdm.harness import (
     ExperimentConfig,
+    _composite_truth,
     filter_for,
     grid_for,
     layout_for,
@@ -249,6 +250,34 @@ class TestEstimateChannel:
             errs.append(np.max(np.abs(est - base)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-6
+
+    def test_pre_cursor_of_a_fractional_delay_is_estimated(self):
+        # QPSK/240 at 5% extension and 8% RS: window 8 < rs_len 10, so the
+        # estimator has room for pre-cursor samples (QAM64/240's window fills
+        # its RS core and keeps none). A noiseless tap at 0.5 samples puts
+        # the SQRC composite's pre-cursor on the cyclic samples before 0.
+        # Each of them that holds more than 1e-3 of the composite's energy,
+        # the noise power at the default 30 dB SNR, must be estimated, not
+        # dropped: its estimate lies nearer the true sample than to zero,
+        # which is what a dropped sample reads. The SQRC composite gain is
+        # flat, so the estimate's samples are the window's own.
+        cfg = ExperimentConfig(scheme="QPSK", alloc_size=240,
+                               extension_pct=5.0, rs_overhead_pct=8.0)
+        scheme, layout, filt, grid = cfg.resolve()
+        rng = SeededRng(1, 0)
+        time, rs_core, _, _ = generate_otfdm(
+            rng.bits(layout.data_len * scheme.bits_per_symbol), scheme, layout,
+            filt, grid, rng)
+        ch = custom_realization([(0.5, 1.0)])
+        folded = fold_spectrum(front_end(apply_channel(time, ch), grid), filt)
+        est = estimate_channel(folded, filt, layout, rs_core, EstimatorConfig(
+            window_len=window_for("QPSK", layout)))
+        got = np.fft.ifft(est)
+        want = np.fft.ifft(_composite_truth(ch.impulse_response(), grid, filt))
+        share = np.abs(want) ** 2 / np.sum(np.abs(want) ** 2)
+        pre = [n for n in range(len(want) // 2, len(want)) if share[n] > 1e-3]
+        assert len(pre) == 2
+        assert np.all(np.abs(got[pre] - want[pre]) < np.abs(got[pre]))
 
     def test_filter_or_layout_mismatch_raises(self):
         _, layout, filt, grid, _, (time, rs_core, _, _) = _qpsk_symbol()

@@ -52,8 +52,13 @@ TIMEOUT_S = 600
 
 
 def seeds(text: str) -> list:
+    """The seeds of `N` or of the range `LO-HI`; an empty range raises, so
+    that argparse refuses it like a malformed value."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    got = list(range(int(lo), int(hi or lo) + 1))
+    if not got:
+        raise ValueError(f"empty seed range {text!r}")
+    return got
 
 
 def _git(*args) -> bytes:
