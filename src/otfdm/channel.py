@@ -1,7 +1,7 @@
 """Propagation impairments: TDL-C multipath fading, high-speed-train Doppler,
-AWGN. A realization holds only the propagation draw; the receiver noise is
-added when one is applied to a signal, on the caller's rng stream, so trials
-can run concurrently, each with its own stream.
+AWGN. A realization holds only the propagation draw, and `apply_channel` only
+propagates: the receiver noise is the caller's to add, on its own rng stream,
+so trials can run concurrently, each with its own stream.
 
 Which arrays a realization may share: the AWGN and HST realizations are run
 constants (`numerics.shared`), one read-only realization per key that every
@@ -107,11 +107,18 @@ class ChannelRealization:
 
     kernels has shape (num_taps, ir_len); gains has shape (num_taps,
     num_samples) for time-varying channels or (num_taps, 1) for static ones.
-    Realizations compare and hash by identity, as draws, not by value.
+    A one-sample realization (flat AWGN, HST) is one tap of kernel 1.0, so
+    applying it only scales the signal by its gains. Realizations compare
+    and hash by identity, as draws, not by value.
     """
 
     kernels: np.ndarray
     gains: np.ndarray
+
+    def __post_init__(self):
+        if self.ir_len == 1 and self.kernels.tolist() != [[1.0]]:
+            raise ValueError("ChannelRealization: a one-sample realization "
+                             "must be one tap of kernel 1.0")
 
     @property
     def ir_len(self) -> int:
@@ -340,6 +347,10 @@ def custom_realization(taps: list[tuple[float, complex]]) -> ChannelRealization:
     gains = np.array([[g] for _, g in taps], dtype=np.complex128)
     frac = np.any(np.abs(delays - np.round(delays)) > 1e-9)
     ir_len = int(np.ceil(delays.max())) + (_INTERP_HALFWIDTH + 1 if frac else 1)
+    if ir_len == 1:
+        # every tap at delay 0: the same channel is one tap of their sum
+        return ChannelRealization(kernels=np.ones((1, 1)),
+                                  gains=gains.sum(axis=0, keepdims=True))
     kernels = np.stack([_delay_kernel(d, ir_len) for d in delays])
     return ChannelRealization(kernels=kernels, gains=gains)
 
@@ -358,19 +369,16 @@ _TILE = 128
 
 
 def _weight(gains: np.ndarray, block: np.ndarray, lo: int) -> None:
-    """Multiply block (..., taps, samples), every tap's samples from lo on,
-    in place by its gains, the last one held past the end of the trajectory
-    (all of them, in one product, if static)."""
-    span = 0 if gains.shape[1] == 1 else min(max(gains.shape[1] - lo, 0),
-                                              block.shape[-1])
-    np.multiply(gains[:, lo : lo + span], block[..., :span],
-                out=block[..., :span])
-    if span < block.shape[-1]:
-        np.multiply(gains[:, -1:], block[..., span:], out=block[..., span:])
+    """Multiply block (taps, samples), every tap's samples from lo on, in
+    place by its gains, the last one held past the end of the trajectory."""
+    span = min(max(gains.shape[1] - lo, 0), block.shape[1])
+    np.multiply(gains[:, lo : lo + span], block[:, :span], out=block[:, :span])
+    if span < block.shape[1]:
+        np.multiply(gains[:, -1:], block[:, span:], out=block[:, span:])
 
 
-def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray,
-             out=None) -> np.ndarray:
+def _tap_sum(x: np.ndarray, kernels: np.ndarray,
+             gains: np.ndarray) -> np.ndarray:
     """sum_t gains[t] * (x convolved with kernels[t]), the last gain held over
     the convolution tail.
 
@@ -385,21 +393,8 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray,
     built. Every output is the same length-ir_len dot product as in one
     product over the whole window, times the same gain, with taps summed in
     the same order. Within 1e-13 relative of one np.convolve per tap.
-    One-sample kernels (flat AWGN, HST) only scale the signal, with no window
-    built; there x may carry leading axes, each row scaled as the 1-D call,
-    and one tap may scale into `out`, x itself included.
     """
     ir_len = kernels.shape[1]
-    if ir_len == 1:
-        # complex kernels, as numpy would cast them, and varying gains a row
-        # at a time: numpy gives a cast or broadcast operand of a stack a
-        # ~128 KiB buffer, one more heap block for glibc to trim and refault
-        conv = np.multiply(kernels.astype(np.complex128), x[..., None, :],
-                           out=None if out is None else out[..., None, :])
-        for block in conv if x.ndim == 2 and gains.shape[1] > 1 else [conv]:
-            _weight(gains, block, 0)
-        # a one-tap sum is that tap, so no second array is made
-        return conv[..., 0, :] if len(kernels) == 1 else conv.sum(axis=-2)
     out_len = x.size + ir_len - 1
     padded = np.zeros(x.size + 2 * (ir_len - 1), dtype=np.complex128)
     padded[ir_len - 1 : ir_len - 1 + x.size] = x
@@ -420,29 +415,37 @@ def _tap_sum(x: np.ndarray, kernels: np.ndarray, gains: np.ndarray,
     return y
 
 
-def apply_channel(signal, ch: ChannelRealization, rng: SeededRng | None = None,
-                  noise_variance: float = 0.0, out=None) -> np.ndarray:
-    """Time-varying linear convolution with the realized taps, plus complex
-    AWGN of power noise_variance per output sample (`rng.complex_normal`).
+def apply_channel(signal, ch: ChannelRealization, out=None) -> np.ndarray:
+    """Time-varying linear convolution with the realized taps: propagation
+    only, the receiver noise is the caller's to add.
 
     Output length is the signal length plus the impulse-response span so the
-    full convolution tail is kept. One-sample channels (flat AWGN, HST) also
-    take stacked rows, each as the 1-D call, and with one tap `out`, which
-    may be the signal; longer ones refuse both. Only noise reads `rng`.
+    full convolution tail is kept. One-sample channels (flat AWGN, HST) scale
+    the signal by their gains in one pass; they also take stacked rows, each
+    as the 1-D call, and `out`, which may be the signal. Longer ones refuse
+    both.
     """
     x = np.asarray(signal, dtype=np.complex128)
     if x.size == 0:
         raise ValueError("apply_channel: empty signal")
-    if (x.ndim > 1 or out is not None) and ch.ir_len > 1:
+    if ch.ir_len == 1:
+        # the gains, the last held past the end of the trajectory, times the
+        # signal: gains first, as numpy's complex product is not symmetric
+        # to the bit, and varying gains a row at a time, as numpy gives a
+        # broadcast operand of a stack a ~128 KiB buffer, one more heap
+        # block for glibc to trim and refault
+        g, n = ch.gains[0], x.shape[-1]
+        if 1 < g.size != n:
+            g = g[np.minimum(np.arange(n), g.size - 1)]
+        y = np.empty_like(x) if out is None else out
+        for row, dest in zip(x, y) if x.ndim == 2 and g.size > 1 else [(x, y)]:
+            np.multiply(g, row, out=dest)
+        return y
+    if x.ndim > 1 or out is not None:
         raise ValueError("apply_channel: a stacked signal or out= needs a "
                          f"one-sample channel, not {ch.ir_len} samples long")
-    if ch.is_static and ch.ir_len > 1:
+    if ch.is_static:
         # impulse_response() is a new, writeable array: np.convolve is
         # several times slower on a read-only kernel
-        y = np.convolve(x, ch.impulse_response())
-    else:
-        # time-varying, or one sample long (flat AWGN, HST): a scaling
-        y = _tap_sum(x, ch.kernels, ch.gains, out)
-    if noise_variance != 0.0:
-        y += rng.complex_normal(y.shape, noise_variance)
-    return y
+        return np.convolve(x, ch.impulse_response())
+    return _tap_sum(x, ch.kernels, ch.gains)

@@ -462,11 +462,6 @@ def _dfts_baseline(cfg: ExperimentConfig) -> tuple:
             (FrameLayout(0, 0, 0, m, 0), filt, grid))
 
 
-def _joined(*warnings) -> str | None:
-    """The warnings given, other than empty ones, as one; None if none."""
-    return "; ".join(filter(None, warnings)) or None
-
-
 # Fields never reported as ignored: the run controls, and the sweep axes of
 # single runners, so that a sweep of many metrics does not warn on each row.
 UNREPORTED = frozenset({"trials", "seed", "n_workers", "gamma_sweep_pct",
@@ -509,7 +504,8 @@ def _runner(reads):
             if not ignored:
                 return run_trials
             note = f"{plan.__name__} ignored {ignored}"
-            return lambda: [replace(r, warning=_joined(r.warning, note))
+            return lambda: [replace(r, warning=(f"{r.warning}; {note}"
+                                                if r.warning else note))
                             for r in run_trials()]
 
         runner = wraps(plan)(lambda cfg: checked(cfg)())
@@ -640,13 +636,14 @@ def _send(cfg: ExperimentConfig, scheme, frame, snr_db: float,
     """Send a chunk through one channel realization per trial at `snr_db`
     (`_noise_vars`), all on the first symbol's grid and filter. Per trial, on
     its own stream, only the draws, into its rows of `space`: the frame
-    (`transmit_frame`), and on TDL-C the fading, applied with its noise.
-    AWGN and HST draw nothing: one call propagates all rows in place, and
-    then each trial's stream draws its noise onto its row. Symbol i of the
-    received rows starts at i * (cp_len + fft_size); each goes through
-    `front_end`, its FFT into `space`, and `fold_spectrum`. `with_truth` adds
-    the oracle folded composite mid first symbol. The next chunk overwrites
-    `space`: return arrays computed from it."""
+    (`transmit_frame`), and on TDL-C the fading, applied to its row. AWGN
+    and HST draw nothing: one call propagates all rows in place. Then each
+    trial's stream draws its noise onto its row, the one place the link
+    adds noise. Symbol i of the received rows starts at i * (cp_len +
+    fft_size); each goes through `front_end`, its FFT into `space`, and
+    `fold_spectrum`. `with_truth` adds the oracle folded composite mid first
+    symbol. The next chunk overwrites `space`: return arrays computed from
+    it."""
     _, filt, grid = frame[0]
     time_var, inv_snr = _noise_vars(grid, snr_db)
     mid = grid.cp_len + grid.fft_size // 2
@@ -677,16 +674,15 @@ def _send(cfg: ExperimentConfig, scheme, frame, snr_db: float,
         for view, i, k in columns:
             view[row] = symbols[i][k]
         if per_trial:
-            rx[row] = apply_channel(rx[row, :n], ch, rng, time_var)
-        else:
-            streams.append(rng)
+            rx[row] = apply_channel(rx[row, :n], ch)
+        streams.append(rng)
     if not per_trial:
         apply_channel(rx, ch, out=rx)
-        # y + n, as the 1-D call adds them, a row at a time: a chunk of noise
-        # would be one more chunk-sized array to allocate and fault in
-        noise = np.empty(n, dtype=complex)
-        for y, rng in zip(rx, streams if time_var else ()):
-            y += rng.complex_normal(n, time_var, out=noise)
+    # y + n a row at a time: a chunk of noise would be one more chunk-sized
+    # array to allocate and fault in
+    noise = np.empty(rx.shape[1], dtype=complex)
+    for y, rng in zip(rx, streams if time_var else ()):
+        y += rng.complex_normal(noise.size, time_var, out=noise)
     truth = None  # before the folded spectra, so they are not held through it
     if with_truth:
         truth = _composite_truth(np.stack(impulses), grid, filt)

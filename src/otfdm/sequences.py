@@ -124,18 +124,9 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
 
 
 def _largest_prime_le(n: int) -> int:
-    def is_prime(x: int) -> bool:
-        if x < 2:
-            return False
-        for d in range(2, int(math.isqrt(x)) + 1):
-            if x % d == 0:
-                return False
-        return True
-
-    while n >= 2 and not is_prime(n):
+    """The largest prime <= n, for n >= 2 (2 itself is prime)."""
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
         n -= 1
-    if n < 2:
-        raise ValueError("no prime available below requested length")
     return n
 
 

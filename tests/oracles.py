@@ -266,7 +266,9 @@ def otfdm_trial(cfg, scheme, layout, filt, grid, est_cfg, snr_db, trial):
     tx, rs_core, data, ars = generate_otfdm(bits, scheme, layout, filt, grid,
                                             rng)
     ch = h._make_channel(cfg, grid, rng, num_samples=tx.size)
-    rx = apply_channel(tx, ch, rng, time_var)
+    rx = apply_channel(tx, ch)
+    if time_var:
+        rx += rng.complex_normal(rx.size, time_var)
     folded = fold_spectrum(front_end(rx, grid), filt)
     if cfg.genie_channel:
         response = _composite_truth_1d(ch, grid, filt)
@@ -294,7 +296,9 @@ def dfts_baseline_trial(cfg, scheme, grid, snr_db, trial):
     data_time, _, data, _ = generate_otfdm(bits, scheme, layout, filt, grid, rng)
     tx = np.concatenate([rs_time, data_time])
     ch = h._make_channel(cfg, grid, rng, num_samples=tx.size)
-    rx = apply_channel(tx, ch, rng, time_var)
+    rx = apply_channel(tx, ch)
+    if time_var:
+        rx += rng.complex_normal(rx.size, time_var)
     half = grid.fft_size + grid.cp_len
     y_rs = fold_spectrum(front_end(rx[:half], grid), filt)
     y_data = fold_spectrum(front_end(rx[half:], grid), filt)
@@ -340,7 +344,9 @@ def mse_point(cfg, ext_pct, rs_pct, snr_db):
         tx, rs_core, _, _ = generate_otfdm(h._data_bits(rng, layout, scheme),
                                            scheme, layout, filt, grid, rng)
         ch = h._make_channel(cfg, grid, rng, num_samples=tx.size)
-        rx = apply_channel(tx, ch, rng, time_var)
+        rx = apply_channel(tx, ch)
+        if time_var:
+            rx += rng.complex_normal(rx.size, time_var)
         folded = fold_spectrum(front_end(rx, grid), filt)
         est = estimate_channel(folded, filt, layout, rs_core, est_cfg)
         truth = _composite_truth_1d(ch, grid, filt)

@@ -109,7 +109,7 @@ def test_criterion_03_estimation_exactness():
         bits = rng.bits(layout.data_len * 2)
         tx, rs_core, _, _ = generate_otfdm(bits, scheme, layout, filt, grid, rng)
         ch = custom_realization([(int(d) * step, g) for d, g in zip(delays, gains)])
-        rx = apply_channel(tx, ch, rng)
+        rx = apply_channel(tx, ch)
         folded = fold_spectrum(front_end(rx, grid), filt)
         est = estimate_channel(folded, filt, layout, rs_core, est_cfg)
         bins = grid.first_subcarrier + np.arange(grid.extended_size)

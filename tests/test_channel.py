@@ -12,6 +12,7 @@ from oracles import (
     tap_sum_one_product,
 )
 from otfdm import (
+    ChannelRealization,
     HstConfig,
     SeededRng,
     apply_channel,
@@ -206,14 +207,14 @@ class TestApplyChannel:
     def test_identity_channel(self):
         rng = SeededRng(4, 0)
         x = rng.complex_normal(64)
-        y = apply_channel(x, flat_realization(), rng)
+        y = apply_channel(x, flat_realization())
         np.testing.assert_allclose(y, x, atol=1e-14)
 
     def test_impulse_returns_tap_sequence(self):
         ch = custom_realization([(0.0, 0.8), (5.0, 0.6)])
         x = np.zeros(8, dtype=complex)
         x[0] = 1.0
-        y = apply_channel(x, ch, SeededRng(5, 0))
+        y = apply_channel(x, ch)
         assert y.size == 8 + 5
         expected = np.zeros(13, dtype=complex)
         expected[0] = 0.8
@@ -225,7 +226,7 @@ class TestApplyChannel:
         x = rng.complex_normal(50)
         taps = [(0.0, 0.3 - 0.1j), (2.0, -0.5j), (7.0, 0.2 + 0.2j)]
         ch = custom_realization(taps)
-        y = apply_channel(x, ch, rng)
+        y = apply_channel(x, ch)
         expected = np.zeros(57, dtype=complex)
         for delay, gain in taps:
             for n, v in enumerate(x):
@@ -236,7 +237,7 @@ class TestApplyChannel:
         rng = SeededRng(14, 0)
         x = rng.complex_normal(300)
         ch = tdlc_realization(1000.0, 0.0, 7.0, 28.8e6, SeededRng(14, 1))
-        y = apply_channel(x, ch, rng)
+        y = apply_channel(x, ch)
         expected = sum(ch.gains[t, 0] * np.convolve(x, ch.kernels[t])
                        for t in range(ch.kernels.shape[0]))
         assert y.shape == expected.shape
@@ -249,27 +250,13 @@ class TestApplyChannel:
         ratios = []
         for t in range(1000):
             ch = tdlc_realization(300.0, 0.0, 7.0, 30.72e6, SeededRng(8, t))
-            y = apply_channel(x, ch, SeededRng(9, t))
+            y = apply_channel(x, ch)
             ratios.append(np.sum(np.abs(y) ** 2) / in_power)
         assert np.mean(ratios) == pytest.approx(1.0, rel=0.02)
 
-    def test_noise_variance_calibration(self):
-        rng = SeededRng(10, 0)
-        x = np.zeros(200_000, dtype=complex)
-        y = apply_channel(x, flat_realization(), rng, 0.37)
-        assert np.mean(np.abs(y) ** 2) == pytest.approx(0.37, rel=0.02)
-
     def test_empty_signal_raises(self):
         with pytest.raises(ValueError):
-            apply_channel(np.zeros(0, dtype=complex), flat_realization(),
-                          SeededRng(1, 0))
-
-    @pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf")])
-    def test_bad_noise_variance_raises(self, variance):
-        # a negative or NaN variance must not quietly add no noise
-        with pytest.raises(ValueError, match="variance must be finite"):
-            apply_channel(np.ones(8, dtype=complex), flat_realization(),
-                          SeededRng(1, 0), variance)
+            apply_channel(np.zeros(0, dtype=complex), flat_realization())
 
     @pytest.mark.parametrize("kind", ["flat", "hst"])
     def test_one_sample_channel_stack_equals_rows(self, kind):
@@ -313,7 +300,7 @@ class TestApplyChannel:
         fs = 1.28e6
         ch = hst_realization(cfg, 0.0, n / fs, n)
         x = np.ones(n, dtype=complex)
-        y = apply_channel(x, ch, SeededRng(11, 0))
+        y = apply_channel(x, ch)
         np.testing.assert_allclose(y[:n], ch.gains[0], atol=1e-12)
 
 
@@ -331,6 +318,32 @@ def test_shared_realizations_are_read_only():
     for ch in (_hst(), flat_realization()):
         with pytest.raises(ValueError):
             ch.gains[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: hst_realization(HstConfig(), 0.0, 1e-4, 0), "num_samples must be >= 1"),
+    (lambda: custom_realization([]), "need at least one tap"),
+    (lambda: custom_realization([(2.0, 0.5), (-1.0, 0.5)]), "delays must be >= 0"),
+    (lambda: ChannelRealization(np.ones((2, 1)), np.ones((2, 1), complex)),
+     "one tap of kernel 1.0"),
+    (lambda: ChannelRealization(np.full((1, 1), 2.0), np.ones((1, 1), complex)),
+     "one tap of kernel 1.0"),
+], ids=["hst_no_samples", "custom_no_taps", "custom_negative_delay",
+        "one_sample_two_taps", "one_sample_kernel_2"])
+def test_realization_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_custom_taps_at_delay_zero_are_one_tap():
+    # several taps at delay 0 are one channel, one tap of their summed gain,
+    # which a one-sample realization's scaling by its gains needs
+    ch = custom_realization([(0.0, 0.5), (0.0, 0.25 - 0.5j), (0.0, 1j)])
+    assert ch.kernels.tolist() == [[1.0]]
+    assert ch.gains.tolist() == [[0.75 + 0.5j]]
+    x = SeededRng(18, 0).complex_normal(64)
+    per_tap = 0.5 * x + (0.25 - 0.5j) * x + 1j * x
+    np.testing.assert_allclose(apply_channel(x, ch), per_tap, rtol=0, atol=1e-14)
 
 
 def test_realizations_compare_by_identity():
@@ -366,7 +379,7 @@ class TestTapSum:
             ch = tdlc_realization(delay_spread_ns, speed_kmh, 7.0, 36e6,
                                   SeededRng(seed, 1),
                                   num_samples=gains_len or x_len)
-            y = apply_channel(x, ch, SeededRng(seed, 2))
+            y = apply_channel(x, ch)
             ref = tap_sum_one_product(x, ch.kernels, ch.gains)
             assert y.size == out_len
             assert y.tobytes() == ref.tobytes()
@@ -404,12 +417,14 @@ class TestTapSum:
         lambda rng: _tdlc(rng, 120.0),
         lambda rng: _tdlc(rng, 120.0, n=700),  # gains shorter than the signal
         lambda rng: _hst(),
+        lambda rng: _hst(n=700),  # one sample long, gains shorter
+        lambda rng: _hst(n=2000),  # and longer than the signal
     ])
     def test_matches_per_tap_convolutions(self, make):
         for seed in range(4):
             x = SeededRng(seed, 0).complex_normal(1284)
             ch = make(SeededRng(seed, 1))
-            y = apply_channel(x, ch, SeededRng(seed, 2))
+            y = apply_channel(x, ch)
             ref = apply_per_tap_direct(x, ch.kernels, ch.gains)
             assert y.shape == ref.shape
             assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -419,5 +434,5 @@ class TestTapSum:
         x = SeededRng(3, 0).complex_normal(1284)
         ch = _hst()
         assert ch.ir_len == 1
-        assert np.array_equal(apply_channel(x, ch, SeededRng(3, 1)),
+        assert np.array_equal(apply_channel(x, ch),
                               ch.gains[0] * x)

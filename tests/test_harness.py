@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -253,6 +254,16 @@ class TestConfigValidation:
                                              "alloc_size = 11: make_sqrc_filter: "
                                              "excess 6"):
             ExperimentConfig(alloc_size=11, **kwargs)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: filter_for("RRC", 48, 5.0), "filter_for: unknown kind 'RRC'"),
+    (lambda: run_pulse_decay(ExperimentConfig(gamma_sweep_pct=())),
+     "run_pulse_decay: empty extension sweep"),
+], ids=["filter_for", "run_pulse_decay"])
+def test_refusals_past_the_config(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestDeterminism:
@@ -1207,6 +1218,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "warning: trials=20 below 1e4" in err
         assert err.count("warning:") == 1
+
+    def test_trials_option_and_scalar_snr(self, tmp_path):
+        # --trials overrides the file's trials, and a scalar snr_db in the
+        # file is the one-SNR list
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"snr_db": 20, "trials": 50}))
+        out = tmp_path / "ber.csv"
+        assert cli_main(["ber", "--config", str(cfg_path), "--trials", "3",
+                         "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open(encoding="ascii")))
+        assert rows
+        assert {(int(r["trials"]), float(r["snr_db"])) for r in rows} == {(3, 20.0)}
 
     def test_bad_config_exits_nonzero(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -57,6 +57,16 @@ def test_dft_zero_length_raises():
         dft(np.zeros(0))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: dft(np.ones((2, 4))), "expected a 1-D sample vector"),
+    # shapes that would broadcast, to a quiet -inf dB
+    (lambda: evm_db(np.ones(2), np.ones(1)), "evm_db: shape mismatch"),
+], ids=["dft_2d", "evm_db_shapes"])
+def test_shape_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_ccdf_examples():
     assert ccdf([1, 2, 3], [0]) == [(0.0, 1.0)]
     assert ccdf([1, 2, 3], [2.5]) == [(2.5, pytest.approx(1 / 3))]

@@ -47,6 +47,17 @@ def test_layout_spread_compares_path_lengths():
     assert pairs.layout_spread(values, [1, 1, 1, 1]) == 0.0
 
 
+def test_timed_out_run_counts_as_failed(tmp_path, monkeypatch, capsys):
+    # one run past the timeout fails its pair, not the whole comparison
+    def run(cmd, timeout, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, timeout)
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    assert pairs.run_once(tmp_path, "papr_qpsk", 5, 0.0, True) is None
+    assert (f"{tmp_path.name} seed 5: timed out after {pairs.TIMEOUT_S} s"
+            in capsys.readouterr().err)
+
+
 def test_empty_seed_range_refused_before_any_export(tmp_path, capsys):
     scratch = tmp_path / "copies"
     with pytest.raises(SystemExit) as exit_info:

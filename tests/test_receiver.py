@@ -169,7 +169,7 @@ def _static_channel_case(layout, filt, grid, scheme, taps_m, seed):
     time, rs_core, _, _ = generate_otfdm(bits, scheme, layout, filt, grid, rng)
     step = grid.fft_size // grid.alloc_size
     ch = custom_realization([(d * step, g) for d, g in taps_m])
-    rx = apply_channel(time, ch, rng)
+    rx = apply_channel(time, ch)
     folded = fold_spectrum(front_end(rx, grid), filt)
     bins = grid.first_subcarrier + np.arange(grid.extended_size)
     h_bins = np.zeros(grid.extended_size, dtype=complex)
@@ -295,6 +295,24 @@ class TestEstimateChannel:
         with pytest.raises(ValueError):
             estimate_channel(folded, filt, layout, rs_core,
                              EstimatorConfig(window_len=layout.rs_len + 1))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda layout, filt, folded, rs_core, ars: estimate_channel(
+        folded, filt, layout, rs_core[:-1], EstimatorConfig(window_len=6)),
+     "estimate_channel: rs core length"),
+    (lambda layout, filt, folded, rs_core, ars: mmse_equalize(
+        folded, np.ones(folded.size - 1, complex), 0.1),
+     "mmse_equalize: response length"),
+    (lambda layout, filt, folded, rs_core, ars: ars_phase_correct(
+        np.ones(layout.total_len, complex), ars[:-1], layout),
+     "ars_phase_correct: reference length"),
+], ids=["estimate_channel", "mmse_equalize", "ars_phase_correct"])
+def test_reference_length_refusals(call, match):
+    _, layout, filt, grid, _, (time, rs_core, _, ars) = _qpsk_symbol(ars_len=4)
+    folded = fold_spectrum(front_end(time, grid), filt)
+    with pytest.raises(ValueError, match=match):
+        call(layout, filt, folded, rs_core, ars)
 
 
 class TestMmseEqualize:
@@ -451,7 +469,7 @@ class TestArsPhaseCorrect:
         n = time.size
         ch = hst_realization(cfg, t0=0.0, duration=n / grid.sample_rate_hz,
                              num_samples=n)
-        rx = apply_channel(time, ch, SeededRng(43, 1))
+        rx = apply_channel(time, ch)
         folded = fold_spectrum(front_end(rx, grid), filt)
         est = estimate_channel(folded, filt, layout, rs_core,
                                EstimatorConfig(window_len=8))
@@ -651,7 +669,8 @@ def _received_stack(count, name="QAM16", filt_kind="SQRC", seed=70):
         gains = rng.complex_normal(3, 1.0 / 3.0)
         ch = custom_realization([(d * step, g) for d, g in zip((0, 1, 3), gains)])
         syms.append(sym)
-        rx.append(apply_channel(sym[0], ch, rng, 1e-3))
+        y = apply_channel(sym[0], ch)
+        rx.append(y + rng.complex_normal(y.size, 1e-3))
     return scheme, layout, filt, grid, syms, rx
 
 

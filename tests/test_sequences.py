@@ -304,6 +304,17 @@ class TestTapsFilter:
             make_taps_filter([1.0, -1.0, 0.5, 0.1], 16)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: zadoff_chu(1, 0), "zadoff_chu: length must be >= 1"),
+    (lambda: make_rs_core(-1, QPSK), "make_rs_core: length must be >= 0"),
+    (lambda: make_sqrc_filter(0, 0), "make_sqrc_filter: alloc_size must be >= 1"),
+    (lambda: make_taps_filter([1.0, -1.0], 1), "smaller than the tap count"),
+], ids=["zadoff_chu", "make_rs_core", "make_sqrc_filter", "make_taps_filter"])
+def test_length_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_make_rs_core_pi2_needs_rng():
     with pytest.raises(ValueError):
         make_rs_core(8, PI2_BPSK)

@@ -110,6 +110,21 @@ class TestMapAndModulate:
         with pytest.raises(ValueError):
             WaveformGrid(alloc_size=16, excess=2, fft_size=18, cp_len=0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(alloc_size=0), "alloc_size >= 1 and excess >= 0"),
+        (dict(excess=-1), "alloc_size >= 1 and excess >= 0"),
+        (dict(cp_len=-1), "cp_len must be >= 0"),
+    ], ids=["alloc_size", "excess", "cp_len"])
+    def test_grid_field_refusals(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            WaveformGrid(**{**dict(alloc_size=16, excess=2, fft_size=64,
+                                   cp_len=4), **kwargs})
+
+    def test_block_length_mismatch_raises(self):
+        grid = WaveformGrid(alloc_size=16, excess=2, fft_size=64, cp_len=4)
+        with pytest.raises(ValueError, match="map_and_modulate: block length"):
+            map_and_modulate(np.ones(grid.extended_size - 1, complex), grid)
+
 
 class TestEffectivePulse:
     def test_rectangular_spectrum_gives_dirichlet_nulls(self):
@@ -200,6 +215,13 @@ class TestGenerate:
         body = np.fft.ifft(mapped) * (192 / 48)
         classic = np.concatenate([body[-12:], body])
         np.testing.assert_allclose(time, classic, atol=1e-12)
+
+    def test_filter_and_grid_excess_mismatch_raises(self):
+        scheme, layout, filt, grid = self._setup()
+        with pytest.raises(ValueError, match="filter and grid disagree on excess"):
+            generate_otfdm(np.zeros(layout.data_len * 2, dtype=np.int64), scheme,
+                           layout, filt, grid_for(layout.total_len, filt.excess + 1),
+                           SeededRng(1, 0))
 
     def test_mismatched_configuration_raises(self):
         scheme, layout, filt, grid = self._setup()

@@ -86,12 +86,17 @@ def export(rev: str | None, dest: Path) -> None:
 def run_once(copy: Path, workload: str, seed: int, seconds: float,
              tiny: bool) -> dict | None:
     """The result object of one untraced benchmark run in `copy`, or None if
-    it exited with an error or found incorrect records."""
+    it ran past TIMEOUT_S, exited with an error or found incorrect records."""
     cmd = [sys.executable, str(copy / "perfbench" / "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0", *(["--tiny"] if tiny else [])]
-    proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True,
-                          timeout=TIMEOUT_S)
+    try:
+        proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        print(f"{copy.name} seed {seed}: timed out after {TIMEOUT_S} s",
+              file=sys.stderr)
+        return None
     if proc.returncode != 0:
         print(f"{copy.name} seed {seed}: exited with {proc.returncode}",
               file=sys.stderr)
